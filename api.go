@@ -91,22 +91,6 @@ func VerifyText(ctx context.Context, net *Network, queryText string, opts Option
 	return engine.VerifyTextCtx(ctx, net, queryText, opts)
 }
 
-// VerifyLegacy is the pre-context signature of Verify.
-//
-// Deprecated: use Verify with a context; this wrapper runs under
-// context.Background() and will be removed in a future release.
-func VerifyLegacy(net *Network, q *Query, opts Options) (Result, error) {
-	return engine.Verify(net, q, opts)
-}
-
-// VerifyTextLegacy is the pre-context signature of VerifyText.
-//
-// Deprecated: use VerifyText with a context; this wrapper runs under
-// context.Background() and will be removed in a future release.
-func VerifyTextLegacy(net *Network, queryText string, opts Options) (Result, error) {
-	return engine.VerifyText(net, queryText, opts)
-}
-
 // BatchOptions configure VerifyBatch: worker count (default GOMAXPROCS),
 // per-query deadline and the per-query engine options.
 type BatchOptions = batch.Options

@@ -151,24 +151,6 @@ func TestPublicAPIOperatorNetworkAndDOT(t *testing.T) {
 	}
 }
 
-// TestPublicAPILegacyWrappers keeps the deprecated pre-context signatures
-// under contract until their removal.
-func TestPublicAPILegacyWrappers(t *testing.T) {
-	net := aalwines.RunningExample()
-	res, err := aalwines.VerifyTextLegacy(net, "<ip> [.#v0] .* [v3#.] <ip> 0", aalwines.Options{})
-	if err != nil || res.Verdict != aalwines.Satisfied {
-		t.Fatalf("VerifyTextLegacy: err=%v verdict=%v", err, res.Verdict)
-	}
-	q, err := aalwines.ParseQuery("<ip> [.#v0] .* [v3#.] <ip> 0", net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res2, err := aalwines.VerifyLegacy(net, q, aalwines.Options{})
-	if err != nil || res2.Verdict != res.Verdict {
-		t.Fatalf("VerifyLegacy: err=%v verdict=%v", err, res2.Verdict)
-	}
-}
-
 // TestPublicAPICancellation pins the context contract: an already-cancelled
 // context aborts the run with its error.
 func TestPublicAPICancellation(t *testing.T) {

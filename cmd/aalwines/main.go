@@ -110,7 +110,6 @@ func run() error {
 	weightSpec := flag.String("weight", "", "minimisation vector, e.g. 'Hops, Failures + 3*Tunnels'")
 	useDistance := flag.Bool("geo-distance", false, "use great-circle distances for the Distance quantity")
 	noReductions := flag.Bool("no-reductions", false, "disable the pre-saturation reduction pass")
-	satJ := flag.Int("sat-j", 0, "saturation workers per query (0/1 = serial; byte-identical results; with -queries, batch workers x sat-j is capped at GOMAXPROCS)")
 	noSlice := flag.Bool("no-slice", false, "disable query-scoped network slicing")
 	budget := flag.Int64("budget", 0, "work budget per saturation (0 = unlimited)")
 	asJSON := flag.Bool("json", false, "JSON output")
@@ -185,7 +184,7 @@ func run() error {
 		return fmt.Errorf("no -query or -queries given (and nothing to write)")
 	}
 
-	opts := engine.Options{NoReductions: *noReductions, Budget: *budget, SatJ: *satJ, NoSlice: *noSlice}
+	opts := engine.Options{NoReductions: *noReductions, Budget: *budget, NoSlice: *noSlice}
 	if *weightSpec != "" {
 		spec, err := weight.ParseSpec(*weightSpec)
 		if err != nil {

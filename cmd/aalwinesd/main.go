@@ -78,7 +78,6 @@ func run() error {
 	listen := flag.String("listen", ":8080", "listen address")
 	budget := flag.Int64("max-budget", 200_000_000, "per-request saturation budget (0 = unlimited)")
 	parallel := flag.Int("parallel", 0, "worker cap for /api/verify-batch requests (0 = GOMAXPROCS)")
-	satJ := flag.Int("sat-j", 0, "saturation workers per verification (0/1 = serial; byte-identical results)")
 	debugAddr := flag.String("debug-addr", "", "debug listener for /metrics, /debug/vars and /debug/pprof/* (empty = disabled)")
 	legacyAPI := flag.Bool("legacy-api", false, "serve the deprecated unversioned /api/* aliases (default: 410 Gone)")
 	feed := flag.String("feed", "", "routing-update feed: file or FIFO path, or \"-\" for stdin (empty = disabled)")
@@ -93,7 +92,6 @@ func run() error {
 	srv := httpapi.NewServer()
 	srv.MaxBudget = *budget
 	srv.Parallel = *parallel
-	srv.SatJ = *satJ
 	srv.LegacyAPI = *legacyAPI
 
 	// The builtin network always loads; XML files add a second network.

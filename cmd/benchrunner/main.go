@@ -63,7 +63,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "experiment seed")
 	budget := flag.Int64("budget", 50_000_000, "saturation work budget (timeout analogue, 0 = unlimited)")
 	parallel := flag.Int("parallel", 1, "worker goroutines for the Figure 4 sweep (1 = sequential, best timing fidelity)")
-	satJ := flag.Int("sat-j", 0, "saturation workers per query for -bench-verify/-bench-ladder/-check-ladder (0/1 = serial)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
@@ -129,11 +128,11 @@ func main() {
 	}
 	if *checkLadder {
 		lines, err := experiments.CheckBenchLadder(experiments.LadderGateConfig{
-			Dir: *ladderDir, Workers: *parallel, SatJ: *satJ,
+			Dir: *ladderDir, Workers: *parallel,
 			Tol: *ladderTol, MemTol: *ladderMemTol, Only: *ladderRung,
 		})
-		fmt.Printf("== Bench ladder regression gate (tol %.0f%%, mem-tol %.0f%%, sat-j %d) ==\n",
-			*ladderTol*100, *ladderMemTol*100, *satJ)
+		fmt.Printf("== Bench ladder regression gate (tol %.0f%%, mem-tol %.0f%%) ==\n",
+			*ladderTol*100, *ladderMemTol*100)
 		for _, l := range lines {
 			fmt.Println("  ", l)
 		}
@@ -143,7 +142,7 @@ func main() {
 		}
 	}
 	if *benchLadder {
-		paths, reps, err := experiments.RunBenchLadder(*ladderDir, *parallel, *satJ)
+		paths, reps, err := experiments.RunBenchLadder(*ladderDir, *parallel)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "benchrunner:", err)
 			os.Exit(1)
@@ -165,7 +164,7 @@ func main() {
 	if *benchVerify {
 		rep, err := experiments.BenchVerify(experiments.BenchVerifyConfig{
 			Network: *benchNet, Repeat: *repeat, Workers: *parallel,
-			SatJ: *satJ, Budget: *budget, Seed: *seed,
+			Budget: *budget, Seed: *seed,
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "benchrunner:", err)

@@ -174,14 +174,6 @@ func (r *Runner) VerifyOn(ctx context.Context, net *network.Network, queries []s
 	}
 	eopts := opts.Engine
 	eopts.Cache = r.cache
-	// Batch workers multiply with per-query saturation workers; cap the
-	// product at GOMAXPROCS so a batch never oversubscribes the machine
-	// (batch-level parallelism wins — it has no coordination overhead).
-	if eopts.SatJ > 1 && workers > 0 {
-		if limit := runtime.GOMAXPROCS(0) / workers; eopts.SatJ > limit {
-			eopts.SatJ = limit
-		}
-	}
 
 	mBatches.Inc()
 	mQueries.Add(int64(len(queries)))

@@ -74,7 +74,8 @@ func (v Verdict) String() string {
 }
 
 // Saturator abstracts the post* implementation so the Moped-style baseline
-// can plug in. Implementations must behave like pds.PoststarBudget.
+// can plug in. Implementations must behave like pds.PoststarOpts with only
+// Dim and Budget set.
 type Saturator func(p *pds.PDS, init *pds.Auto, dim int, budget int64) (*pds.Result, error)
 
 // Options configure a verification run.
@@ -100,17 +101,12 @@ type Options struct {
 	// fixed point only if validation fails; verdicts are identical either
 	// way, only the work differs.
 	NoEarlyAccept bool
-	// SatJ sets the saturation parallelism (pds.SatOptions.Parallelism) of
-	// the default backend: values > 1 run post* rule matching on that many
-	// workers, clamped to GOMAXPROCS, with results byte-identical to the
-	// serial engine. 0 or 1 is serial; a Saturate override ignores it.
-	SatJ int
 	// NoSlice disables query-scoped network slicing (ablation). By default
 	// the translator emits rules only for the part of the network the
 	// query's endpoints can reach (translate.Options.Slice); results are
 	// byte-identical either way, only build work and rule counts differ.
 	NoSlice bool
-	// Saturate overrides the saturation backend (nil = pds.PoststarBudget).
+	// Saturate overrides the saturation backend (nil = pds.PoststarOpts).
 	Saturate Saturator
 	// Cache, when non-nil and bound to the verified network, memoizes
 	// translated systems across runs: the pushdown system is built once per
@@ -201,12 +197,7 @@ func verifyCtx(ctx context.Context, net *network.Network, q *query.Query, opts O
 	if sat == nil {
 		stop := ctx.Done()
 		sat = func(p *pds.PDS, init *pds.Auto, dim int, budget int64) (*pds.Result, error) {
-			return pds.PoststarOpts(p, init, pds.SatOptions{
-				Dim:         dim,
-				Budget:      budget,
-				Stop:        stop,
-				Parallelism: opts.SatJ,
-			})
+			return pds.PoststarOpts(p, init, pds.SatOptions{Dim: dim, Budget: budget, Stop: stop})
 		}
 	}
 	build := func(mode translate.Mode) (*translate.System, *pds.Auto) {
@@ -251,7 +242,6 @@ func verifyCtx(ctx context.Context, net *network.Network, q *query.Query, opts O
 			EarlyAccept: true,
 			FinalStates: over.FinalStates,
 			FinalSpec:   over.FinalSpec,
-			Parallelism: opts.SatJ,
 		})
 	} else {
 		overRes, err = sat(over.PDS, overInit, over.Dim, opts.Budget)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"aalwines/internal/batch"
@@ -273,43 +272,38 @@ func FuzzVerifyBatch(f *testing.F) {
 	})
 }
 
-// FuzzVerifyModes cross-checks the execution modes that promise
-// byte-identical results — parallel saturation at any worker count and
-// query-scoped network slicing on or off — against the serial unsliced
-// engine on random instances. Any divergence in verdict, trace, failed
-// set or weight is a soundness bug in the sharded commit order or the
-// slice's forward closure.
+// FuzzVerifyModes cross-checks query-scoped network slicing, on or off,
+// against the unsliced engine on random instances: slicing promises
+// byte-identical results, so any divergence in verdict, trace, failed set
+// or weight is a soundness bug in the slice's forward closure.
 func FuzzVerifyModes(f *testing.F) {
-	f.Add(int64(1), int64(2), uint8(4), false)
-	f.Add(int64(42), int64(7), uint8(0), true)
-	f.Add(int64(1234), int64(99), uint8(8), false)
-	f.Add(int64(-5), int64(0), uint8(2), true)
-	f.Fuzz(func(t *testing.T, netSeed, querySeed int64, satJ uint8, noSlice bool) {
-		prev := runtime.GOMAXPROCS(8)
-		defer runtime.GOMAXPROCS(prev)
+	f.Add(int64(1), int64(2), false)
+	f.Add(int64(42), int64(7), true)
+	f.Add(int64(1234), int64(99), false)
+	f.Add(int64(-5), int64(0), true)
+	f.Fuzz(func(t *testing.T, netSeed, querySeed int64, noSlice bool) {
 		rng := rand.New(rand.NewSource(netSeed))
 		n := randomNetwork(rng)
 		qrng := rand.New(rand.NewSource(querySeed))
-		j := int(satJ % 9) // 0 (engine default) through 8 workers
 		for i := 0; i < 4; i++ {
 			qt := randomQuery(qrng, n)
 			base, berr := engine.VerifyText(n, qt, engine.Options{NoSlice: true})
-			res, err := engine.VerifyText(n, qt, engine.Options{SatJ: j, NoSlice: noSlice})
+			res, err := engine.VerifyText(n, qt, engine.Options{NoSlice: noSlice})
 			if (berr != nil) != (err != nil) {
-				t.Fatalf("j=%d noSlice=%v %q: base err %v, mode err %v", j, noSlice, qt, berr, err)
+				t.Fatalf("noSlice=%v %q: base err %v, mode err %v", noSlice, qt, berr, err)
 			}
 			if err != nil {
 				continue
 			}
 			if res.Verdict != base.Verdict {
-				t.Fatalf("j=%d noSlice=%v %q: verdict %v, serial unsliced %v", j, noSlice, qt, res.Verdict, base.Verdict)
+				t.Fatalf("noSlice=%v %q: verdict %v, unsliced %v", noSlice, qt, res.Verdict, base.Verdict)
 			}
 			if !reflect.DeepEqual(res.Trace, base.Trace) || !reflect.DeepEqual(res.Failed, base.Failed) {
-				t.Fatalf("j=%d noSlice=%v %q: witness differs from serial unsliced\nmode: %s\nbase: %s",
-					j, noSlice, qt, res.Trace.Format(n), base.Trace.Format(n))
+				t.Fatalf("noSlice=%v %q: witness differs from unsliced\nmode: %s\nbase: %s",
+					noSlice, qt, res.Trace.Format(n), base.Trace.Format(n))
 			}
 			if !reflect.DeepEqual(res.Weight, base.Weight) {
-				t.Fatalf("j=%d noSlice=%v %q: weight %v, serial unsliced %v", j, noSlice, qt, res.Weight, base.Weight)
+				t.Fatalf("noSlice=%v %q: weight %v, unsliced %v", noSlice, qt, res.Weight, base.Weight)
 			}
 		}
 	})

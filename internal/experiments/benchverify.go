@@ -43,10 +43,6 @@ type BenchVerifyConfig struct {
 	Repeat int
 	// Workers is the batch pool size (0 = GOMAXPROCS).
 	Workers int
-	// SatJ is the per-query saturation parallelism (engine.Options.SatJ);
-	// 0/1 = serial. Results are byte-identical across values, so every
-	// deterministic counter in the report is too.
-	SatJ int
 	// Budget bounds saturation work per direction (0 = unlimited).
 	Budget int64
 	// Seed drives the generated networks and query sets.
@@ -63,7 +59,6 @@ type BenchVerifyReport struct {
 	Repeat     int             `json:"repeat"`
 	Runs       int             `json:"runs"`
 	Workers    int             `json:"workers"`
-	SatJ       int             `json:"satJ,omitempty"`
 	Seed       int64           `json:"seed"`
 	Budget     int64           `json:"budget"`
 	Verdicts   map[string]int  `json:"verdicts"`
@@ -126,11 +121,6 @@ type BenchSaturation struct {
 	// benchmark's work the hot-path machinery saved.
 	EarlyAccepts int64 `json:"earlyAccepts"`
 	IndexProbes  int64 `json:"indexProbes"`
-	// ParallelRuns counts post* runs that took the sharded speculative
-	// path (SatJ > 1 after clamping); ShardSteals counts speculation tasks
-	// drained cross-shard by the work-stealing workers.
-	ParallelRuns int64 `json:"parallelRuns,omitempty"`
-	ShardSteals  int64 `json:"shardSteals,omitempty"`
 }
 
 // runningExampleQueries is the φ set of the paper's running example
@@ -220,7 +210,7 @@ func BenchVerify(cfg BenchVerifyConfig) (*BenchVerifyReport, error) {
 	for r := 0; r < repeat; r++ {
 		all = append(all, runner.Verify(context.Background(), queries, batch.Options{
 			Workers: cfg.Workers,
-			Engine:  engine.Options{Budget: cfg.Budget, SatJ: cfg.SatJ},
+			Engine:  engine.Options{Budget: cfg.Budget},
 		})...)
 	}
 	elapsed := time.Since(start)
@@ -234,7 +224,6 @@ func BenchVerify(cfg BenchVerifyConfig) (*BenchVerifyReport, error) {
 		Repeat:    repeat,
 		Runs:      len(all),
 		Workers:   cfg.Workers,
-		SatJ:      cfg.SatJ,
 		Seed:      cfg.Seed,
 		Budget:    cfg.Budget,
 		Verdicts:  map[string]int{},
@@ -342,8 +331,6 @@ func saturationDelta(pre, post obs.Snapshot) BenchSaturation {
 		BudgetExhausted: delta("pds_budget_exhausted_total"),
 		EarlyAccepts:    delta("pds_early_accept_total"),
 		IndexProbes:     delta("pds_index_probes_total"),
-		ParallelRuns:    delta("pds_parallel_runs_total"),
-		ShardSteals:     delta("pds_shard_steals_total"),
 	}
 }
 
@@ -375,15 +362,13 @@ func BenchLadder() []LadderRung {
 
 // RunBenchLadder runs every rung of the ladder, writes one validated
 // BENCH_verify_<name>.json per rung into dir, and returns the written
-// paths alongside the reports, in rung order. satJ sets the per-query
-// saturation parallelism (0/1 = serial).
-func RunBenchLadder(dir string, workers, satJ int) ([]string, []*BenchVerifyReport, error) {
+// paths alongside the reports, in rung order.
+func RunBenchLadder(dir string, workers int) ([]string, []*BenchVerifyReport, error) {
 	var paths []string
 	var reps []*BenchVerifyReport
 	for _, rung := range BenchLadder() {
 		cfg := rung.Cfg
 		cfg.Workers = workers
-		cfg.SatJ = satJ
 		rep, err := BenchVerify(cfg)
 		if err != nil {
 			return paths, reps, fmt.Errorf("benchverify: ladder rung %s: %w", rung.Name, err)
@@ -464,11 +449,8 @@ func ValidateBenchVerify(data []byte) error {
 	}
 	s := rep.Saturation
 	if s.Runs < 0 || s.WorklistPops < 0 || s.WorklistPushes < 0 || s.TransInserted < 0 ||
-		s.EarlyAccepts < 0 || s.IndexProbes < 0 || s.ParallelRuns < 0 || s.ShardSteals < 0 {
+		s.EarlyAccepts < 0 || s.IndexProbes < 0 {
 		return fmt.Errorf("benchverify: negative saturation counters: %+v", s)
-	}
-	if s.ParallelRuns > s.Runs {
-		return fmt.Errorf("benchverify: parallelRuns=%d exceeds saturation runs=%d", s.ParallelRuns, s.Runs)
 	}
 	if s.EarlyAccepts > s.Runs {
 		return fmt.Errorf("benchverify: earlyAccepts=%d exceeds saturation runs=%d", s.EarlyAccepts, s.Runs)

@@ -16,9 +16,9 @@ import (
 //   - determinism: the verdict histogram and the saturation work counters
 //     (pops, pushes, inserted transitions, early accepts, index probes)
 //     must match the baseline EXACTLY. These are bit-reproducible for a
-//     fixed (network, seed, budget) workload — the engine's results are
-//     byte-identical across saturation parallelism and slicing — so any
-//     drift is a real behaviour change, not noise.
+//     fixed (network, seed, budget) workload — saturation is one
+//     deterministic worklist loop — so any drift is a real behaviour
+//     change, not noise.
 //   - timing: the fresh mean per-query latency must stay within tol
 //     (default 15%) of the baseline, with a small absolute grace so
 //     sub-millisecond rungs don't flake on scheduler jitter.
@@ -104,9 +104,8 @@ func CompareBenchVerify(base, fresh *BenchVerifyReport, tol, memTol float64) err
 type LadderGateConfig struct {
 	// Dir holds the committed BENCH_verify_<rung>.json baselines.
 	Dir string
-	// Workers and SatJ are forwarded to every rung's BenchVerifyConfig.
+	// Workers is forwarded to every rung's BenchVerifyConfig.
 	Workers int
-	SatJ    int
 	// Tol is the relative mean-latency tolerance (<= 0 disables timing).
 	Tol float64
 	// MemTol is the relative alloc-per-run tolerance (<= 0 disables the
@@ -148,7 +147,6 @@ func CheckBenchLadder(cfg LadderGateConfig) ([]string, error) {
 		}
 		rcfg := rung.Cfg
 		rcfg.Workers = cfg.Workers
-		rcfg.SatJ = cfg.SatJ
 		fresh, err := BenchVerify(rcfg)
 		if err != nil {
 			return lines, fmt.Errorf("ladder rung %s: %w", rung.Name, err)

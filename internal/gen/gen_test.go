@@ -2,6 +2,7 @@ package gen
 
 import (
 	"testing"
+	"time"
 
 	"aalwines/internal/labels"
 	"aalwines/internal/network"
@@ -194,6 +195,29 @@ func TestQueriesGeneration(t *testing.T) {
 	for i := range qs {
 		if qs[i].Text != qs2[i].Text {
 			t.Fatal("query generation not deterministic")
+		}
+	}
+}
+
+// TestQueriesUnprotected checks that a network without fast-reroute
+// backups, where the double-backup family has no hops to draw, still gets
+// count queries from the remaining families instead of looping forever.
+func TestQueriesUnprotected(t *testing.T) {
+	s := Zoo(ZooOpts{Routers: 18, Seed: 1})
+	done := make(chan []GenQuery, 1)
+	go func() { done <- s.Queries(12, 1) }()
+	var qs []GenQuery
+	select {
+	case qs = <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Queries(12, 1) did not return on an unprotected network")
+	}
+	if len(qs) != 12 {
+		t.Fatalf("got %d queries, want 12", len(qs))
+	}
+	for i, q := range qs {
+		if q.Kind == QDoubleBackup {
+			t.Errorf("query %d is %v on a network without backup hops: %s", i, q.Kind, q.Text)
 		}
 	}
 }

@@ -63,7 +63,8 @@ type GenQuery struct {
 
 // Queries generates count queries over the synthesised network, cycling
 // through the query families with randomised endpoints and failure bounds
-// (k ∈ {0,1,2}), deterministically from the seed.
+// (k ∈ {0,1,2}), deterministically from the seed. A network with fewer
+// than two fast-reroute backup hops gets no QDoubleBackup queries.
 func (s *Synth) Queries(count int, seed int64) []GenQuery {
 	rng := rand.New(rand.NewSource(seed))
 	out := make([]GenQuery, 0, count)
@@ -77,8 +78,16 @@ func (s *Synth) Queries(count int, seed int64) []GenQuery {
 	}
 	edgeName := func(i int) string { return g.Routers[s.Edge[i]].Name }
 	coreName := func(i int) string { return g.Routers[core[i]].Name }
-	for len(out) < count {
-		kind := QueryKind(len(out) % int(numQueryKinds))
+	backups := s.backupHops()
+	// fam cycles through the families; it runs ahead of len(out) only on a
+	// network with fewer than two backup hops, where QDoubleBackup is
+	// skipped.
+	for fam := 0; len(out) < count; {
+		kind := QueryKind(fam % int(numQueryKinds))
+		if kind == QDoubleBackup && len(backups) < 2 {
+			fam++ // unprotected network: skip this family
+			continue
+		}
 		k := rng.Intn(3)
 		a := rng.Intn(len(s.Edge))
 		b := rng.Intn(len(s.Edge))
@@ -87,7 +96,6 @@ func (s *Synth) Queries(count int, seed int64) []GenQuery {
 		}
 		ca := rng.Intn(len(core))
 		cb := rng.Intn(len(core))
-		backups := s.backupHops()
 		var text string
 		switch kind {
 		case QReach:
@@ -102,18 +110,16 @@ func (s *Synth) Queries(count int, seed int64) []GenQuery {
 		case QAnyTunnel:
 			text = "<smpls? ip> .* <. smpls ip> 0"
 		case QDoubleBackup:
-			if len(backups) < 2 {
-				continue // unprotected network: skip this family
-			}
 			h1 := backups[rng.Intn(len(backups))]
 			h2 := backups[rng.Intn(len(backups))]
 			if h1 == h2 {
-				continue
+				continue // redraw within the same family
 			}
 			kk := 1 + rng.Intn(2)
 			text = fmt.Sprintf("<smpls? ip> .* [%s] .* [%s] .* <. ip> %d", h1, h2, kk)
 			k = kk
 		}
+		fam++
 		out = append(out, GenQuery{Kind: kind, Text: text, K: k})
 	}
 	return out

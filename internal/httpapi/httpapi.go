@@ -92,10 +92,10 @@ type Server struct {
 	// Parallel caps the worker pool of a batch request (0 = GOMAXPROCS);
 	// requests may ask for fewer workers but not more.
 	Parallel int
-	// SatJ sets the saturation parallelism of every verification the server
-	// runs (engine.Options.SatJ): 0/1 = serial; results are byte-identical
-	// either way. Batch requests additionally clamp batch workers × SatJ to
-	// GOMAXPROCS inside the batch runner.
+	// SatJ is ignored: saturation is always serial.
+	//
+	// Deprecated: kept only so existing assignments compile; it will be
+	// removed.
 	SatJ int
 	// MaxSessions caps concurrently open scenario sessions (0 = 64).
 	MaxSessions int
@@ -344,7 +344,7 @@ type VerifyRequest struct {
 // and returns ok=false.
 func (s *Server) engineOptions(w http.ResponseWriter, net *network.Network,
 	weightStr, engineName string, budget int64, geo, noReductions bool) (engine.Options, bool) {
-	opts := engine.Options{NoReductions: noReductions, SatJ: s.SatJ}
+	opts := engine.Options{NoReductions: noReductions}
 	opts.Budget = s.MaxBudget
 	if budget > 0 && (s.MaxBudget == 0 || budget < s.MaxBudget) {
 		opts.Budget = budget
@@ -696,7 +696,7 @@ func (s *Server) handleSessionList(w http.ResponseWriter, _ *http.Request) {
 // engine defaults.
 func (s *Server) newHub(sess *scenario.Session) *live.Hub {
 	return live.NewHub(sess, live.HubOptions{
-		Engine:  engine.Options{SatJ: s.SatJ, Budget: s.MaxBudget},
+		Engine:  engine.Options{Budget: s.MaxBudget},
 		Workers: s.Parallel,
 	})
 }

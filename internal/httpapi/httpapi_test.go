@@ -363,8 +363,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"pds_index_probes_total{alg=\"poststar\"}",
 		"pds_pool_hits_total",
 		"pds_pool_misses_total",
-		"pds_parallel_runs_total",
-		"pds_shard_steals_total",
 		"translate_slice_routers_kept_total",
 		"translate_slice_routers_dropped_total",
 		"engine_early_accept_fallback_total",

@@ -20,8 +20,8 @@ import (
 	"aalwines/internal/pds"
 )
 
-// Poststar is a drop-in replacement for pds.PoststarBudget restricted to
-// the unweighted case (dim must be 0; the weighted engine has no Moped
+// Poststar is a drop-in replacement for pds.PoststarOpts with only Dim and
+// Budget set, restricted to the unweighted case (dim must be 0; the weighted engine has no Moped
 // analogue, which is the point of the paper's comparison).
 func Poststar(p *pds.PDS, init *pds.Auto, dim int, budget int64) (*pds.Result, error) {
 	if dim != 0 {

@@ -74,7 +74,7 @@ func benchPoststar(b *testing.B, netName string) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, c := range cases {
-			res, err := pds.Poststar(c.sys.PDS, c.init.Clone(), c.sys.Dim)
+			res, err := pds.PoststarOpts(c.sys.PDS, c.init.Clone(), pds.SatOptions{Dim: c.sys.Dim})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -38,14 +38,6 @@ var (
 	// buffers, a miss allocates fresh ones.
 	poolHits   = obs.GetCounter("pds_pool_hits_total")
 	poolMisses = obs.GetCounter("pds_pool_misses_total")
-
-	// Parallel-saturation health: parallelRuns counts post* runs that took
-	// the sharded speculative path (Parallelism > 1 after the GOMAXPROCS
-	// clamp), shardSteals counts speculation tasks a worker drained from a
-	// shard it does not own — the work-stealing traffic. A steal rate near
-	// the task rate means the shard hash is unbalanced for this workload.
-	parallelRuns = obs.GetCounter("pds_parallel_runs_total")
-	shardSteals  = obs.GetCounter("pds_shard_steals_total")
 )
 
 // satTally accumulates one saturation run's counters locally; flush adds
@@ -53,7 +45,6 @@ var (
 type satTally struct {
 	pops, pushes, inserted, peak int64
 	probes, earlyAccepts         int64
-	parallel                     bool
 }
 
 func (t *satTally) notePush(depth int) {
@@ -65,9 +56,6 @@ func (t *satTally) notePush(depth int) {
 
 func (t *satTally) flushPost() {
 	postRuns.Inc()
-	if t.parallel {
-		parallelRuns.Inc()
-	}
 	postPops.Add(t.pops)
 	postPushes.Add(t.pushes)
 	postInserted.Add(t.inserted)

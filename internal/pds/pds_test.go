@@ -1,6 +1,7 @@
 package pds
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -67,7 +68,7 @@ func anbn() *PDS {
 func TestPoststarAnbn(t *testing.T) {
 	p := anbn()
 	init := singleInit(p, 0, []Sym{2}) // ⟨0, ⊥⟩
-	res, err := Poststar(p, init, 0)
+	res, err := PoststarOpts(p, init, SatOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,7 @@ func TestPoststarAnbn(t *testing.T) {
 func TestFindAcceptingAndReconstruct(t *testing.T) {
 	p := anbn()
 	init := singleInit(p, 0, []Sym{2})
-	res, err := Poststar(p, init, 0)
+	res, err := PoststarOpts(p, init, SatOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func TestFindAcceptingAndReconstruct(t *testing.T) {
 func TestFindAcceptingNoMatch(t *testing.T) {
 	p := anbn()
 	init := singleInit(p, 0, []Sym{2})
-	res, _ := Poststar(p, init, 0)
+	res, _ := PoststarOpts(p, init, SatOptions{})
 	if _, ok := res.FindAccepting([]State{1}, exactSpec(3, []Sym{1, 2})); ok {
 		t.Fatal("found unreachable config")
 	}
@@ -143,8 +144,65 @@ func TestPoststarRejectsBadInput(t *testing.T) {
 	a := NewAuto(p)
 	// Transition into control state 1: invalid for post*.
 	a.AddEdge(0, 0, 1)
-	if _, err := Poststar(p, a, 0); err == nil {
+	if _, err := PoststarOpts(p, a, SatOptions{}); err == nil {
 		t.Fatal("expected validation error")
+	}
+}
+
+// gridPDS builds a post* workload of a few hundred pops: n control states,
+// n stack symbols plus a bottom marker n, and swap rules that step either
+// the state or the top symbol, so every ⟨s, g n⟩ is reachable from ⟨0, 0 n⟩.
+func gridPDS(n int) *PDS {
+	p := New(n, n+1)
+	for s := 0; s < n; s++ {
+		for g := 0; g < n; g++ {
+			p.AddRule(Rule{FromState: State(s), FromSym: Sym(g), ToState: State((s + 1) % n), Kind: SwapRule, Sym1: Sym(g)})
+			p.AddRule(Rule{FromState: State(s), FromSym: Sym(g), ToState: State(s), Kind: SwapRule, Sym1: Sym((g + 1) % n)})
+		}
+	}
+	return p
+}
+
+// TestPoststarOptsBudget pins the budget checkpoint: half the full run's pops
+// aborts with ErrBudget on pop budget+1 and counts one exhausted run.
+func TestPoststarOptsBudget(t *testing.T) {
+	p := gridPDS(16)
+	pops0 := postPops.Value()
+	if _, err := PoststarOpts(p, singleInit(p, 0, []Sym{0, 16}), SatOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	full := postPops.Value() - pops0
+	budget := full / 2
+	pops0, exhausted0 := postPops.Value(), budgetExhausted.Value()
+	res, err := PoststarOpts(p, singleInit(p, 0, []Sym{0, 16}), SatOptions{Budget: budget})
+	if !errors.Is(err, ErrBudget) || res != nil {
+		t.Fatalf("budget %d of %d pops: res=%v err=%v, want ErrBudget", budget, full, res, err)
+	}
+	if d := budgetExhausted.Value() - exhausted0; d != 1 {
+		t.Errorf("pds_budget_exhausted_total moved by %d, want 1", d)
+	}
+	if d := postPops.Value() - pops0; d != budget+1 {
+		t.Errorf("aborted run counted %d pops, want budget+1 = %d", d, budget+1)
+	}
+}
+
+// TestPoststarOptsStop pins the cooperative stop: an already-closed Stop
+// aborts with ErrStopped at the first checkpoint (firstCheck pops) and
+// counts one stopped run.
+func TestPoststarOptsStop(t *testing.T) {
+	p := gridPDS(16)
+	stop := make(chan struct{})
+	close(stop)
+	pops0, stopped0 := postPops.Value(), satStopped.Value()
+	res, err := PoststarOpts(p, singleInit(p, 0, []Sym{0, 16}), SatOptions{Stop: stop})
+	if !errors.Is(err, ErrStopped) || res != nil {
+		t.Fatalf("closed stop: res=%v err=%v, want ErrStopped", res, err)
+	}
+	if d := satStopped.Value() - stopped0; d != 1 {
+		t.Errorf("pds_saturation_stopped_total moved by %d, want 1", d)
+	}
+	if d := postPops.Value() - pops0; d != firstCheck {
+		t.Errorf("stopped run counted %d pops, want firstCheck = %d", d, firstCheck)
 	}
 }
 
@@ -227,7 +285,7 @@ func TestPoststarSoundAndComplete(t *testing.T) {
 		bot := Sym(p.NumSyms - 1)
 		start := Config{State: 0, Stack: []Sym{0, bot}}
 		init := singleInit(p, start.State, start.Stack)
-		res, err := Poststar(p, init, 0)
+		res, err := PoststarOpts(p, init, SatOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -299,7 +357,7 @@ func TestPrestarDuality(t *testing.T) {
 			State: State(rng.Intn(p.NumStates)),
 			Stack: []Sym{Sym(rng.Intn(p.NumSyms - 1)), bot},
 		}
-		post, err := Poststar(p, singleInit(p, c0.State, c0.Stack), 0)
+		post, err := PoststarOpts(p, singleInit(p, c0.State, c0.Stack), SatOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -324,7 +382,7 @@ func TestWeightedMinimum(t *testing.T) {
 	p.AddRule(Rule{FromState: 0, FromSym: 0, ToState: 2, Kind: SwapRule, Sym1: 0, Weight: []uint64{5}, Tag: 3})
 	p.AddRule(Rule{FromState: 2, FromSym: 0, ToState: 3, Kind: SwapRule, Sym1: 0, Weight: []uint64{5}, Tag: 4})
 	init := singleInit(p, 0, []Sym{0, 1})
-	res, err := Poststar(p, init, 1)
+	res, err := PoststarOpts(p, init, SatOptions{Dim: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +416,7 @@ func TestWeightedPushPop(t *testing.T) {
 	// ⟨0,x⟩ -> ⟨1, ε⟩ cost 1
 	p.AddRule(Rule{FromState: 0, FromSym: 0, ToState: 1, Kind: PopRule, Weight: []uint64{1}})
 	init := singleInit(p, 0, []Sym{1})
-	res, err := Poststar(p, init, 1)
+	res, err := PoststarOpts(p, init, SatOptions{Dim: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,9 +24,7 @@ type Result struct {
 	EarlyAccepted bool
 }
 
-// SatOptions bundles the optional controls of a saturation run. Post*
-// honours every field; pre* (PrestarOpts) honours Dim=0 runs with Budget
-// and Stop and ignores the early-accept fields.
+// SatOptions bundles the optional controls of a post* run (PoststarOpts).
 type SatOptions struct {
 	// Dim is the weight vector dimension (0 = unweighted).
 	Dim int
@@ -48,49 +46,16 @@ type SatOptions struct {
 	// FinalStates/FinalSpec).
 	FinalStates []State
 	FinalSpec   *nfa.NFA
-	// Parallelism > 1 enables the sharded speculative rule-matching path:
-	// the worklist is processed in rounds, each round's pending pops are
-	// partitioned by a hash of their packed (state, symbol) pair across
-	// that many matcher workers (with work-stealing between shards), and
-	// the commit pass replays the exact serial mutation sequence using the
-	// precomputed match lists. The Result — witnesses, weights, transition
-	// order, early-accept point — is byte-identical to a serial run; see
-	// DESIGN.md §11 for why the commit pass must stay sequential.
-	Parallelism int
 }
 
-// Poststar computes post*(L(init)): the saturated automaton accepts exactly
-// the configurations reachable from configurations accepted by init. The
-// input automaton must have no transitions into control states; it is
-// mutated in place and becomes the result automaton.
-//
-// When dim > 0 the computation is the weighted post* of Reps et al.: rule
-// weights (vectors of length dim, nil meaning the neutral all-zeros) are
-// accumulated, every transition keeps its lexicographically minimal weight,
-// and witness records always describe a derivation achieving the stored
-// weight.
-func Poststar(p *PDS, init *Auto, dim int) (*Result, error) {
-	return PoststarOpts(p, init, SatOptions{Dim: dim})
-}
-
-// ErrBudget is returned by PoststarBudget when the work budget is
+// ErrBudget is returned by PoststarOpts when SatOptions.Budget is
 // exhausted; it plays the role of the experiment timeout.
 var ErrBudget = errors.New("pds: post* work budget exhausted")
 
-// ErrStopped is returned by PoststarStop when the stop channel closes
+// ErrStopped is returned by PoststarOpts when SatOptions.Stop closes
 // before saturation completes; the engine maps it to the caller's context
 // error.
 var ErrStopped = errors.New("pds: post* stopped")
-
-// PoststarBudget is Poststar with a cooperative work budget.
-func PoststarBudget(p *PDS, init *Auto, dim int, budget int64) (*Result, error) {
-	return PoststarOpts(p, init, SatOptions{Dim: dim, Budget: budget})
-}
-
-// PoststarStop is PoststarBudget with cooperative cancellation.
-func PoststarStop(p *PDS, init *Auto, dim int, budget int64, stop <-chan struct{}) (*Result, error) {
-	return PoststarOpts(p, init, SatOptions{Dim: dim, Budget: budget, Stop: stop})
-}
 
 // edgeRef locates a worklist entry as (source state, out-edge index): the
 // pop reads the edge slot directly instead of re-resolving a Trans through
@@ -112,11 +77,7 @@ const (
 	firstCheck = 64
 )
 
-// postRun is the mutable state of one post* saturation. The serial and
-// parallel drivers share it: both drain the same worklist with the same
-// pop body (process) and the same cooperative checkpoint (beat), so the
-// mutation sequence — and hence the resulting automaton, witnesses and
-// obs tallies — is identical between them by construction.
+// postRun is the mutable state of one post* saturation.
 type postRun struct {
 	p     *PDS
 	a     *Auto
@@ -145,7 +106,18 @@ type postRun struct {
 	nextCheck int64
 }
 
-// PoststarOpts is Poststar with all optional controls.
+// PoststarOpts computes post*(L(init)): the saturated automaton accepts
+// exactly the configurations reachable from configurations accepted by
+// init. The input automaton must have no transitions into control states;
+// it is mutated in place and becomes the result automaton. o carries the
+// optional controls; the zero value runs an unweighted, unbounded
+// saturation to the fixed point.
+//
+// When o.Dim > 0 the computation is the weighted post* of Reps et al.:
+// rule weights (vectors of length Dim, nil meaning the neutral all-zeros)
+// are accumulated, every transition keeps its lexicographically minimal
+// weight, and witness records always describe a derivation achieving the
+// stored weight.
 func PoststarOpts(p *PDS, init *Auto, o SatOptions) (*Result, error) {
 	if err := init.Validate(); err != nil {
 		return nil, err
@@ -177,19 +149,11 @@ func PoststarOpts(p *PDS, init *Auto, o SatOptions) (*Result, error) {
 			return r.finish(true), nil
 		}
 	}
-	if o.Parallelism > 1 {
-		return r.runParallel(o.Parallelism)
-	}
-	return r.runSerial()
-}
-
-// runSerial drains the worklist one pop at a time.
-func (r *postRun) runSerial() (*Result, error) {
 	for r.head < len(r.queue) {
 		if res, err, done := r.beat(); done {
 			return res, err
 		}
-		r.process(r.pop(), nil, 0, false)
+		r.process(r.pop())
 	}
 	r.tally.pops = r.work
 	return r.finish(false), nil
@@ -317,9 +281,7 @@ func (r *postRun) apply(ri int32, t Trans, w []uint64, rec *Witness) {
 }
 
 // applyRules fires every PDS rule matching transition t (whose source is a
-// control state), resolving the match inline. The parallel driver replaces
-// this with a precomputed match list (process with matched != nil), which
-// yields the same rule sequence and the same probe tally.
+// control state).
 func (r *postRun) applyRules(t Trans, w []uint64, rec *Witness) {
 	if set := r.a.SymSet(t.Sym); set != nil {
 		rs := r.p.RulesFromState(t.From)
@@ -338,11 +300,9 @@ func (r *postRun) applyRules(t Trans, w []uint64, rec *Witness) {
 	}
 }
 
-// process is the pop body shared by the serial and parallel drivers. When
-// spec is true the rule-matching was precomputed by the speculation pass:
-// matched holds the firing rule indices and probes the probe count the
-// inline matcher would have tallied.
-func (r *postRun) process(ref edgeRef, matched []int32, probes int64, spec bool) {
+// process is the pop body: it combines the popped transition with the
+// ε-transitions around it and fires the PDS rules it matches.
+func (r *postRun) process(ref edgeRef) {
 	a := r.a
 	se := &a.states[ref.from]
 	se.meta[ref.ei].flags &^= fQueued
@@ -382,14 +342,7 @@ func (r *postRun) process(ref edgeRef, matched []int32, probes int64, spec bool)
 	if int(t.From) >= r.p.NumStates {
 		return // no rules apply to non-control sources
 	}
-	if spec {
-		r.tally.probes += probes
-		for _, ri := range matched {
-			r.apply(ri, t, w, rec)
-		}
-	} else {
-		r.applyRules(t, w, rec)
-	}
+	r.applyRules(t, w, rec)
 }
 
 func (r *postRun) finish(early bool) *Result {

@@ -5,25 +5,9 @@ package pds
 // reachable. The target automaton is mutated in place (it must not be
 // reused afterwards). The implementation is the worklist formulation of
 // Schwoon's Algorithm 1; it is unweighted and does not track witnesses —
-// the engine uses Poststar for witness generation and Prestar for
-// cross-validation (post*(I) ∩ F ≠ ∅ ⇔ I ∩ pre*(F) ≠ ∅).
-func Prestar(p *PDS, target *Auto) *Result {
-	res, err := PrestarOpts(p, target, SatOptions{})
-	if err != nil {
-		// Without a budget or stop channel PrestarOpts cannot fail.
-		panic("pds: Prestar: " + err.Error())
-	}
-	return res
-}
-
-// PrestarOpts is Prestar with the same optional controls post* takes:
-// Budget bounds the worklist pops (ErrBudget on exhaustion), Stop aborts
-// cooperatively at the firstCheck/checkEvery cadence (ErrStopped), and the
-// run's counters flush into the alg="prestar" obs series. The weighted and
-// early-accept fields of SatOptions do not apply to this direction (pre*
-// here is the unweighted cross-validation pass) and are ignored, as is
-// Parallelism: pre* is off the latency-critical path, so it takes the
-// serial worklist unconditionally.
+// the engine uses PoststarOpts for witness generation, and tests and
+// benchmarks use Prestar for cross-validation (post*(I) ∩ F ≠ ∅ ⇔
+// I ∩ pre*(F) ≠ ∅).
 //
 // The worklist is drained with a head index over a shared pooled buffer:
 // the old `queue = queue[1:]` form shrank the slice's capacity with every
@@ -31,7 +15,7 @@ func Prestar(p *PDS, target *Auto) *Result {
 // over a run. Membership tracking lives in the per-edge fQueued flag; the
 // old inQueue map is gone (pre* inserts are pure novelty checks, so an
 // edge never re-enters the worklist anyway).
-func PrestarOpts(p *PDS, target *Auto, o SatOptions) (*Result, error) {
+func Prestar(p *PDS, target *Auto) *Result {
 	a := target
 	var tally satTally
 	var wits witArena
@@ -97,30 +81,8 @@ func PrestarOpts(p *PDS, target *Auto, o SatOptions) (*Result, error) {
 	dprimeBy := make([][]dprime, a.NumStates())
 
 	var matchBuf []State
-	var work int64
-	nextCheck := int64(firstCheck)
 	for head < len(queue) {
-		if work++; o.Budget > 0 && work > o.Budget {
-			tally.pops = work
-			budgetExhausted.Inc()
-			return nil, ErrBudget
-		}
-		if work == nextCheck {
-			if nextCheck < checkEvery {
-				nextCheck *= 2
-			} else {
-				nextCheck += checkEvery
-			}
-			if o.Stop != nil {
-				select {
-				case <-o.Stop:
-					tally.pops = work
-					satStopped.Inc()
-					return nil, ErrStopped
-				default:
-				}
-			}
-		}
+		tally.pops++
 		ref := queue[head]
 		head++
 		if head == len(queue) {
@@ -160,6 +122,5 @@ func PrestarOpts(p *PDS, target *Auto, o SatOptions) (*Result, error) {
 			}
 		}
 	}
-	tally.pops = work
-	return &Result{PDS: p, Auto: a, Dim: 0}, nil
+	return &Result{PDS: p, Auto: a, Dim: 0}
 }

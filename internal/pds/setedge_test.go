@@ -30,7 +30,7 @@ func TestSetEdgeSaturation(t *testing.T) {
 	p.AddRule(Rule{FromState: 0, FromSym: 0, ToState: 1, Kind: SwapRule, Sym1: 1})
 	p.AddRule(Rule{FromState: 0, FromSym: 1, ToState: 2, Kind: SwapRule, Sym1: 0})
 	init := setInit(p, []Sym{0, 1}, 2)
-	res, err := Poststar(p, init, 0)
+	res, err := PoststarOpts(p, init, SatOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestSetEdgeWitness(t *testing.T) {
 	p := New(3, 3)
 	p.AddRule(Rule{FromState: 0, FromSym: 1, ToState: 2, Kind: SwapRule, Sym1: 0, Tag: 7})
 	init := setInit(p, []Sym{0, 1}, 2)
-	res, err := Poststar(p, init, 0)
+	res, err := PoststarOpts(p, init, SatOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestSetEdgeFindAcceptingIntersection(t *testing.T) {
 	a.AddSetEdge(0, set, s1, nil)
 	a.AddEdge(s1, 3, s2)
 	a.SetAccept(s2, true)
-	res, err := Poststar(p, a, 0)
+	res, err := PoststarOpts(p, a, SatOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,7 +58,7 @@ func TestSharedSystemConcurrentSaturation(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := pds.PoststarBudget(sys.PDS, sys.InitAuto(), sys.Dim, 0)
+			res, err := pds.PoststarOpts(sys.PDS, sys.InitAuto(), pds.SatOptions{Dim: sys.Dim})
 			if err != nil {
 				t.Error(err)
 				return

@@ -202,7 +202,7 @@ func TestPopThenSwapChain(t *testing.T) {
 		t.Fatalf("pops=%d swaps=%d; expected branching over revealed labels", pops, swaps)
 	}
 	// End to end: the trace pops t1 and swaps the revealed bottom label.
-	res, err2 := pds.Poststar(sys.PDS, sys.InitAuto(), 0)
+	res, err2 := pds.PoststarOpts(sys.PDS, sys.InitAuto(), pds.SatOptions{})
 	if err2 != nil {
 		t.Fatal(err2)
 	}

@@ -130,7 +130,7 @@ func TestMinPlusAgreesWithSpecialised(t *testing.T) {
 		wp, pp := randomSystems(rng)
 		wa, pa := initAutos(wp, pp)
 		sat := wpds.Poststar[wpds.Dist](wpds.MinPlus{}, wp, wa)
-		res, err := pds.Poststar(pp, pa, 1)
+		res, err := pds.PoststarOpts(pp, pa, pds.SatOptions{Dim: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,7 +182,7 @@ func TestBoolAgreesWithReachability(t *testing.T) {
 		pa.AddEdge(0, 0, p1)
 		pa.AddEdge(p1, pds.Sym(bot), p2)
 		pa.SetAccept(p2, true)
-		res, err := pds.Poststar(pp, pa, 0)
+		res, err := pds.PoststarOpts(pp, pa, pds.SatOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
