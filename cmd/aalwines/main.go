@@ -99,8 +99,7 @@ func run() error {
 	queryText := flag.String("query", "", "reachability query <a> b <c> k")
 	queriesFile := flag.String("queries", "", "file with one query per line ('#' comments); runs them as a batch")
 	scenarioFile := flag.String("scenario", "", "what-if scenario file: one delta command per line, applied before verification")
-	workers := flag.Int("j", 0, "worker pool size for -queries batches (0 = GOMAXPROCS)")
-	flag.IntVar(workers, "parallel", 0, "alias for -j")
+	workers := flag.Int("j", 0, "worker pool size for -queries batches, -sweep and -live (0 = GOMAXPROCS)")
 	queryTimeout := flag.Duration("query-timeout", 0, "per-query wall-clock deadline for -queries batches (0 = none)")
 	liveFile := flag.String("live", "", "replay a routing-update feed (\"-\" = stdin) against the invariants and report verdict transitions")
 	sweepMode := flag.Bool("sweep", false, "resilience sweep: verify every query under every single/double link failure")

@@ -19,11 +19,10 @@
 // DELETE /api/v1/sessions/{id}/watch/{wid},
 // GET /api/v1/sessions/{id}/watch/{wid}/events — SSE, or NDJSON with
 // ?format=ndjson), GET /metrics (Prometheus text) and GET /healthz. The
-// pre-versioning /api/* paths answer 410 Gone with a successor Link
-// unless -legacy-api restores them with a Deprecation header. Errors on
-// every route share one JSON envelope ({code, message, details, stats?});
-// see internal/httpapi for the schema and cmd/apicontract for the
-// golden-file contract check.
+// pre-versioning /api/* paths answer 410 Gone with a successor Link.
+// Errors on every route share one JSON envelope ({code, message,
+// details, stats?}); see internal/httpapi for the schema and
+// cmd/apicontract for the golden-file contract check.
 //
 // With -feed the daemon opens a long-lived session on the builtin network
 // and streams routing updates into it from a file, FIFO, or stdin ("-"):
@@ -77,9 +76,8 @@ func run() error {
 	flag.IntVar(&nf.Edge, "edge", 0, "edge router count")
 	listen := flag.String("listen", ":8080", "listen address")
 	budget := flag.Int64("max-budget", 200_000_000, "per-request saturation budget (0 = unlimited)")
-	parallel := flag.Int("parallel", 0, "worker cap for /api/verify-batch requests (0 = GOMAXPROCS)")
+	parallel := flag.Int("parallel", 0, "worker cap for the verify-batch and sweep routes and watch re-verification (0 = GOMAXPROCS)")
 	debugAddr := flag.String("debug-addr", "", "debug listener for /metrics, /debug/vars and /debug/pprof/* (empty = disabled)")
-	legacyAPI := flag.Bool("legacy-api", false, "serve the deprecated unversioned /api/* aliases (default: 410 Gone)")
 	feed := flag.String("feed", "", "routing-update feed: file or FIFO path, or \"-\" for stdin (empty = disabled)")
 	feedWindow := flag.Duration("feed-window", 200*time.Millisecond, "feed debounce window: quiet time before a burst is flushed")
 	feedCap := flag.Int("feed-cap", 256, "feed burst cap: pending events that force a flush regardless of the window")
@@ -92,7 +90,6 @@ func run() error {
 	srv := httpapi.NewServer()
 	srv.MaxBudget = *budget
 	srv.Parallel = *parallel
-	srv.LegacyAPI = *legacyAPI
 
 	// The builtin network always loads; XML files add a second network.
 	builtinOnly := nf

@@ -46,8 +46,8 @@ type step struct {
 	path       string
 	body       string
 	wantStatus int
-	// wantHeaders are literal header expectations (e.g. the Deprecation
-	// marker on aliased routes).
+	// wantHeaders are literal header expectations (e.g. the successor Link
+	// on removed routes).
 	wantHeaders map[string]string
 	// golden is the basename of the expected response document; empty for
 	// bodyless responses (204).

@@ -3,7 +3,6 @@
 //	benchrunner -table1                 # Table 1 rows (3 engines × 6 queries)
 //	benchrunner -figure4                # Figure 4 cactus series + summary
 //	benchrunner -ablation               # reduction / dual-vs-over ablations
-//	benchrunner -bench-verify           # canonical BENCH_verify.json report
 //	benchrunner -bench-ladder           # scaled ladder: one report per workload
 //	benchrunner -bench-scenario         # what-if session reuse: BENCH_scenario.json
 //	benchrunner -bench-sweep            # resilience sweep: BENCH_sweep.json
@@ -11,10 +10,10 @@
 //
 // Scale knobs (-services, -networks, -queries, -budget) trade fidelity for
 // runtime; EXPERIMENTS.md records the configurations used for the shipped
-// results. -bench-verify sweeps a fixed query set (-bench-net, -repeat)
-// through the batch runner and writes per-query latency percentiles, the
-// translation-cache hit rate and the saturation counters to -out
-// (atomically: temp file + rename).
+// results. Each ladder rung sweeps a fixed query set through the batch
+// runner and writes per-query latency percentiles, the translation-cache
+// hit rate, the saturation counters and the memory block to
+// BENCH_verify_<rung>.json (atomically: temp file + rename).
 package main
 
 import (
@@ -36,7 +35,6 @@ func main() {
 	table1 := flag.Bool("table1", false, "run the Table 1 experiment")
 	figure4 := flag.Bool("figure4", false, "run the Figure 4 sweep")
 	ablation := flag.Bool("ablation", false, "run the ablation benches")
-	benchVerify := flag.Bool("bench-verify", false, "run the canonical verification benchmark")
 	benchLadder := flag.Bool("bench-ladder", false, "run the scaled benchmark ladder (one BENCH_verify_<workload>.json per rung)")
 	checkLadder := flag.Bool("check-ladder", false, "re-run the ladder and gate it against the committed baselines in -ladder-dir (no files written)")
 	ladderTol := flag.Float64("ladder-tol", 0.15, "relative mean-latency tolerance for -check-ladder (0 disables the timing gate)")
@@ -45,15 +43,12 @@ func main() {
 	benchScenario := flag.Bool("bench-scenario", false, "run the what-if session benchmark (rule-block reuse vs from-scratch)")
 	benchSweep := flag.Bool("bench-sweep", false, "run the resilience-sweep benchmark (full single+double failure space)")
 	ladderDir := flag.String("ladder-dir", ".", "output directory for -bench-ladder")
-	out := flag.String("out", "BENCH_verify.json", "output path for -bench-verify")
 	scenarioOut := flag.String("scenario-out", "BENCH_scenario.json", "output path for -bench-scenario")
 	sweepOut := flag.String("sweep-out", "BENCH_sweep.json", "output path for -bench-sweep")
 	sweepRouters := flag.Int("sweep-routers", 30, "zoo network size for -bench-sweep")
 	sweepDepth := flag.Int("sweep-depth", 2, "failure-space depth for -bench-sweep (1 or 2)")
 	sweepInvariants := flag.Int("sweep-invariants", 2, "invariant count for -bench-sweep")
 	validate := flag.String("validate", "", "validate an existing BENCH_*.json report and exit")
-	benchNet := flag.String("bench-net", "running-example", "network for -bench-verify: running-example, nordunet, zoo")
-	repeat := flag.Int("repeat", 3, "query-set sweeps for -bench-verify (runs after the first hit the warm cache)")
 
 	services := flag.Int("services", 4, "NORDUnet service chains per pair (Table 1)")
 	edge := flag.Int("edge", 16, "NORDUnet edge routers (Table 1)")
@@ -62,7 +57,7 @@ func main() {
 	maxRouters := flag.Int("max-routers", 0, "cap zoo network size (0 = paper's 240)")
 	seed := flag.Int64("seed", 1, "experiment seed")
 	budget := flag.Int64("budget", 50_000_000, "saturation work budget (timeout analogue, 0 = unlimited)")
-	parallel := flag.Int("parallel", 1, "worker goroutines for the Figure 4 sweep (1 = sequential, best timing fidelity)")
+	parallel := flag.Int("parallel", 1, "worker goroutines for -figure4, -bench-ladder, -check-ladder, -bench-scenario and -bench-sweep (1 = sequential, best timing fidelity)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
@@ -110,9 +105,6 @@ func main() {
 			schema = experiments.BenchSweepSchema
 			err = experiments.ValidateBenchSweep(data)
 		default:
-			if bytes.Contains(data, []byte(experiments.BenchVerifySchemaV1)) {
-				schema = experiments.BenchVerifySchemaV1
-			}
 			err = experiments.ValidateBenchVerify(data)
 		}
 		if err != nil {
@@ -122,8 +114,8 @@ func main() {
 		fmt.Printf("%s: valid (%s)\n", *validate, schema)
 		return
 	}
-	if !*table1 && !*figure4 && !*ablation && !*benchVerify && !*benchLadder && !*checkLadder && !*benchScenario && !*benchSweep {
-		fmt.Fprintln(os.Stderr, "benchrunner: pass at least one of -table1, -figure4, -ablation, -bench-verify, -bench-ladder, -check-ladder, -bench-scenario, -bench-sweep")
+	if !*table1 && !*figure4 && !*ablation && !*benchLadder && !*checkLadder && !*benchScenario && !*benchSweep {
+		fmt.Fprintln(os.Stderr, "benchrunner: pass at least one of -table1, -figure4, -ablation, -bench-ladder, -check-ladder, -bench-scenario, -bench-sweep")
 		os.Exit(2)
 	}
 	if *checkLadder {
@@ -160,26 +152,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "benchrunner: ladder finished with %d verification errors\n", errors)
 			os.Exit(1)
 		}
-	}
-	if *benchVerify {
-		rep, err := experiments.BenchVerify(experiments.BenchVerifyConfig{
-			Network: *benchNet, Repeat: *repeat, Workers: *parallel,
-			Budget: *budget, Seed: *seed,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchrunner:", err)
-			os.Exit(1)
-		}
-		if err := experiments.WriteBenchVerify(*out, rep); err != nil {
-			fmt.Fprintln(os.Stderr, "benchrunner:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("== Bench: %d×%d queries on %s ==\n", rep.Repeat, rep.Queries, rep.Network)
-		fmt.Printf("   latency p50=%.2fms p90=%.2fms p99=%.2fms max=%.2fms\n",
-			rep.LatencyMS.P50, rep.LatencyMS.P90, rep.LatencyMS.P99, rep.LatencyMS.Max)
-		fmt.Printf("   cache hit rate %.1f%% (%d entries), %d saturation runs, %d pops\n",
-			rep.Cache.HitRate*100, rep.Cache.Entries, rep.Saturation.Runs, rep.Saturation.WorklistPops)
-		fmt.Printf("   wrote %s\n", *out)
 	}
 	if *benchScenario {
 		rep, err := experiments.BenchScenario(experiments.BenchScenarioConfig{

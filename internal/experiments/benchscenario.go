@@ -24,11 +24,6 @@ const BenchScenarioSchema = "aalwines/bench-scenario/v1"
 // from scratch on a materialized copy (which reuses nothing). The report
 // quantifies how much translation work the session saved.
 type BenchScenarioConfig struct {
-	// Routers sizes the generated zoo network (default 30, matching the
-	// bench-verify zoo rung).
-	Routers int
-	// QueryCount is the number of synthesised queries (default 12).
-	QueryCount int
 	// Workers is the batch pool size (0 = GOMAXPROCS).
 	Workers int
 	// Budget bounds saturation work per direction (0 = unlimited).
@@ -36,6 +31,13 @@ type BenchScenarioConfig struct {
 	// Seed drives the network, the query set and the failed-link choice.
 	Seed int64
 }
+
+// The what-if benchmark's zoo size (matching the ladder's zoo rung) and
+// synthesised query count.
+const (
+	benchScenarioRouters = 30
+	benchScenarioQueries = 12
+)
 
 // BenchScenarioPhase reports one verification sweep of the query set.
 type BenchScenarioPhase struct {
@@ -74,17 +76,9 @@ type BenchScenarioReport struct {
 
 // BenchScenario runs the what-if benchmark and returns its report.
 func BenchScenario(cfg BenchScenarioConfig) (*BenchScenarioReport, error) {
-	routers := cfg.Routers
-	if routers <= 0 {
-		routers = 30
-	}
-	count := cfg.QueryCount
-	if count <= 0 {
-		count = 12
-	}
-	s := gen.Zoo(gen.ZooOpts{Routers: routers, Seed: cfg.Seed, Protection: true})
+	s := gen.Zoo(gen.ZooOpts{Routers: benchScenarioRouters, Seed: cfg.Seed, Protection: true})
 	var queries []string
-	for _, q := range s.Queries(count, cfg.Seed) {
+	for _, q := range s.Queries(benchScenarioQueries, cfg.Seed) {
 		queries = append(queries, q.Text)
 	}
 	bopts := batch.Options{
@@ -127,7 +121,7 @@ func BenchScenario(cfg BenchScenarioConfig) (*BenchScenarioReport, error) {
 	rep := &BenchScenarioReport{
 		Schema:      BenchScenarioSchema,
 		Network:     s.Net.Name,
-		Routers:     routers,
+		Routers:     benchScenarioRouters,
 		Queries:     len(queries),
 		Workers:     cfg.Workers,
 		Seed:        cfg.Seed,

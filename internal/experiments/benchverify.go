@@ -14,24 +14,18 @@ import (
 	"time"
 
 	"aalwines/internal/batch"
-	"aalwines/internal/engine"
 	"aalwines/internal/gen"
 	"aalwines/internal/network"
 	"aalwines/internal/obs"
 )
 
-// BenchVerifySchema identifies the current BENCH_verify.json document
-// layout. v2 added the memory block (alloc/op and peak RSS); v1 documents
-// carry no memory block and stay readable through the compat path in
-// ValidateBenchVerify, so old committed baselines keep validating.
-const (
-	BenchVerifySchema   = "aalwines/bench-verify/v2"
-	BenchVerifySchemaV1 = "aalwines/bench-verify/v1"
-)
+// BenchVerifySchema identifies the BENCH_verify_<rung>.json document
+// layout. v2 added the memory block (alloc/op and peak RSS).
+const BenchVerifySchema = "aalwines/bench-verify/v2"
 
-// BenchVerifyConfig configures the canonical verification benchmark: a
-// fixed query set swept Repeat times through a batch runner, with latency,
-// cache and saturation metrics collected from the observability registry.
+// BenchVerifyConfig configures one ladder rung: a fixed query set swept
+// Repeat times through a batch runner with no saturation budget. Latency,
+// cache and saturation metrics come from the observability registry.
 type BenchVerifyConfig struct {
 	// Network is a builtin name: "running-example" (default), "nordunet",
 	// "zoo", or one of the paper-scale workloads "nordunet-svc-250k"
@@ -43,15 +37,12 @@ type BenchVerifyConfig struct {
 	Repeat int
 	// Workers is the batch pool size (0 = GOMAXPROCS).
 	Workers int
-	// Budget bounds saturation work per direction (0 = unlimited).
-	Budget int64
 	// Seed drives the generated networks and query sets.
 	Seed int64
-	// Queries overrides the network's default query set.
-	Queries []string
 }
 
-// BenchVerifyReport is the content of BENCH_verify.json.
+// BenchVerifyReport is the content of a BENCH_verify_<rung>.json file.
+// Budget is always 0: rungs run with an unlimited saturation budget.
 type BenchVerifyReport struct {
 	Schema     string          `json:"schema"`
 	Network    string          `json:"network"`
@@ -183,14 +174,10 @@ func benchWorkload(cfg BenchVerifyConfig) (*network.Network, []string, error) {
 	default:
 		return nil, nil, fmt.Errorf("benchverify: unknown network %q", name)
 	}
-	if len(cfg.Queries) > 0 {
-		queries = cfg.Queries
-	}
 	return net, queries, nil
 }
 
-// BenchVerify runs the canonical verification benchmark and returns its
-// report.
+// BenchVerify runs one ladder rung and returns its report.
 func BenchVerify(cfg BenchVerifyConfig) (*BenchVerifyReport, error) {
 	net, queries, err := benchWorkload(cfg)
 	if err != nil {
@@ -208,10 +195,7 @@ func BenchVerify(cfg BenchVerifyConfig) (*BenchVerifyReport, error) {
 	start := time.Now()
 	var all []batch.Result
 	for r := 0; r < repeat; r++ {
-		all = append(all, runner.Verify(context.Background(), queries, batch.Options{
-			Workers: cfg.Workers,
-			Engine:  engine.Options{Budget: cfg.Budget},
-		})...)
+		all = append(all, runner.Verify(context.Background(), queries, batch.Options{Workers: cfg.Workers})...)
 	}
 	elapsed := time.Since(start)
 	runtime.ReadMemStats(&msPost)
@@ -225,7 +209,6 @@ func BenchVerify(cfg BenchVerifyConfig) (*BenchVerifyReport, error) {
 		Runs:      len(all),
 		Workers:   cfg.Workers,
 		Seed:      cfg.Seed,
-		Budget:    cfg.Budget,
 		Verdicts:  map[string]int{},
 		ElapsedMS: elapsed.Seconds() * 1000,
 	}
@@ -391,9 +374,10 @@ func WriteBenchVerify(path string, rep *BenchVerifyReport) error {
 	return WriteReport(path, rep, ValidateBenchVerify)
 }
 
-// ValidateBenchVerify checks that data is a well-formed BENCH_verify.json:
-// strict field set, the expected schema string, and internal consistency
-// (run counts, verdict totals, percentile ordering, cache arithmetic).
+// ValidateBenchVerify checks that data is a well-formed
+// BENCH_verify_<rung>.json: strict field set, the expected schema string, a
+// memory block, and internal consistency (run counts, verdict totals,
+// percentile ordering, cache arithmetic).
 func ValidateBenchVerify(data []byte) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
@@ -401,20 +385,11 @@ func ValidateBenchVerify(data []byte) error {
 	if err := dec.Decode(&rep); err != nil {
 		return fmt.Errorf("benchverify: parse: %w", err)
 	}
-	switch rep.Schema {
-	case BenchVerifySchema:
-		if rep.Memory == nil {
-			return fmt.Errorf("benchverify: schema %s requires a memory block", rep.Schema)
-		}
-	case BenchVerifySchemaV1:
-		// v1 predates the memory block; a v1 document carrying one is
-		// mislabelled.
-		if rep.Memory != nil {
-			return fmt.Errorf("benchverify: schema %s must not carry a memory block", rep.Schema)
-		}
-	default:
-		return fmt.Errorf("benchverify: schema %q, want %q (or legacy %q)",
-			rep.Schema, BenchVerifySchema, BenchVerifySchemaV1)
+	if rep.Schema != BenchVerifySchema {
+		return fmt.Errorf("benchverify: schema %q, want %q", rep.Schema, BenchVerifySchema)
+	}
+	if rep.Memory == nil {
+		return fmt.Errorf("benchverify: schema %s requires a memory block", rep.Schema)
 	}
 	if rep.Network == "" {
 		return fmt.Errorf("benchverify: empty network")
@@ -455,10 +430,8 @@ func ValidateBenchVerify(data []byte) error {
 	if s.EarlyAccepts > s.Runs {
 		return fmt.Errorf("benchverify: earlyAccepts=%d exceeds saturation runs=%d", s.EarlyAccepts, s.Runs)
 	}
-	if m := rep.Memory; m != nil {
-		if m.AllocBytesPerRun < 0 || m.AllocsPerRun < 0 || m.PeakRSSBytes < 0 {
-			return fmt.Errorf("benchverify: negative memory figures: %+v", *m)
-		}
+	if m := rep.Memory; m.AllocBytesPerRun < 0 || m.AllocsPerRun < 0 || m.PeakRSSBytes < 0 {
+		return fmt.Errorf("benchverify: negative memory figures: %+v", *m)
 	}
 	if rep.ElapsedMS < 0 {
 		return fmt.Errorf("benchverify: negative elapsed %g", rep.ElapsedMS)

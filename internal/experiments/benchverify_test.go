@@ -4,11 +4,12 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
-// TestBenchVerifyRunningExample runs the canonical benchmark on the
-// running example and checks the report end to end: internal consistency
+// TestBenchVerifyRunningExample runs the benchmark on the running
+// example and checks the report end to end: internal consistency
 // (via the validator), warm-cache behaviour and non-zero saturation work.
 func TestBenchVerifyRunningExample(t *testing.T) {
 	rep, err := BenchVerify(BenchVerifyConfig{Repeat: 2, Workers: 2, Seed: 1})
@@ -83,18 +84,21 @@ func TestValidateBenchVerifyRejects(t *testing.T) {
 		data, _ := json.Marshal(&r)
 		return data
 	}
-	cases := map[string][]byte{
-		"bad schema":       mutate(func(r *BenchVerifyReport) { r.Schema = "v0" }),
-		"run mismatch":     mutate(func(r *BenchVerifyReport) { r.Runs++ }),
-		"verdict mismatch": mutate(func(r *BenchVerifyReport) { r.Verdicts["satisfied"] += 2 }),
-		"bad percentiles":  mutate(func(r *BenchVerifyReport) { r.LatencyMS.P50 = r.LatencyMS.Max + 1 }),
-		"cache arithmetic": mutate(func(r *BenchVerifyReport) { r.Cache.Hits++ }),
-		"unknown field":    []byte(`{"schema":"` + BenchVerifySchema + `","bogus":1}`),
-		"not json":         []byte("{"),
+	cases := map[string]struct {
+		data []byte
+		want string // substring of the error
+	}{
+		"bad schema":       {mutate(func(r *BenchVerifyReport) { r.Schema = "v0" }), "schema"},
+		"run mismatch":     {mutate(func(r *BenchVerifyReport) { r.Runs++ }), "runs="},
+		"verdict mismatch": {mutate(func(r *BenchVerifyReport) { r.Verdicts["satisfied"] += 2 }), "verdicts+errors"},
+		"bad percentiles":  {mutate(func(r *BenchVerifyReport) { r.LatencyMS.P50 = r.LatencyMS.Max + 1 }), "percentiles"},
+		"cache arithmetic": {mutate(func(r *BenchVerifyReport) { r.Cache.Hits++ }), "cache gets"},
+		"unknown field":    {[]byte(`{"schema":"` + BenchVerifySchema + `","bogus":1}`), "parse"},
+		"not json":         {[]byte("{"), "parse"},
 	}
-	for name, data := range cases {
-		if err := ValidateBenchVerify(data); err == nil {
-			t.Errorf("%s: validation passed, want error", name)
+	for name, c := range cases {
+		if err := ValidateBenchVerify(c.data); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: got %v, want an error containing %q", name, err, c.want)
 		}
 	}
 }

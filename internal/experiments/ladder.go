@@ -43,9 +43,8 @@ const (
 // baseline of the same workload. tol is the relative mean-latency
 // tolerance (0.15 = +15%); tol <= 0 skips the timing check. memTol gates
 // alloc bytes and malloc counts per run the same way; it is skipped when
-// <= 0 or when the baseline predates the v2 memory block. Memory figures
-// are noisier than latency on a quiet machine, so memTol should be
-// generous (the benchrunner default is 0.35).
+// <= 0. Memory figures are noisier than latency on a quiet machine, so
+// memTol should be generous (the benchrunner default is 0.35).
 func CompareBenchVerify(base, fresh *BenchVerifyReport, tol, memTol float64) error {
 	if base.Network != fresh.Network || base.Queries != fresh.Queries ||
 		base.Repeat != fresh.Repeat || base.Seed != fresh.Seed || base.Budget != fresh.Budget {
@@ -85,7 +84,7 @@ func CompareBenchVerify(base, fresh *BenchVerifyReport, tol, memTol float64) err
 				fresh.LatencyMS.Mean, base.LatencyMS.Mean, int(tol*100), ladderGraceMS, limit)
 		}
 	}
-	if memTol > 0 && base.Memory != nil && fresh.Memory != nil {
+	if memTol > 0 {
 		bm, fm := base.Memory, fresh.Memory
 		if limit := float64(bm.AllocBytesPerRun)*(1+memTol) + ladderMemGraceBytes; float64(fm.AllocBytesPerRun) > limit {
 			return fmt.Errorf("memory regression: %.1f MB/run exceeds baseline %.1f MB/run +%d%% (+%d MB grace)",
@@ -109,7 +108,7 @@ type LadderGateConfig struct {
 	// Tol is the relative mean-latency tolerance (<= 0 disables timing).
 	Tol float64
 	// MemTol is the relative alloc-per-run tolerance (<= 0 disables the
-	// memory gate; v1 baselines skip it regardless).
+	// memory gate).
 	MemTol float64
 	// Only restricts the gate to a comma-separated set of rung names
 	// ("" = all); CI uses it to split the fast small-rung gate from the
@@ -156,12 +155,9 @@ func CheckBenchLadder(cfg LadderGateConfig) ([]string, error) {
 			lines = append(lines, fmt.Sprintf("%-18s FAIL  %v", rung.Name, cerr))
 			continue
 		}
-		mem := ""
-		if fresh.Memory != nil {
-			mem = fmt.Sprintf("  alloc/run=%.1fMB", float64(fresh.Memory.AllocBytesPerRun)/(1<<20))
-		}
-		lines = append(lines, fmt.Sprintf("%-18s ok    mean=%.3fms (baseline %.3fms)  pops=%d%s",
-			rung.Name, fresh.LatencyMS.Mean, base.LatencyMS.Mean, fresh.Saturation.WorklistPops, mem))
+		lines = append(lines, fmt.Sprintf("%-18s ok    mean=%.3fms (baseline %.3fms)  pops=%d  alloc/run=%.1fMB",
+			rung.Name, fresh.LatencyMS.Mean, base.LatencyMS.Mean, fresh.Saturation.WorklistPops,
+			float64(fresh.Memory.AllocBytesPerRun)/(1<<20)))
 	}
 	if cfg.Only != "" && !matched {
 		return lines, fmt.Errorf("ladder: no rung matches %q", cfg.Only)

@@ -54,8 +54,10 @@ func TestLadderHasPaperScaleRungs(t *testing.T) {
 	}
 }
 
-// TestReadBenchVerifyV1Compat checks that pre-memory v1 documents still
-// validate and parse, and that the memory gate silently skips them.
+// TestReadBenchVerifyV1Compat checks that a pre-memory bench-verify/v1
+// report no longer reads: the ladder gate's reader rejects it with a schema
+// error instead of silently skipping the memory gate, and a v2 report must
+// carry its memory block.
 func TestReadBenchVerifyV1Compat(t *testing.T) {
 	rep, err := BenchVerify(BenchVerifyConfig{Repeat: 1, Workers: 1, Seed: 1})
 	if err != nil {
@@ -67,34 +69,21 @@ func TestReadBenchVerifyV1Compat(t *testing.T) {
 	}
 
 	v1 := *rep
-	v1.Schema = BenchVerifySchemaV1
+	v1.Schema = "aalwines/bench-verify/v1"
 	v1.Memory = nil
 	data, err := json.MarshalIndent(&v1, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := ReadBenchVerify(data)
-	if err != nil {
-		t.Fatalf("v1 document rejected: %v", err)
-	}
-	// memTol > 0 must not fail against a baseline that has no memory block.
-	if err := CompareBenchVerify(base, rep, 0, 0.35); err != nil {
-		t.Fatalf("memory gate fired on a v1 baseline: %v", err)
+	if _, err := ReadBenchVerify(data); err == nil || !strings.Contains(err.Error(), "schema") {
+		t.Fatalf("v1 document: got %v, want schema error", err)
 	}
 
-	// A v2 document without the memory block is malformed ...
 	v2 := *rep
 	v2.Memory = nil
 	data, _ = json.MarshalIndent(&v2, "", "  ")
-	if err := ValidateBenchVerify(data); err == nil || !strings.Contains(err.Error(), "memory") {
+	if _, err := ReadBenchVerify(data); err == nil || !strings.Contains(err.Error(), "memory") {
 		t.Fatalf("v2 without memory block: got %v, want memory error", err)
-	}
-	// ... and so is a v1 document that carries one.
-	v1bad := *rep
-	v1bad.Schema = BenchVerifySchemaV1
-	data, _ = json.MarshalIndent(&v1bad, "", "  ")
-	if err := ValidateBenchVerify(data); err == nil || !strings.Contains(err.Error(), "memory") {
-		t.Fatalf("v1 with memory block: got %v, want memory error", err)
 	}
 }
 

@@ -20,15 +20,16 @@ type BackboneOpts struct {
 	Core int
 	// Pops is the number of dual-homed PoP routers (default 24).
 	Pops int
-	// MeshDegree is how many higher-indexed core routers each core router
-	// links to (default 3; Core-1 yields a full mesh).
-	MeshDegree int
 	// EdgeRouters bounds how many PoP routers carry LSPs (0 = all).
 	EdgeRouters int
 	// Services is the number of service-label chains per edge pair.
 	Services int
 	Seed     int64
 }
+
+// backboneCoreDegree is how many higher-indexed core routers each core
+// router links to (clamped to Core-1, which yields a full mesh).
+const backboneCoreDegree = 3
 
 // Backbone builds the two-tier ISP topology with the standard MPLS
 // dataplane (all-pairs LSPs between the selected PoPs, fast-reroute
@@ -42,10 +43,7 @@ func Backbone(opts BackboneOpts) *Synth {
 	if p == 0 {
 		p = 24
 	}
-	d := opts.MeshDegree
-	if d == 0 {
-		d = 3
-	}
+	d := backboneCoreDegree
 	if c < 3 || p < 2 {
 		panic(fmt.Sprintf("gen: backbone needs >=3 core and >=2 pop routers, got %d/%d", c, p))
 	}

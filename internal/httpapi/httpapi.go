@@ -29,11 +29,9 @@
 //	GET    /healthz                            → liveness probe
 //	GET    /metrics                            → Prometheus text exposition
 //
-// The pre-versioning paths (/api/networks, /api/verify, ...) are gone: by
-// default they answer 410 with the standard error envelope and a Link
-// header naming the successor route. Serving them (with a "Deprecation:
-// true" header) can be re-enabled for one more release cycle by setting
-// LegacyAPI (aalwinesd -legacy-api).
+// The pre-versioning paths (/api/networks, /api/verify, ...) are gone:
+// they answer 410 with the standard error envelope and a Link header
+// naming the successor route.
 //
 // Every error response, on every route, uses the same JSON envelope
 // {code, message, details?, stats?} — code is machine-readable
@@ -99,10 +97,6 @@ type Server struct {
 	SatJ int
 	// MaxSessions caps concurrently open scenario sessions (0 = 64).
 	MaxSessions int
-	// LegacyAPI re-enables the pre-versioning route aliases (/api/networks,
-	// /api/verify, ...). Off by default: the aliases answer 410 Gone with a
-	// Link header naming the successor.
-	LegacyAPI bool
 	// Heartbeat is the keep-alive interval of watch event streams
 	// (0 = 15s).
 	Heartbeat time.Duration
@@ -162,22 +156,13 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("DELETE /api/v1/sessions/{id}/watch/{wid}", s.handleWatchClose)
 	mux.HandleFunc("GET /api/v1/sessions/{id}/watch/{wid}/events", s.handleWatchEvents)
 
-	// Pre-versioning aliases: 410 Gone pointing at the successor unless
-	// LegacyAPI keeps them serving for one more release cycle.
-	legacy := func(pattern, successor string, h http.HandlerFunc) {
-		if s.LegacyAPI {
-			mux.HandleFunc(pattern, deprecated(successor, h))
-		} else {
-			// No method in the pattern: every method on the dead path gets
-			// the same 410, not a 405.
-			_, path, _ := strings.Cut(pattern, " ")
-			mux.HandleFunc(path, gone(successor))
-		}
-	}
-	legacy("GET /api/networks", "/api/v1/networks", s.handleList)
-	legacy("GET /api/networks/{name}/topology", "/api/v1/networks/{name}/topology", s.handleTopology)
-	legacy("POST /api/verify", "/api/v1/verify", s.handleVerify)
-	legacy("POST /api/verify-batch", "/api/v1/verify-batch", s.handleVerifyBatch)
+	// Pre-versioning aliases: 410 Gone pointing at the successor. No method
+	// in the pattern: every method on the dead path gets the same 410, not
+	// a 405.
+	mux.HandleFunc("/api/networks", gone("/api/v1/networks"))
+	mux.HandleFunc("/api/networks/{name}/topology", gone("/api/v1/networks/{name}/topology"))
+	mux.HandleFunc("/api/verify", gone("/api/v1/verify"))
+	mux.HandleFunc("/api/verify-batch", gone("/api/v1/verify-batch"))
 
 	// Prometheus text exposition of the process-wide metrics registry:
 	// saturation counters, translation-cache effectiveness, batch latency
@@ -187,15 +172,6 @@ func (s *Server) Handler() http.Handler {
 	// The outermost layer turns the mux's own plain-text 404/405 pages into
 	// envelope responses and catches handler panics.
 	return withMiddleware(mux)
-}
-
-// deprecated wraps a handler for a legacy route alias.
-func deprecated(successor string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", `<`+successor+`>; rel="successor-version"`)
-		h(w, r)
-	}
 }
 
 // gone answers for a removed legacy route: 410 with the error envelope and
@@ -912,9 +888,6 @@ func errStatus(err error) int {
 	case "deadline-exceeded", "cancelled":
 		return http.StatusRequestTimeout
 	default:
-		if strings.Contains(err.Error(), "budget") {
-			return http.StatusGatewayTimeout
-		}
 		return http.StatusUnprocessableEntity
 	}
 }

@@ -66,60 +66,6 @@ func TestListNetworks(t *testing.T) {
 	}
 }
 
-// TestDeprecatedAliases checks the legacy unversioned routes — when
-// re-enabled with LegacyAPI — still serve the same payloads while flagging
-// their deprecation and successor.
-func TestDeprecatedAliases(t *testing.T) {
-	s := httpapi.NewServer()
-	s.LegacyAPI = true
-	s.Register(gen.RunningExample().Network)
-	s.Register(gen.Zoo(gen.ZooOpts{Routers: 16, Seed: 1, Protection: true}).Net)
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
-	for _, alias := range []struct{ old, successor string }{
-		{"/api/networks", "/api/v1/networks"},
-		{"/api/networks/running-example/topology", "/api/v1/networks/{name}/topology"},
-	} {
-		resp, err := http.Get(ts.URL + alias.old)
-		if err != nil {
-			t.Fatal(err)
-		}
-		oldBody, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: status = %d", alias.old, resp.StatusCode)
-		}
-		if d := resp.Header.Get("Deprecation"); d != "true" {
-			t.Errorf("%s: Deprecation = %q, want true", alias.old, d)
-		}
-		if l := resp.Header.Get("Link"); !strings.Contains(l, alias.successor) ||
-			!strings.Contains(l, "successor-version") {
-			t.Errorf("%s: Link = %q, want successor %s", alias.old, l, alias.successor)
-		}
-		newResp, err := http.Get(ts.URL + strings.Replace(alias.old, "/api/", "/api/v1/", 1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		newBody, _ := io.ReadAll(newResp.Body)
-		newResp.Body.Close()
-		if !bytes.Equal(oldBody, newBody) {
-			t.Errorf("%s: alias payload differs from versioned route", alias.old)
-		}
-	}
-	// POST aliases too.
-	body, _ := json.Marshal(httpapi.VerifyRequest{
-		Network: "running-example", Query: "<ip> [.#v0] .* [v3#.] <ip> 0",
-	})
-	resp, err := http.Post(ts.URL+"/api/verify", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || resp.Header.Get("Deprecation") != "true" {
-		t.Errorf("POST /api/verify: status=%d Deprecation=%q", resp.StatusCode, resp.Header.Get("Deprecation"))
-	}
-}
-
 // decodeEnvelope asserts a non-2xx response carries the single error
 // envelope: a non-empty machine-readable code and a message, and no legacy
 // top-level "error" key.
@@ -243,6 +189,9 @@ func TestVerifyErrors(t *testing.T) {
 		{httpapi.VerifyRequest{Network: "ghost", Query: "<ip> .* <ip> 0"}, http.StatusNotFound, "not-found"},
 		{httpapi.VerifyRequest{Network: "running-example"}, http.StatusBadRequest, "bad-request"},
 		{httpapi.VerifyRequest{Network: "running-example", Query: "<bogus> .* <ip> 0"}, http.StatusUnprocessableEntity, "query-error"},
+		// A parse error whose text mentions "budget" is still a query error.
+		{httpapi.VerifyRequest{Network: "running-example", Query: "<ip> [.#budget] .* [v3#.] <ip> 0"}, http.StatusUnprocessableEntity, "query-error"},
+		{httpapi.VerifyRequest{Network: "running-example", Query: "budget"}, http.StatusUnprocessableEntity, "query-error"},
 		{httpapi.VerifyRequest{Network: "running-example", Query: "<ip> .* <ip> 0", Weight: "frobs"}, http.StatusBadRequest, "bad-request"},
 		{httpapi.VerifyRequest{Network: "running-example", Query: "<ip> .* <ip> 0", Engine: "z3"}, http.StatusBadRequest, "bad-request"},
 		{httpapi.VerifyRequest{Network: "running-example", Query: "<ip> .* <ip> 0", Engine: "moped", Weight: "Hops"}, http.StatusBadRequest, "bad-request"},
@@ -277,30 +226,34 @@ func TestVerifyBudgetCap(t *testing.T) {
 	s.MaxBudget = 1 // absurdly small: every query times out
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	body, _ := json.Marshal(httpapi.VerifyRequest{
-		Network: "running-example",
-		Query:   "<ip> [.#v0] .* [v3#.] <ip> 0",
-		Budget:  1_000_000, // request may not raise the cap
-	})
-	resp, err := http.Post(ts.URL+"/api/v1/verify", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusGatewayTimeout {
-		t.Fatalf("status = %d, want 504", resp.StatusCode)
-	}
-	env := decodeEnvelope(t, resp)
-	if env.Code != "budget-exhausted" {
-		t.Errorf("code = %q, want budget-exhausted", env.Code)
-	}
-	// Partial stats: the build phase completed before saturation gave up,
-	// so the envelope's stats block carries the rule counts.
-	if env.Stats == nil {
-		t.Fatal("error envelope missing partial stats")
-	}
-	if env.Stats.Sizes.OverRules == 0 {
-		t.Errorf("partial stats lost the rule count: %+v", env.Stats.Sizes)
+	for _, eng := range []string{"dual", "moped"} {
+		body, _ := json.Marshal(httpapi.VerifyRequest{
+			Network: "running-example",
+			Query:   "<ip> [.#v0] .* [v3#.] <ip> 0",
+			Budget:  1_000_000, // request may not raise the cap
+			Engine:  eng,
+		})
+		resp, err := http.Post(ts.URL+"/api/v1/verify", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusGatewayTimeout {
+			resp.Body.Close()
+			t.Fatalf("%s: status = %d, want 504", eng, resp.StatusCode)
+		}
+		env := decodeEnvelope(t, resp)
+		resp.Body.Close()
+		if env.Code != "budget-exhausted" {
+			t.Errorf("%s: code = %q, want budget-exhausted", eng, env.Code)
+		}
+		// Partial stats: the build phase completed before saturation gave
+		// up, so the envelope's stats block carries the rule counts.
+		if env.Stats == nil {
+			t.Fatalf("%s: error envelope missing partial stats", eng)
+		}
+		if env.Stats.Sizes.OverRules == 0 {
+			t.Errorf("%s: partial stats lost the rule count: %+v", eng, env.Stats.Sizes)
+		}
 	}
 }
 

@@ -16,7 +16,6 @@ package labels
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -184,12 +183,6 @@ func (t *Table) Lookup(name string) ID {
 	return t.byName[name]
 }
 
-// LookupBytes is Lookup for a name held in a byte buffer; it never
-// allocates.
-func (t *Table) LookupBytes(name []byte) ID {
-	return t.byName[string(name)]
-}
-
 // Get returns the label for an ID. It panics on IDs not issued by this
 // table, which always indicates a programming error.
 func (t *Table) Get(id ID) Label {
@@ -224,15 +217,4 @@ func (t *Table) OfKind(k Kind) []ID {
 		}
 	}
 	return ids
-}
-
-// Names returns the sorted print names of the given IDs; useful for stable
-// diagnostics and tests.
-func (t *Table) Names(ids []ID) []string {
-	out := make([]string, len(ids))
-	for i, id := range ids {
-		out[i] = t.Name(id)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -98,10 +98,11 @@ type HubOptions struct {
 	Engine engine.Options
 	// Workers bounds the batch pool per refresh (0 = GOMAXPROCS).
 	Workers int
-	// DefaultBuffer is the per-watch queue capacity when a watch does not
-	// choose one (default 64, minimum 8).
-	DefaultBuffer int
 }
+
+// defaultWatchBuffer is the per-watch queue capacity when a watch does not
+// choose one; AddWatch raises any capacity below 8 to 8.
+const defaultWatchBuffer = 64
 
 // Hub multiplexes watch subscriptions over one scenario session. Refresh
 // re-verifies every watched invariant and fans out only changed cells;
@@ -137,9 +138,6 @@ type cellState struct {
 // NewHub builds a hub over a session. The hub does not own the session;
 // whoever tears the session down must call Close.
 func NewHub(sess *scenario.Session, opts HubOptions) *Hub {
-	if opts.DefaultBuffer == 0 {
-		opts.DefaultBuffer = 64
-	}
 	return &Hub{
 		sess:    sess,
 		opts:    opts,
@@ -149,9 +147,9 @@ func NewHub(sess *scenario.Session, opts HubOptions) *Hub {
 }
 
 // AddWatch registers a watch over the given invariants with the given
-// queue capacity (0 = the hub default) and immediately queues one verdict
-// event per invariant carrying its current cell. Invariants that fail to
-// parse reject the whole watch with a *BadQueryError.
+// queue capacity (0 = 64) and immediately queues one verdict event per
+// invariant carrying its current cell. Invariants that fail to parse
+// reject the whole watch with a *BadQueryError.
 func (h *Hub) AddWatch(ctx context.Context, invariants []string, buffer int) (*Watch, error) {
 	if len(invariants) == 0 {
 		return nil, errors.New("live: watch without invariants")
@@ -204,7 +202,7 @@ func (h *Hub) AddWatch(ctx context.Context, invariants []string, buffer int) (*W
 		return nil, ErrClosed
 	}
 	if buffer <= 0 {
-		buffer = h.opts.DefaultBuffer
+		buffer = defaultWatchBuffer
 	}
 	if buffer < 8 {
 		buffer = 8

@@ -115,9 +115,6 @@ func NewIngester(sess *scenario.Session, opts Options) *Ingester {
 	}
 }
 
-// Pending reports how many events are coalesced and waiting for a flush.
-func (ing *Ingester) Pending() int { return ing.pending }
-
 // Ingest coalesces one event into the pending batch and reports whether
 // the caller should flush now (an explicit flush event, or the MaxPending
 // cap). Invalid events (unknown link, malformed delta) return an error

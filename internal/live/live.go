@@ -6,9 +6,8 @@
 // The subsystem has two halves:
 //
 //   - An Ingester consumes a line-delimited JSON event stream (link/router
-//     up-down events, raw scenario delta commands, or per-router delta
-//     sets produced by isis.Diff between snapshots), coalesces bursts in a
-//     debounce window, and applies each coalesced batch atomically to a
+//     up-down events or raw scenario delta commands), coalesces bursts in
+//     a debounce window, and applies each coalesced batch atomically to a
 //     long-lived scenario.Session via SetStack. Coalescing is
 //     desired-state: a link-up cancels a pending link-down instead of
 //     stacking on top of it, so the session's delta stack stays minimal
@@ -57,8 +56,7 @@ var (
 )
 
 // Event is one line of the feed: a routing-table update in the
-// line-delimited JSON format, mirroring what an IS-IS snapshot differ
-// emits per router.
+// line-delimited JSON format.
 //
 //	{"type":"link-down","link":"A.if1#B.if2"}
 //	{"type":"router-up","router":"v3"}

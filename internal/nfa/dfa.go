@@ -1,7 +1,6 @@
 package nfa
 
 import (
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -171,17 +170,4 @@ func Product(a, b *NFA) *NFA {
 		}
 	}
 	return out
-}
-
-// SortedArcs returns the arcs of s ordered by target then set key; useful
-// for deterministic output in tests and serialisation.
-func (a *NFA) SortedArcs(s State) []Arc {
-	arcs := append([]Arc(nil), a.arcs[s]...)
-	sort.Slice(arcs, func(i, j int) bool {
-		if arcs[i].To != arcs[j].To {
-			return arcs[i].To < arcs[j].To
-		}
-		return arcs[i].Set.Key() < arcs[j].Set.Key()
-	})
-	return arcs
 }

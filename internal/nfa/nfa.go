@@ -47,25 +47,11 @@ func (a *NFA) NumStates() int { return len(a.arcs) }
 // Start returns the start state.
 func (a *NFA) Start() State { return a.start }
 
-// SetStart changes the start state.
-func (a *NFA) SetStart(s State) { a.start = s }
-
 // SetAccept marks or unmarks a state as accepting.
 func (a *NFA) SetAccept(s State, v bool) { a.accept[s] = v }
 
 // Accepting reports whether s is accepting.
 func (a *NFA) Accepting(s State) bool { return a.accept[s] }
-
-// AcceptingStates returns all accepting state indices.
-func (a *NFA) AcceptingStates() []State {
-	var out []State
-	for s, acc := range a.accept {
-		if acc {
-			out = append(out, s)
-		}
-	}
-	return out
-}
 
 // AddArc adds a transition from p to q consuming any symbol in set. Empty
 // sets are dropped.

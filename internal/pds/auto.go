@@ -424,12 +424,6 @@ func (a *Auto) AddEdge(from State, sym Sym, to State) {
 	a.Insert(t, nil, &Witness{Kind: WitInitial, Rule: -1, T: t})
 }
 
-// AddEdgeW inserts an initial transition carrying a weight.
-func (a *Auto) AddEdgeW(from State, sym Sym, to State, w []uint64) {
-	t := Trans{from, sym, to}
-	a.Insert(t, w, &Witness{Kind: WitInitial, Rule: -1, T: t, Weight: w})
-}
-
 // AddSetEdge inserts an initial transition that admits every symbol in set.
 func (a *Auto) AddSetEdge(from State, set *nfa.Set, to State, w []uint64) {
 	if set.IsEmpty() {

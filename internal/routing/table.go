@@ -256,9 +256,6 @@ func (t *Table) Range(fn func(Key, Groups) bool) {
 	}
 }
 
-// NumKeys returns the number of (incoming link, top label) pairs.
-func (t *Table) NumKeys() int { return len(t.entries) }
-
 // Key is an exported (incoming link, top label) routing table index.
 type Key struct {
 	In  topology.LinkID

@@ -102,19 +102,6 @@ type BuildStats struct {
 	BlocksRebuilt int
 }
 
-// Total returns the number of rule blocks the build(s) touched.
-func (st BuildStats) Total() int { return st.BlocksReused + st.BlocksRebuilt }
-
-// ReuseRatio returns the fraction of touched blocks served from cache, in
-// [0, 1]; 0 when nothing was built yet. Live-mode flush reports and the
-// differential replay harness gate on it.
-func (st BuildStats) ReuseRatio() float64 {
-	if st.Total() == 0 {
-		return 0
-	}
-	return float64(st.BlocksReused) / float64(st.Total())
-}
-
 // Sub returns the stats accumulated since an earlier snapshot — the
 // per-flush delta of a session's cumulative BlockStats.
 func (st BuildStats) Sub(prev BuildStats) BuildStats {
