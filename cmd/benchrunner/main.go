@@ -3,21 +3,20 @@
 //	benchrunner -table1                 # Table 1 rows (3 engines × 6 queries)
 //	benchrunner -figure4                # Figure 4 cactus series + summary
 //	benchrunner -ablation               # reduction / dual-vs-over ablations
-//	benchrunner -bench-ladder           # scaled ladder: one report per workload
-//	benchrunner -bench-scenario         # what-if session reuse: BENCH_scenario.json
-//	benchrunner -bench-sweep            # resilience sweep: BENCH_sweep.json
+//	benchrunner -bench-ladder           # workload ladder: one report per rung
+//	benchrunner -check-ladder           # gate the ladder against its baselines
 //	benchrunner -validate FILE          # schema-check an existing report
 //
 // Scale knobs (-services, -networks, -queries, -budget) trade fidelity for
 // runtime; EXPERIMENTS.md records the configurations used for the shipped
-// results. Each ladder rung sweeps a fixed query set through the batch
-// runner and writes per-query latency percentiles, the translation-cache
-// hit rate, the saturation counters and the memory block to
-// BENCH_verify_<rung>.json (atomically: temp file + rename).
+// results. Each ladder rung runs a fixed query set serially — through a
+// batch runner, a what-if scenario session or a resilience sweep — and
+// writes per-query latency percentiles, the translation-cache, translation
+// and saturation counters, a sweep rung's verdict matrix and the memory
+// block to BENCH_verify_<rung>.json (atomically: temp file + rename).
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"os"
@@ -40,15 +39,8 @@ func main() {
 	ladderTol := flag.Float64("ladder-tol", 0.15, "relative mean-latency tolerance for -check-ladder (0 disables the timing gate)")
 	ladderMemTol := flag.Float64("ladder-mem-tol", 0.35, "relative alloc-per-run tolerance for -check-ladder (0 disables the memory gate)")
 	ladderRung := flag.String("ladder-rung", "", "restrict -check-ladder to a comma-separated set of rungs (default: all)")
-	benchScenario := flag.Bool("bench-scenario", false, "run the what-if session benchmark (rule-block reuse vs from-scratch)")
-	benchSweep := flag.Bool("bench-sweep", false, "run the resilience-sweep benchmark (full single+double failure space)")
 	ladderDir := flag.String("ladder-dir", ".", "output directory for -bench-ladder")
-	scenarioOut := flag.String("scenario-out", "BENCH_scenario.json", "output path for -bench-scenario")
-	sweepOut := flag.String("sweep-out", "BENCH_sweep.json", "output path for -bench-sweep")
-	sweepRouters := flag.Int("sweep-routers", 30, "zoo network size for -bench-sweep")
-	sweepDepth := flag.Int("sweep-depth", 2, "failure-space depth for -bench-sweep (1 or 2)")
-	sweepInvariants := flag.Int("sweep-invariants", 2, "invariant count for -bench-sweep")
-	validate := flag.String("validate", "", "validate an existing BENCH_*.json report and exit")
+	validate := flag.String("validate", "", "validate an existing BENCH_verify_<rung>.json report and exit")
 
 	services := flag.Int("services", 4, "NORDUnet service chains per pair (Table 1)")
 	edge := flag.Int("edge", 16, "NORDUnet edge routers (Table 1)")
@@ -57,7 +49,7 @@ func main() {
 	maxRouters := flag.Int("max-routers", 0, "cap zoo network size (0 = paper's 240)")
 	seed := flag.Int64("seed", 1, "experiment seed")
 	budget := flag.Int64("budget", 50_000_000, "saturation work budget (timeout analogue, 0 = unlimited)")
-	parallel := flag.Int("parallel", 1, "worker goroutines for -figure4, -bench-ladder, -check-ladder, -bench-scenario and -bench-sweep (1 = sequential, best timing fidelity)")
+	parallel := flag.Int("parallel", 1, "worker goroutines for -figure4 (1 = sequential, best timing fidelity)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
@@ -95,33 +87,20 @@ func main() {
 			fmt.Fprintln(os.Stderr, "benchrunner:", err)
 			os.Exit(1)
 		}
-		// Dispatch on the embedded schema string.
-		schema := experiments.BenchVerifySchema
-		switch {
-		case bytes.Contains(data, []byte(experiments.BenchScenarioSchema)):
-			schema = experiments.BenchScenarioSchema
-			err = experiments.ValidateBenchScenario(data)
-		case bytes.Contains(data, []byte(experiments.BenchSweepSchema)):
-			schema = experiments.BenchSweepSchema
-			err = experiments.ValidateBenchSweep(data)
-		default:
-			err = experiments.ValidateBenchVerify(data)
-		}
-		if err != nil {
+		if err := experiments.ValidateBenchVerify(data); err != nil {
 			fmt.Fprintln(os.Stderr, "benchrunner:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("%s: valid (%s)\n", *validate, schema)
+		fmt.Printf("%s: valid (%s)\n", *validate, experiments.BenchVerifySchema)
 		return
 	}
-	if !*table1 && !*figure4 && !*ablation && !*benchLadder && !*checkLadder && !*benchScenario && !*benchSweep {
-		fmt.Fprintln(os.Stderr, "benchrunner: pass at least one of -table1, -figure4, -ablation, -bench-ladder, -check-ladder, -bench-scenario, -bench-sweep")
+	if !*table1 && !*figure4 && !*ablation && !*benchLadder && !*checkLadder {
+		fmt.Fprintln(os.Stderr, "benchrunner: pass at least one of -table1, -figure4, -ablation, -bench-ladder, -check-ladder")
 		os.Exit(2)
 	}
 	if *checkLadder {
 		lines, err := experiments.CheckBenchLadder(experiments.LadderGateConfig{
-			Dir: *ladderDir, Workers: *parallel,
-			Tol: *ladderTol, MemTol: *ladderMemTol, Only: *ladderRung,
+			Dir: *ladderDir, Tol: *ladderTol, MemTol: *ladderMemTol, Only: *ladderRung,
 		})
 		fmt.Printf("== Bench ladder regression gate (tol %.0f%%, mem-tol %.0f%%) ==\n",
 			*ladderTol*100, *ladderMemTol*100)
@@ -134,7 +113,7 @@ func main() {
 		}
 	}
 	if *benchLadder {
-		paths, reps, err := experiments.RunBenchLadder(*ladderDir, *parallel)
+		paths, reps, err := experiments.RunBenchLadder(*ladderDir)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "benchrunner:", err)
 			os.Exit(1)
@@ -152,63 +131,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "benchrunner: ladder finished with %d verification errors\n", errors)
 			os.Exit(1)
 		}
-	}
-	if *benchScenario {
-		rep, err := experiments.BenchScenario(experiments.BenchScenarioConfig{
-			Workers: *parallel, Budget: *budget, Seed: *seed,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchrunner:", err)
-			os.Exit(1)
-		}
-		if err := experiments.WriteBenchScenario(*scenarioOut, rep); err != nil {
-			fmt.Fprintln(os.Stderr, "benchrunner:", err)
-			os.Exit(1)
-		}
-		data, err := os.ReadFile(*scenarioOut)
-		if err == nil {
-			err = experiments.ValidateBenchScenario(data)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchrunner:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("== Scenario bench: %d queries on %s (%d routers), delta %q ==\n",
-			rep.Queries, rep.Network, rep.Routers, rep.Delta)
-		fmt.Printf("   cold         %8.2fms  %4d blocks built\n",
-			rep.Cold.ElapsedMS, rep.Cold.BlocksRebuilt)
-		fmt.Printf("   incremental  %8.2fms  %4d reused / %d rebuilt (%.0f%% reuse)\n",
-			rep.Incremental.ElapsedMS, rep.Incremental.BlocksReused,
-			rep.Incremental.BlocksRebuilt, rep.Incremental.ReuseRate*100)
-		fmt.Printf("   from-scratch %8.2fms  0 reused (speedup %.2fx)\n",
-			rep.Scratch.ElapsedMS, rep.SpeedupX)
-		fmt.Printf("   wrote %s\n", *scenarioOut)
-	}
-	if *benchSweep {
-		rep, err := experiments.BenchSweep(experiments.BenchSweepConfig{
-			Routers: *sweepRouters, Invariants: *sweepInvariants, Depth: *sweepDepth,
-			Workers: *parallel, Budget: *budget, Seed: *seed,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchrunner:", err)
-			os.Exit(1)
-		}
-		if err := experiments.WriteBenchSweep(*sweepOut, rep); err != nil {
-			fmt.Fprintln(os.Stderr, "benchrunner:", err)
-			os.Exit(1)
-		}
-		r := rep.Report
-		fmt.Printf("== Resilience sweep: %s depth=%d  %d links, %d scenarios × %d invariants ==\n",
-			r.Network, r.Depth, r.Links, r.Scenarios, len(r.Invariants))
-		for _, inv := range r.Invariants {
-			fmt.Printf("   %-60s breaking=%d (%d minimal)\n",
-				truncate(inv.Query, 60), inv.Breaking, len(inv.MinimalBreaking))
-		}
-		fmt.Printf("   cache: %d blocks reused / %d rebuilt (%.0f%% reuse)\n",
-			r.Cache.BlocksReused, r.Cache.BlocksRebuilt, r.Cache.ReuseRate*100)
-		fmt.Printf("   latency p50=%.2fms p90=%.2fms p99=%.2fms max=%.2fms  elapsed=%.0fms\n",
-			r.LatencyMS.P50, r.LatencyMS.P90, r.LatencyMS.P99, r.LatencyMS.Max, r.ElapsedMS)
-		fmt.Printf("   wrote %s\n", *sweepOut)
 	}
 	if *table1 {
 		fmt.Printf("== Table 1: query verification time (seconds) ==\n")

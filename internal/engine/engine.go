@@ -98,8 +98,14 @@ type Options struct {
 	// over-approximation saturation (ablation). By default the engine stops
 	// saturating as soon as an accepting configuration is reachable and
 	// tries to validate that witness immediately, re-saturating to the
-	// fixed point only if validation fails; verdicts are identical either
-	// way, only the work differs.
+	// fixed point only if validation fails. Unsatisfied verdicts are the
+	// same either way; a Satisfied witness may differ. Early accept can stop
+	// on a feasible witness that the fixed point's minimum-cost search does
+	// not return first, so a run that would end Inconclusive first tries up
+	// to maxWitnessAlternatives accepting configurations of the fixed point,
+	// cheapest first. Only a feasible witness beyond that bound can still
+	// make the two modes disagree (Satisfied with early accept, Inconclusive
+	// without).
 	NoEarlyAccept bool
 	// NoSlice disables query-scoped network slicing (ablation). By default
 	// the translator emits rules only for the part of the network the
@@ -256,41 +262,39 @@ func verifyCtx(ctx context.Context, net *network.Network, q *query.Query, opts O
 	res.Stats.TransOver = overRes.Auto.NumTrans()
 	res.Stats.EarlyAccepted = overRes.EarlyAccepted
 
-	// tryWitness searches r for an accepting configuration and, if one
-	// exists, attempts to reconstruct and validate a concrete trace.
-	// decided=true means the run is settled (Satisfied, or a hard error);
-	// found reports whether an accepting configuration existed at all.
-	// Witness search, trace reconstruction and feasibility validation all
-	// count as reconstruction time; the under-approximation pass below
-	// accumulates into the same field.
-	tryWitness := func(sys *translate.System, r *pds.Result) (decided, found bool, err error) {
+	// tryWitness searches r for accepting configurations — the cheapest, or
+	// up to alternatives of them in cost order — and validates their
+	// witnesses in turn; the first feasible one settles the run as
+	// Satisfied. found reports whether an accepting configuration exists at
+	// all. Search, reconstruction and validation count as reconstruction
+	// time.
+	tryWitness := func(sys *translate.System, r *pds.Result, alternatives int) (satisfied, found bool) {
 		t := time.Now()
-		acc, ok := r.FindAccepting(sys.FinalStates, sys.FinalSpec)
-		if !ok {
-			res.Stats.ReconstructTime += time.Since(t)
-			return false, false, nil
+		defer func() { res.Stats.ReconstructTime += time.Since(t) }()
+		var accs []pds.Accepted
+		if alternatives > 0 {
+			accs = r.FindAcceptingN(sys.FinalStates, sys.FinalSpec, alternatives)
+		} else if acc, ok := r.FindAccepting(sys.FinalStates, sys.FinalSpec); ok {
+			accs = []pds.Accepted{acc}
 		}
-		tr, derr := decode(sys, r, acc)
-		res.Stats.ReconstructTime += time.Since(t)
-		if derr == nil {
+		for _, acc := range accs {
+			tr, err := decode(sys, r, acc)
+			if err != nil {
+				continue // an undecodable witness is no witness
+			}
 			if feas := net.Feasible(tr, q.MaxFailures); feas.Feasible {
 				res.Verdict = Satisfied
 				res.Trace = tr
 				res.Failed = feas.Failed
 				res.Weight = traceWeight(net, tr, opts)
-				return true, true, nil
+				return true, true
 			}
-		} else if !errors.Is(derr, errDecode) {
-			return true, true, derr
 		}
-		return false, true, nil
+		return false, len(accs) > 0
 	}
 
-	decided, found, werr := tryWitness(over, overRes)
-	if werr != nil {
-		return res, werr
-	}
-	if decided {
+	satisfied, found := tryWitness(over, overRes, 0)
+	if satisfied {
 		return res, nil
 	}
 	if overRes.EarlyAccepted {
@@ -316,11 +320,7 @@ func verifyCtx(ctx context.Context, net *network.Network, q *query.Query, opts O
 			return res, fmt.Errorf("engine: over-approximation: %w", err)
 		}
 		res.Stats.TransOver = overRes.Auto.NumTrans()
-		decided, found, werr = tryWitness(over, overRes)
-		if werr != nil {
-			return res, werr
-		}
-		if decided {
+		if satisfied, found = tryWitness(over, overRes, 0); satisfied {
 			return res, nil
 		}
 	}
@@ -351,32 +351,23 @@ func verifyCtx(ctx context.Context, net *network.Network, q *query.Query, opts O
 		return res, fmt.Errorf("engine: under-approximation: %w", err)
 	}
 	res.Stats.TransUnder = underRes.Auto.NumTrans()
-
-	t4 := time.Now()
-	acc2, found2 := underRes.FindAccepting(under.FinalStates, under.FinalSpec)
-	if !found2 {
-		res.Stats.ReconstructTime += time.Since(t4)
-		res.Verdict = Inconclusive
+	if satisfied, _ := tryWitness(under, underRes, 0); satisfied {
 		return res, nil
 	}
-	tr2, err := decode(under, underRes, acc2)
-	res.Stats.ReconstructTime += time.Since(t4)
-	if err != nil {
-		res.Verdict = Inconclusive
-		return res, nil //nolint:nilerr // inconclusive is the contract here
-	}
-	if feas := net.Feasible(tr2, q.MaxFailures); feas.Feasible {
-		res.Verdict = Satisfied
-		res.Trace = tr2
-		res.Failed = feas.Failed
-		res.Weight = traceWeight(net, tr2, opts)
+	// The fixed point's cheapest witness was infeasible, but a costlier
+	// accepting configuration may not be: which one the search meets first
+	// must not decide the verdict.
+	if satisfied, _ := tryWitness(over, overRes, maxWitnessAlternatives); satisfied {
 		return res, nil
 	}
 	res.Verdict = Inconclusive
 	return res, nil
 }
 
-var errDecode = errors.New("engine: witness decoding failed")
+// maxWitnessAlternatives bounds how many accepting configurations of the
+// fixed-point over-approximation a run tries, cheapest first, before it
+// reports Inconclusive.
+const maxWitnessAlternatives = 8
 
 // ctxError translates a saturation stop triggered by ctx into ctx's own
 // error (context.Canceled or DeadlineExceeded); it returns nil for
@@ -390,16 +381,13 @@ func ctxError(ctx context.Context, err error) error {
 	return nil
 }
 
+// decode reconstructs the derivation of acc and maps it to a network trace.
 func decode(sys *translate.System, r *pds.Result, acc pds.Accepted) (network.Trace, error) {
 	init, rules, err := r.Reconstruct(acc)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", errDecode, err)
+		return nil, err
 	}
-	tr, err := sys.DecodeTrace(init, rules)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", errDecode, err)
-	}
-	return tr, nil
+	return sys.DecodeTrace(init, rules)
 }
 
 func traceWeight(net *network.Network, tr network.Trace, opts Options) weight.Vec {

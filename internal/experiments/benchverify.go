@@ -17,48 +17,56 @@ import (
 	"aalwines/internal/gen"
 	"aalwines/internal/network"
 	"aalwines/internal/obs"
+	"aalwines/internal/scenario"
+	"aalwines/internal/sweep"
+	"aalwines/internal/topology"
 )
 
 // BenchVerifySchema identifies the BENCH_verify_<rung>.json document
-// layout. v2 added the memory block (alloc/op and peak RSS).
-const BenchVerifySchema = "aalwines/bench-verify/v2"
+// layout. v2 added the memory block (alloc/op and peak RSS); v3 added the
+// translation block and the sweep matrix, and dropped workers, budget and
+// the saturation peak depth.
+const BenchVerifySchema = "aalwines/bench-verify/v3"
 
-// BenchVerifyConfig configures one ladder rung: a fixed query set swept
-// Repeat times through a batch runner with no saturation budget. Latency,
-// cache and saturation metrics come from the observability registry.
+// BenchVerifyConfig configures one ladder rung: a fixed query set run
+// serially with no saturation budget. Latency, cache, translation and
+// saturation metrics come from the observability registry.
 type BenchVerifyConfig struct {
-	// Network is a builtin name: "running-example" (default), "nordunet",
-	// "zoo", or one of the paper-scale workloads "nordunet-svc-250k"
-	// (>250k rules), "zoo-240" (the paper's largest zoo size) and
-	// "fattree-k8" (112-switch Clos fabric).
+	// Network names the workload. The batch workloads are
+	// "running-example" (default), "nordunet", "zoo", and the paper-scale
+	// "nordunet-svc-250k" (>250k rules), "zoo-240" (the paper's largest
+	// zoo size) and "fattree-k8" (112-switch Clos fabric). The session
+	// workloads are "scenario-zoo" (a what-if session on the zoo workload)
+	// and "sweep-zoo-16" (a depth-2 resilience sweep of a 16-router zoo).
 	Network string
-	// Repeat sweeps the query set this many times (default 3); repeats
-	// after the first run entirely from the warm translation cache.
+	// Repeat sweeps a batch workload's query set this many times (default
+	// 3); repeats after the first run entirely from the warm translation
+	// cache. The session workloads fix their own passes.
 	Repeat int
-	// Workers is the batch pool size (0 = GOMAXPROCS).
-	Workers int
 	// Seed drives the generated networks and query sets.
 	Seed int64
 }
 
 // BenchVerifyReport is the content of a BENCH_verify_<rung>.json file.
-// Budget is always 0: rungs run with an unlimited saturation budget.
+// Repeat counts the passes over the query set, so Runs = Queries × Repeat.
 type BenchVerifyReport struct {
-	Schema     string          `json:"schema"`
-	Network    string          `json:"network"`
-	Queries    int             `json:"queries"`
-	Repeat     int             `json:"repeat"`
-	Runs       int             `json:"runs"`
-	Workers    int             `json:"workers"`
-	Seed       int64           `json:"seed"`
-	Budget     int64           `json:"budget"`
-	Verdicts   map[string]int  `json:"verdicts"`
-	Errors     int             `json:"errors"`
-	LatencyMS  BenchLatency    `json:"latencyMs"`
-	Cache      BenchCache      `json:"cache"`
-	Saturation BenchSaturation `json:"saturation"`
-	Memory     *BenchMemory    `json:"memory,omitempty"`
-	ElapsedMS  float64         `json:"elapsedMs"`
+	Schema      string           `json:"schema"`
+	Network     string           `json:"network"`
+	Queries     int              `json:"queries"`
+	Repeat      int              `json:"repeat"`
+	Runs        int              `json:"runs"`
+	Seed        int64            `json:"seed"`
+	Verdicts    map[string]int   `json:"verdicts"`
+	Errors      int              `json:"errors"`
+	LatencyMS   BenchLatency     `json:"latencyMs"`
+	Cache       BenchCache       `json:"cache"`
+	Translation BenchTranslation `json:"translation"`
+	Saturation  BenchSaturation  `json:"saturation"`
+	// Sweep is the sweep-zoo-16 rung's verdict matrix with its minimal
+	// breaking sets, one entry per invariant.
+	Sweep     []sweep.InvariantReport `json:"sweep,omitempty"`
+	Memory    *BenchMemory            `json:"memory,omitempty"`
+	ElapsedMS float64                 `json:"elapsedMs"`
 }
 
 // BenchMemory reports the allocation cost of the benchmark as
@@ -86,24 +94,34 @@ type BenchLatency struct {
 	Mean float64 `json:"mean"`
 }
 
-// BenchCache reports translation-cache effectiveness over the benchmark.
+// BenchCache reports translation-cache effectiveness over the benchmark:
+// the batch runners' caches plus the scenario sessions' overlay caches.
 type BenchCache struct {
-	Entries int     `json:"entries"`
 	Gets    int64   `json:"gets"`
 	Hits    int64   `json:"hits"`
 	Misses  int64   `json:"misses"`
 	HitRate float64 `json:"hitRate"`
 }
 
-// BenchSaturation reports the saturation work done during the benchmark,
-// as deltas of the process-wide pds_* counters (so a report isolates its
-// own work even when other verification ran in the same process).
+// BenchTranslation reports the translation work done during the benchmark:
+// pushdown rules emitted and kept by the reduction pass, routers the query
+// slices kept and dropped, and the rule blocks scenario sessions spliced
+// from their block stores or rebuilt.
+type BenchTranslation struct {
+	RulesEmitted        int64 `json:"rulesEmitted"`
+	RulesKept           int64 `json:"rulesKept"`
+	SliceRoutersKept    int64 `json:"sliceRoutersKept"`
+	SliceRoutersDropped int64 `json:"sliceRoutersDropped"`
+	BlocksReused        int64 `json:"blocksReused"`
+	BlocksRebuilt       int64 `json:"blocksRebuilt"`
+}
+
+// BenchSaturation reports the saturation work done during the benchmark.
 type BenchSaturation struct {
 	Runs            int64 `json:"runs"`
 	WorklistPops    int64 `json:"worklistPops"`
 	WorklistPushes  int64 `json:"worklistPushes"`
 	TransInserted   int64 `json:"transInserted"`
-	PeakDepth       int64 `json:"peakDepth"`
 	BudgetSpent     int64 `json:"budgetSpent"`
 	BudgetExhausted int64 `json:"budgetExhausted"`
 	// EarlyAccepts counts saturation runs cut short by the early-accept
@@ -144,7 +162,7 @@ func benchWorkload(cfg BenchVerifyConfig) (*network.Network, []string, error) {
 		for _, q := range s.Table1Queries() {
 			queries = append(queries, q.Text)
 		}
-	case "zoo":
+	case "zoo", "scenario-zoo":
 		s := gen.Zoo(gen.ZooOpts{Routers: 30, Seed: cfg.Seed, Protection: true})
 		net = s.Net
 		for _, q := range s.Queries(12, cfg.Seed) {
@@ -171,11 +189,20 @@ func benchWorkload(cfg BenchVerifyConfig) (*network.Network, []string, error) {
 		for _, q := range s.Queries(12, cfg.Seed) {
 			queries = append(queries, q.Text)
 		}
+	case "sweep-zoo-16":
+		s := gen.Zoo(gen.ZooOpts{Routers: 16, Seed: cfg.Seed, Protection: true})
+		net = s.Net
+		for _, q := range s.Queries(2, cfg.Seed) {
+			queries = append(queries, q.Text)
+		}
 	default:
 		return nil, nil, fmt.Errorf("benchverify: unknown network %q", name)
 	}
 	return net, queries, nil
 }
+
+// serial runs a batch on one worker, for the best timing fidelity.
+var serial = batch.Options{Workers: 1}
 
 // BenchVerify runs one ladder rung and returns its report.
 func BenchVerify(cfg BenchVerifyConfig) (*BenchVerifyReport, error) {
@@ -191,11 +218,22 @@ func BenchVerify(cfg BenchVerifyConfig) (*BenchVerifyReport, error) {
 	pre := obs.Default.Snapshot()
 	var msPre, msPost runtime.MemStats
 	runtime.ReadMemStats(&msPre)
-	runner := batch.NewRunner(net)
 	start := time.Now()
 	var all []batch.Result
-	for r := 0; r < repeat; r++ {
-		all = append(all, runner.Verify(context.Background(), queries, batch.Options{Workers: cfg.Workers})...)
+	var matrix []sweep.InvariantReport
+	switch cfg.Network {
+	case "scenario-zoo":
+		all, err = scenarioPasses(net, queries, cfg.Seed)
+	case "sweep-zoo-16":
+		all, matrix, err = sweepPasses(net, queries)
+	default:
+		runner := batch.NewRunner(net)
+		for r := 0; r < repeat; r++ {
+			all = append(all, runner.Verify(context.Background(), queries, serial)...)
+		}
+	}
+	if err != nil {
+		return nil, err
 	}
 	elapsed := time.Since(start)
 	runtime.ReadMemStats(&msPost)
@@ -205,11 +243,11 @@ func BenchVerify(cfg BenchVerifyConfig) (*BenchVerifyReport, error) {
 		Schema:    BenchVerifySchema,
 		Network:   net.Name,
 		Queries:   len(queries),
-		Repeat:    repeat,
+		Repeat:    len(all) / len(queries),
 		Runs:      len(all),
-		Workers:   cfg.Workers,
 		Seed:      cfg.Seed,
 		Verdicts:  map[string]int{},
+		Sweep:     matrix,
 		ElapsedMS: elapsed.Seconds() * 1000,
 	}
 	samples := make([]float64, 0, len(all))
@@ -232,18 +270,73 @@ func BenchVerify(cfg BenchVerifyConfig) (*BenchVerifyReport, error) {
 		Max:  nearestRank(samples, 1),
 		Mean: sum / float64(len(samples)),
 	}
-	cs := runner.CacheStats()
+	delta := func(prefix string) int64 { return counterDelta(pre, post, prefix) }
 	rep.Cache = BenchCache{
-		Entries: cs.Entries, Gets: cs.Gets, Hits: cs.Hits, Misses: cs.Misses,
-		HitRate: cs.HitRate(),
+		Hits:   delta("translate_cache_hits_total") + delta("scenario_overlay_cache_hits_total"),
+		Misses: delta("translate_cache_misses_total") + delta("scenario_overlay_cache_misses_total"),
 	}
-	rep.Saturation = saturationDelta(pre, post)
+	rep.Cache.Gets = rep.Cache.Hits + rep.Cache.Misses
+	if rep.Cache.Gets > 0 {
+		rep.Cache.HitRate = float64(rep.Cache.Hits) / float64(rep.Cache.Gets)
+	}
+	rep.Translation = BenchTranslation{
+		RulesEmitted:        delta("translate_rules_emitted_total"),
+		RulesKept:           delta("translate_rules_kept_total"),
+		SliceRoutersKept:    delta("translate_slice_routers_kept_total"),
+		SliceRoutersDropped: delta("translate_slice_routers_dropped_total"),
+		BlocksReused:        delta("scenario_rule_blocks_reused_total"),
+		BlocksRebuilt:       delta("scenario_rule_blocks_rebuilt_total"),
+	}
+	rep.Saturation = BenchSaturation{
+		Runs:            delta("pds_saturation_runs_total"),
+		WorklistPops:    delta("pds_worklist_pops_total"),
+		WorklistPushes:  delta("pds_worklist_pushes_total"),
+		TransInserted:   delta("pds_trans_inserted_total"),
+		BudgetSpent:     delta("pds_budget_spent_total"),
+		BudgetExhausted: delta("pds_budget_exhausted_total"),
+		EarlyAccepts:    delta("pds_early_accept_total"),
+		IndexProbes:     delta("pds_index_probes_total"),
+	}
 	rep.Memory = &BenchMemory{
 		AllocBytesPerRun: int64(msPost.TotalAlloc-msPre.TotalAlloc) / int64(len(all)),
 		AllocsPerRun:     int64(msPost.Mallocs-msPre.Mallocs) / int64(len(all)),
 		PeakRSSBytes:     readPeakRSS(),
 	}
 	return rep, nil
+}
+
+// scenarioPasses runs the scenario-zoo workload in three passes: cold
+// through a scenario session, again through the session after failing the
+// link at index seed, and from scratch on a fresh runner over the same
+// mutated network. The second pass rebuilds only the rule blocks of the
+// routers the failure touches; the third reuses nothing.
+func scenarioPasses(net *network.Network, queries []string, seed int64) ([]batch.Result, error) {
+	ctx := context.Background()
+	sess := scenario.NewSession(net)
+	defer sess.Close()
+	all := sess.VerifyBatch(ctx, queries, serial)
+	cmd := "fail " + net.Topo.LinkName(topology.LinkID(int(seed)%net.Topo.NumLinks()))
+	if _, err := sess.ApplyText(cmd); err != nil {
+		return nil, fmt.Errorf("benchverify: %q: %w", cmd, err)
+	}
+	all = append(all, sess.VerifyBatch(ctx, queries, serial)...)
+	return append(all, batch.NewRunner(sess.MaterializeFresh()).Verify(ctx, queries, serial)...), nil
+}
+
+// sweepPasses runs the sweep-zoo-16 workload: a depth-2 resilience sweep
+// whose passes are the baseline on the unfailed network plus one per
+// failure scenario. It runs on one worker, because the rule-block counters
+// depend on how the sweep splits scenarios across workers.
+func sweepPasses(net *network.Network, queries []string) ([]batch.Result, []sweep.InvariantReport, error) {
+	res, err := sweep.Run(context.Background(), net, sweep.Config{Depth: 2, Invariants: queries, Workers: 1})
+	if err != nil {
+		return nil, nil, fmt.Errorf("benchverify: %w", err)
+	}
+	all := res.Baseline
+	for _, c := range res.Cells {
+		all = append(all, batch.Result{Res: c.Res, Err: c.Err, Elapsed: c.Elapsed})
+	}
+	return all, res.Report.Invariants, nil
 }
 
 // readPeakRSS returns the process peak resident set (VmHWM) in bytes, or 0
@@ -286,35 +379,17 @@ func nearestRank(sorted []float64, q float64) float64 {
 	return sorted[i]
 }
 
-// saturationDelta subtracts two registry snapshots over the pds_* counter
-// families, summing across the alg label.
-func saturationDelta(pre, post obs.Snapshot) BenchSaturation {
-	delta := func(prefix string) int64 {
-		var d int64
-		for name, v := range post.Counters {
-			if strings.HasPrefix(name, prefix) {
-				d += v - pre.Counters[name]
-			}
-		}
-		return d
-	}
-	var peak int64
-	for name, v := range post.Gauges {
-		if strings.HasPrefix(name, "pds_worklist_peak_depth") && v > peak {
-			peak = v
+// counterDelta sums post−pre over the counters whose name starts with
+// prefix, so a labelled family (alg, network) adds up and a report
+// isolates its own work even when other verification ran in the process.
+func counterDelta(pre, post obs.Snapshot, prefix string) int64 {
+	var d int64
+	for name, v := range post.Counters {
+		if strings.HasPrefix(name, prefix) {
+			d += v - pre.Counters[name]
 		}
 	}
-	return BenchSaturation{
-		Runs:            delta("pds_saturation_runs_total"),
-		WorklistPops:    delta("pds_worklist_pops_total"),
-		WorklistPushes:  delta("pds_worklist_pushes_total"),
-		TransInserted:   delta("pds_trans_inserted_total"),
-		PeakDepth:       peak,
-		BudgetSpent:     delta("pds_budget_spent_total"),
-		BudgetExhausted: delta("pds_budget_exhausted_total"),
-		EarlyAccepts:    delta("pds_early_accept_total"),
-		IndexProbes:     delta("pds_index_probes_total"),
-	}
+	return d
 }
 
 // LadderRung is one workload of the scaled benchmark ladder.
@@ -323,15 +398,16 @@ type LadderRung struct {
 	Cfg  BenchVerifyConfig
 }
 
-// BenchLadder returns the canonical scaled workload ladder, smallest to
-// largest: the paper's running example, a synthesised topology-zoo-scale
-// network, a NORDUnet-scale MPLS backbone, and the paper-scale rungs — a
-// k=8 Clos fabric, the paper's largest zoo size (240 routers) and the
-// >250k-rule NORDUnet service configuration. Each rung writes its own
-// BENCH_verify_<name>.json so regressions localise to a scale. The
-// paper-scale rungs sweep once (the translation cache never warms twice at
-// that size within a sane CI budget); the small rungs keep Repeat 3 so the
-// warm-cache path stays covered.
+// BenchLadder returns the canonical workload ladder. The batch rungs run
+// smallest to largest: the paper's running example, a synthesised
+// topology-zoo-scale network, a NORDUnet-scale MPLS backbone, and the
+// paper-scale rungs — a k=8 Clos fabric, the paper's largest zoo size (240
+// routers) and the >250k-rule NORDUnet service configuration. Two session
+// rungs follow: a what-if scenario session and a depth-2 resilience sweep.
+// Each rung writes its own BENCH_verify_<name>.json so regressions localise
+// to a workload. The paper-scale rungs sweep once (the translation cache
+// never warms twice at that size within a sane CI budget); the small batch
+// rungs keep Repeat 3 so the warm-cache path stays covered.
 func BenchLadder() []LadderRung {
 	return []LadderRung{
 		{Name: "running-example", Cfg: BenchVerifyConfig{Network: "running-example", Repeat: 3, Seed: 1}},
@@ -340,19 +416,19 @@ func BenchLadder() []LadderRung {
 		{Name: "fattree-k8", Cfg: BenchVerifyConfig{Network: "fattree-k8", Repeat: 2, Seed: 1}},
 		{Name: "zoo-240", Cfg: BenchVerifyConfig{Network: "zoo-240", Repeat: 1, Seed: 1}},
 		{Name: "nordunet-svc-250k", Cfg: BenchVerifyConfig{Network: "nordunet-svc-250k", Repeat: 1, Seed: 1}},
+		{Name: "scenario-zoo", Cfg: BenchVerifyConfig{Network: "scenario-zoo", Seed: 1}},
+		{Name: "sweep-zoo-16", Cfg: BenchVerifyConfig{Network: "sweep-zoo-16", Seed: 1}},
 	}
 }
 
 // RunBenchLadder runs every rung of the ladder, writes one validated
 // BENCH_verify_<name>.json per rung into dir, and returns the written
 // paths alongside the reports, in rung order.
-func RunBenchLadder(dir string, workers int) ([]string, []*BenchVerifyReport, error) {
+func RunBenchLadder(dir string) ([]string, []*BenchVerifyReport, error) {
 	var paths []string
 	var reps []*BenchVerifyReport
 	for _, rung := range BenchLadder() {
-		cfg := rung.Cfg
-		cfg.Workers = workers
-		rep, err := BenchVerify(cfg)
+		rep, err := BenchVerify(rung.Cfg)
 		if err != nil {
 			return paths, reps, fmt.Errorf("benchverify: ladder rung %s: %w", rung.Name, err)
 		}
@@ -375,18 +451,26 @@ func WriteBenchVerify(path string, rep *BenchVerifyReport) error {
 }
 
 // ValidateBenchVerify checks that data is a well-formed
-// BENCH_verify_<rung>.json: strict field set, the expected schema string, a
+// BENCH_verify_<rung>.json: the expected schema string, strict field set, a
 // memory block, and internal consistency (run counts, verdict totals,
-// percentile ordering, cache arithmetic).
+// percentile ordering, cache arithmetic, sweep matrix totals).
 func ValidateBenchVerify(data []byte) error {
+	// Read the schema first, so a report of an older schema is named as
+	// such rather than by its first unknown field.
+	var head struct {
+		Schema string `json:"schema"`
+	}
+	if err := json.Unmarshal(data, &head); err != nil {
+		return fmt.Errorf("benchverify: parse: %w", err)
+	}
+	if head.Schema != BenchVerifySchema {
+		return fmt.Errorf("benchverify: schema %q, want %q", head.Schema, BenchVerifySchema)
+	}
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var rep BenchVerifyReport
 	if err := dec.Decode(&rep); err != nil {
 		return fmt.Errorf("benchverify: parse: %w", err)
-	}
-	if rep.Schema != BenchVerifySchema {
-		return fmt.Errorf("benchverify: schema %q, want %q", rep.Schema, BenchVerifySchema)
 	}
 	if rep.Memory == nil {
 		return fmt.Errorf("benchverify: schema %s requires a memory block", rep.Schema)
@@ -422,6 +506,11 @@ func ValidateBenchVerify(data []byte) error {
 	if c.HitRate < 0 || c.HitRate > 1 {
 		return fmt.Errorf("benchverify: cache hit rate %g outside [0,1]", c.HitRate)
 	}
+	tr := rep.Translation
+	if tr.RulesKept < 0 || tr.RulesKept > tr.RulesEmitted || tr.SliceRoutersKept < 0 ||
+		tr.SliceRoutersDropped < 0 || tr.BlocksReused < 0 || tr.BlocksRebuilt < 0 {
+		return fmt.Errorf("benchverify: translation counters inconsistent: %+v", tr)
+	}
 	s := rep.Saturation
 	if s.Runs < 0 || s.WorklistPops < 0 || s.WorklistPushes < 0 || s.TransInserted < 0 ||
 		s.EarlyAccepts < 0 || s.IndexProbes < 0 {
@@ -429,6 +518,22 @@ func ValidateBenchVerify(data []byte) error {
 	}
 	if s.EarlyAccepts > s.Runs {
 		return fmt.Errorf("benchverify: earlyAccepts=%d exceeds saturation runs=%d", s.EarlyAccepts, s.Runs)
+	}
+	// A sweep's first pass is its baseline; every later pass is one
+	// failure scenario, which each invariant must account for exactly once.
+	for i, inv := range rep.Sweep {
+		n := inv.Errors + inv.Incomplete
+		for _, v := range inv.Verdicts {
+			n += v
+		}
+		if n != rep.Repeat-1 {
+			return fmt.Errorf("benchverify: sweep invariant %d: verdicts+errors+incomplete=%d, want %d scenarios",
+				i, n, rep.Repeat-1)
+		}
+		if len(inv.MinimalBreaking) > inv.Breaking {
+			return fmt.Errorf("benchverify: sweep invariant %d: %d minimal sets exceed %d breaking scenarios",
+				i, len(inv.MinimalBreaking), inv.Breaking)
+		}
 	}
 	if m := rep.Memory; m.AllocBytesPerRun < 0 || m.AllocsPerRun < 0 || m.PeakRSSBytes < 0 {
 		return fmt.Errorf("benchverify: negative memory figures: %+v", *m)

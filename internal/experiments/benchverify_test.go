@@ -6,13 +6,15 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"aalwines/internal/sweep"
 )
 
 // TestBenchVerifyRunningExample runs the benchmark on the running
 // example and checks the report end to end: internal consistency
 // (via the validator), warm-cache behaviour and non-zero saturation work.
 func TestBenchVerifyRunningExample(t *testing.T) {
-	rep, err := BenchVerify(BenchVerifyConfig{Repeat: 2, Workers: 2, Seed: 1})
+	rep, err := BenchVerify(BenchVerifyConfig{Repeat: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +44,7 @@ func TestBenchVerifyRunningExample(t *testing.T) {
 }
 
 func TestBenchVerifyWriteAtomic(t *testing.T) {
-	rep, err := BenchVerify(BenchVerifyConfig{Repeat: 1, Workers: 1, Seed: 1})
+	rep, err := BenchVerify(BenchVerifyConfig{Repeat: 1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +71,7 @@ func TestBenchVerifyWriteAtomic(t *testing.T) {
 }
 
 func TestValidateBenchVerifyRejects(t *testing.T) {
-	rep, err := BenchVerify(BenchVerifyConfig{Repeat: 1, Workers: 1, Seed: 1})
+	rep, err := BenchVerify(BenchVerifyConfig{Repeat: 1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,6 +86,7 @@ func TestValidateBenchVerifyRejects(t *testing.T) {
 		data, _ := json.Marshal(&r)
 		return data
 	}
+	// A sweep block over this one-pass report covers repeat−1 = 0 scenarios.
 	cases := map[string]struct {
 		data []byte
 		want string // substring of the error
@@ -93,8 +96,14 @@ func TestValidateBenchVerifyRejects(t *testing.T) {
 		"verdict mismatch": {mutate(func(r *BenchVerifyReport) { r.Verdicts["satisfied"] += 2 }), "verdicts+errors"},
 		"bad percentiles":  {mutate(func(r *BenchVerifyReport) { r.LatencyMS.P50 = r.LatencyMS.Max + 1 }), "percentiles"},
 		"cache arithmetic": {mutate(func(r *BenchVerifyReport) { r.Cache.Hits++ }), "cache gets"},
-		"unknown field":    {[]byte(`{"schema":"` + BenchVerifySchema + `","bogus":1}`), "parse"},
-		"not json":         {[]byte("{"), "parse"},
+		"sweep verdict sum": {mutate(func(r *BenchVerifyReport) {
+			r.Sweep = []sweep.InvariantReport{{Verdicts: map[string]int{"satisfied": 1}}}
+		}), "verdicts+errors+incomplete"},
+		"sweep minimal sets": {mutate(func(r *BenchVerifyReport) {
+			r.Sweep = []sweep.InvariantReport{{Verdicts: map[string]int{}, MinimalBreaking: [][]string{{"l"}}}}
+		}), "minimal sets exceed"},
+		"unknown field": {[]byte(`{"schema":"` + BenchVerifySchema + `","bogus":1}`), "parse"},
+		"not json":      {[]byte("{"), "parse"},
 	}
 	for name, c := range cases {
 		if err := ValidateBenchVerify(c.data); err == nil || !strings.Contains(err.Error(), c.want) {

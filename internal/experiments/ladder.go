@@ -13,12 +13,14 @@ import (
 // compares the fresh report against the committed BENCH_verify_<name>.json
 // baseline. Two classes of check apply per rung:
 //
-//   - determinism: the verdict histogram and the saturation work counters
-//     (pops, pushes, inserted transitions, early accepts, index probes)
-//     must match the baseline EXACTLY. These are bit-reproducible for a
-//     fixed (network, seed, budget) workload — saturation is one
-//     deterministic worklist loop — so any drift is a real behaviour
-//     change, not noise.
+//   - determinism: the verdict histogram, the saturation work counters
+//     (runs, pops, pushes, inserted transitions, early accepts, index
+//     probes), the translation counters (rules emitted and kept, slice
+//     routers kept and dropped, rule blocks reused and rebuilt), cache gets
+//     and hits, and a sweep rung's verdict matrix must match the baseline
+//     EXACTLY. These are bit-reproducible for a fixed (network, seed)
+//     workload run serially — translation and saturation are deterministic
+//     — so any drift is a real behaviour change, not noise.
 //   - timing: the fresh mean per-query latency must stay within tol
 //     (default 15%) of the baseline, with a small absolute grace so
 //     sub-millisecond rungs don't flake on scheduler jitter.
@@ -47,10 +49,10 @@ const (
 // memTol should be generous (the benchrunner default is 0.35).
 func CompareBenchVerify(base, fresh *BenchVerifyReport, tol, memTol float64) error {
 	if base.Network != fresh.Network || base.Queries != fresh.Queries ||
-		base.Repeat != fresh.Repeat || base.Seed != fresh.Seed || base.Budget != fresh.Budget {
-		return fmt.Errorf("workload mismatch: baseline (net=%s q=%d r=%d seed=%d budget=%d), fresh (net=%s q=%d r=%d seed=%d budget=%d)",
-			base.Network, base.Queries, base.Repeat, base.Seed, base.Budget,
-			fresh.Network, fresh.Queries, fresh.Repeat, fresh.Seed, fresh.Budget)
+		base.Repeat != fresh.Repeat || base.Seed != fresh.Seed {
+		return fmt.Errorf("workload mismatch: baseline (net=%s q=%d r=%d seed=%d), fresh (net=%s q=%d r=%d seed=%d)",
+			base.Network, base.Queries, base.Repeat, base.Seed,
+			fresh.Network, fresh.Queries, fresh.Repeat, fresh.Seed)
 	}
 	if fresh.Errors != 0 {
 		return fmt.Errorf("%d verification errors", fresh.Errors)
@@ -61,6 +63,7 @@ func CompareBenchVerify(base, fresh *BenchVerifyReport, tol, memTol float64) err
 		}
 	}
 	bs, fs := base.Saturation, fresh.Saturation
+	bt, ft := base.Translation, fresh.Translation
 	exact := []struct {
 		name       string
 		base, have int64
@@ -71,11 +74,26 @@ func CompareBenchVerify(base, fresh *BenchVerifyReport, tol, memTol float64) err
 		{"transitions inserted", bs.TransInserted, fs.TransInserted},
 		{"early accepts", bs.EarlyAccepts, fs.EarlyAccepts},
 		{"index probes", bs.IndexProbes, fs.IndexProbes},
+		{"cache gets", base.Cache.Gets, fresh.Cache.Gets},
+		{"cache hits", base.Cache.Hits, fresh.Cache.Hits},
+		{"rules emitted", bt.RulesEmitted, ft.RulesEmitted},
+		{"rules kept", bt.RulesKept, ft.RulesKept},
+		{"slice routers kept", bt.SliceRoutersKept, ft.SliceRoutersKept},
+		{"slice routers dropped", bt.SliceRoutersDropped, ft.SliceRoutersDropped},
+		{"blocks reused", bt.BlocksReused, ft.BlocksReused},
+		{"blocks rebuilt", bt.BlocksRebuilt, ft.BlocksRebuilt},
 	}
 	for _, c := range exact {
 		if c.base != c.have {
 			return fmt.Errorf("work drift: %s=%d, baseline %d", c.name, c.have, c.base)
 		}
+	}
+	// Compare the matrices in the form the baseline was stored in. Both
+	// are plain data, so marshalling cannot fail.
+	bsw, _ := json.Marshal(base.Sweep)
+	fsw, _ := json.Marshal(fresh.Sweep)
+	if !bytes.Equal(bsw, fsw) {
+		return fmt.Errorf("sweep matrix drift: %s, baseline %s", fsw, bsw)
 	}
 	if tol > 0 {
 		limit := base.LatencyMS.Mean*(1+tol) + ladderGraceMS
@@ -103,8 +121,6 @@ func CompareBenchVerify(base, fresh *BenchVerifyReport, tol, memTol float64) err
 type LadderGateConfig struct {
 	// Dir holds the committed BENCH_verify_<rung>.json baselines.
 	Dir string
-	// Workers is forwarded to every rung's BenchVerifyConfig.
-	Workers int
 	// Tol is the relative mean-latency tolerance (<= 0 disables timing).
 	Tol float64
 	// MemTol is the relative alloc-per-run tolerance (<= 0 disables the
@@ -144,9 +160,7 @@ func CheckBenchLadder(cfg LadderGateConfig) ([]string, error) {
 		if err != nil {
 			return lines, fmt.Errorf("ladder baseline %s: %w", path, err)
 		}
-		rcfg := rung.Cfg
-		rcfg.Workers = cfg.Workers
-		fresh, err := BenchVerify(rcfg)
+		fresh, err := BenchVerify(rung.Cfg)
 		if err != nil {
 			return lines, fmt.Errorf("ladder rung %s: %w", rung.Name, err)
 		}

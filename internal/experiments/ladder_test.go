@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"aalwines/internal/sweep"
 )
 
 // TestLadderPaperScaleRules pins the tentpole claim behind the
@@ -40,6 +42,7 @@ func TestLadderHasPaperScaleRungs(t *testing.T) {
 	want := map[string]bool{
 		"running-example": false, "zoo": false, "nordunet": false,
 		"fattree-k8": false, "zoo-240": false, "nordunet-svc-250k": false,
+		"scenario-zoo": false, "sweep-zoo-16": false,
 	}
 	for _, rung := range BenchLadder() {
 		if _, ok := want[rung.Name]; !ok {
@@ -54,12 +57,12 @@ func TestLadderHasPaperScaleRungs(t *testing.T) {
 	}
 }
 
-// TestReadBenchVerifyV1Compat checks that a pre-memory bench-verify/v1
-// report no longer reads: the ladder gate's reader rejects it with a schema
-// error instead of silently skipping the memory gate, and a v2 report must
-// carry its memory block.
+// TestReadBenchVerifyV1Compat checks that a report of an older schema no
+// longer reads: the ladder gate's reader rejects a bench-verify/v2 document
+// with a schema error, not by its first unknown field, and a current report
+// must carry its memory block.
 func TestReadBenchVerifyV1Compat(t *testing.T) {
-	rep, err := BenchVerify(BenchVerifyConfig{Repeat: 1, Workers: 1, Seed: 1})
+	rep, err := BenchVerify(BenchVerifyConfig{Repeat: 1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,22 +71,72 @@ func TestReadBenchVerifyV1Compat(t *testing.T) {
 			BenchVerifySchema, rep.Schema, rep.Memory)
 	}
 
-	v1 := *rep
-	v1.Schema = "aalwines/bench-verify/v1"
-	v1.Memory = nil
-	data, err := json.MarshalIndent(&v1, "", "  ")
+	data, err := json.Marshal(rep)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var v2 map[string]any
+	if err := json.Unmarshal(data, &v2); err != nil {
+		t.Fatal(err)
+	}
+	v2["schema"] = "aalwines/bench-verify/v2"
+	v2["workers"] = 1
+	v2["budget"] = 0
+	data, _ = json.MarshalIndent(v2, "", "  ")
 	if _, err := ReadBenchVerify(data); err == nil || !strings.Contains(err.Error(), "schema") {
-		t.Fatalf("v1 document: got %v, want schema error", err)
+		t.Fatalf("v2 document: got %v, want schema error", err)
 	}
 
-	v2 := *rep
-	v2.Memory = nil
-	data, _ = json.MarshalIndent(&v2, "", "  ")
+	noMem := *rep
+	noMem.Memory = nil
+	data, _ = json.MarshalIndent(&noMem, "", "  ")
 	if _, err := ReadBenchVerify(data); err == nil || !strings.Contains(err.Error(), "memory") {
-		t.Fatalf("v2 without memory block: got %v, want memory error", err)
+		t.Fatalf("report without memory block: got %v, want memory error", err)
+	}
+}
+
+// TestCompareBenchVerifyExactGate adds one to each exactly gated figure in
+// turn and expects the gate to fail naming it.
+func TestCompareBenchVerifyExactGate(t *testing.T) {
+	base, err := BenchVerify(BenchVerifyConfig{Repeat: 1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base.Sweep = []sweep.InvariantReport{{Query: "q", Baseline: "satisfied",
+		Verdicts: map[string]int{"satisfied": 2}, MinimalBreaking: [][]string{}}}
+	cases := map[string]func(r *BenchVerifyReport){
+		"saturation runs":       func(r *BenchVerifyReport) { r.Saturation.Runs++ },
+		"worklist pops":         func(r *BenchVerifyReport) { r.Saturation.WorklistPops++ },
+		"worklist pushes":       func(r *BenchVerifyReport) { r.Saturation.WorklistPushes++ },
+		"transitions inserted":  func(r *BenchVerifyReport) { r.Saturation.TransInserted++ },
+		"early accepts":         func(r *BenchVerifyReport) { r.Saturation.EarlyAccepts++ },
+		"index probes":          func(r *BenchVerifyReport) { r.Saturation.IndexProbes++ },
+		"cache gets":            func(r *BenchVerifyReport) { r.Cache.Gets++ },
+		"cache hits":            func(r *BenchVerifyReport) { r.Cache.Hits++ },
+		"rules emitted":         func(r *BenchVerifyReport) { r.Translation.RulesEmitted++ },
+		"rules kept":            func(r *BenchVerifyReport) { r.Translation.RulesKept++ },
+		"slice routers kept":    func(r *BenchVerifyReport) { r.Translation.SliceRoutersKept++ },
+		"slice routers dropped": func(r *BenchVerifyReport) { r.Translation.SliceRoutersDropped++ },
+		"blocks reused":         func(r *BenchVerifyReport) { r.Translation.BlocksReused++ },
+		"blocks rebuilt":        func(r *BenchVerifyReport) { r.Translation.BlocksRebuilt++ },
+		"sweep matrix":          func(r *BenchVerifyReport) { r.Sweep[0].Verdicts["satisfied"]++ },
+	}
+	fresh := func() *BenchVerifyReport {
+		r := *base
+		inv := base.Sweep[0]
+		inv.Verdicts = map[string]int{"satisfied": 2}
+		r.Sweep = []sweep.InvariantReport{inv}
+		return &r
+	}
+	if err := CompareBenchVerify(base, fresh(), 0, 0); err != nil {
+		t.Fatalf("identical report failed the gate: %v", err)
+	}
+	for name, bump := range cases {
+		r := fresh()
+		bump(r)
+		if err := CompareBenchVerify(base, r, 0, 0); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("%s +1: got %v, want an error naming it", name, err)
+		}
 	}
 }
 
@@ -91,7 +144,7 @@ func TestReadBenchVerifyV1Compat(t *testing.T) {
 // regression beyond tolerance+grace fails, one inside the envelope passes,
 // and memTol <= 0 disables the gate entirely.
 func TestCompareBenchVerifyMemoryGate(t *testing.T) {
-	base, err := BenchVerify(BenchVerifyConfig{Repeat: 1, Workers: 1, Seed: 1})
+	base, err := BenchVerify(BenchVerifyConfig{Repeat: 1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -318,6 +318,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"pds_pool_misses_total",
 		"translate_slice_routers_kept_total",
 		"translate_slice_routers_dropped_total",
+		"translate_rules_emitted_total",
+		"translate_rules_kept_total",
 		"engine_early_accept_fallback_total",
 		"translate_cache_gets_total{network=\"running-example\"}",
 		"batch_query_seconds_count",

@@ -130,6 +130,44 @@ func TestFindAcceptingAndReconstruct(t *testing.T) {
 	}
 }
 
+// TestFindAcceptingN: the alternatives come cheapest first, the first is
+// FindAccepting's, and each one's derivation replays to its configuration.
+func TestFindAcceptingN(t *testing.T) {
+	p := anbn()
+	res, err := PoststarOpts(p, singleInit(p, 0, []Sym{2}), SatOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := anySpec(3)
+	accs := res.FindAcceptingN([]State{1}, spec, 4)
+	if len(accs) != 4 {
+		t.Fatalf("got %d configurations, want 4", len(accs))
+	}
+	if first, _ := res.FindAccepting([]State{1}, spec); first.Config.String() != accs[0].Config.String() {
+		t.Errorf("first alternative %v, FindAccepting %v", accs[0].Config, first.Config)
+	}
+	// ⟨1, aⁿ⊥⟩ for n = 0..3: one more a per alternative.
+	for n, acc := range accs {
+		if acc.Config.State != 1 || len(acc.Config.Stack) != n+1 {
+			t.Fatalf("alternative %d is %v, want ⟨1, a^%d ⊥⟩", n, acc.Config, n)
+		}
+		ic, rules, err := res.Reconstruct(acc)
+		if err != nil {
+			t.Fatalf("alternative %d: %v", n, err)
+		}
+		cfgs, err := res.Replay(ic, rules)
+		if err != nil {
+			t.Fatalf("alternative %d: replay: %v", n, err)
+		}
+		if last := cfgs[len(cfgs)-1]; last.String() != acc.Config.String() {
+			t.Fatalf("alternative %d: replay ends at %v, want %v", n, last, acc.Config)
+		}
+	}
+	if got := res.FindAcceptingN([]State{1}, exactSpec(3, []Sym{1, 2}), 4); len(got) != 0 {
+		t.Fatalf("found unreachable configurations %v", got)
+	}
+}
+
 func TestFindAcceptingNoMatch(t *testing.T) {
 	p := anbn()
 	init := singleInit(p, 0, []Sym{2})

@@ -378,33 +378,29 @@ type Accepted struct {
 // transition weight (lexicographically, then by stack length); ok is false
 // when none exists.
 func (r *Result) FindAccepting(starts []State, spec *nfa.NFA) (Accepted, bool) {
-	type node struct {
-		s State
-		n int // spec state
-	}
 	type back struct {
-		from node
+		from accNode
 		t    Trans
 		sym  Sym
 	}
-	dist := map[node][]uint64{}
-	prev := map[node]back{}
-	hopCount := map[node]int{}
+	dist := map[accNode][]uint64{}
+	prev := map[accNode]back{}
+	hopCount := map[accNode]int{}
 	pq := &accHeap{}
 	for _, p := range starts {
 		for _, ns := range spec.EpsClosure(spec.Start()) {
-			nd := node{p, ns}
+			nd := accNode{p, ns}
 			if _, ok := dist[nd]; !ok {
 				zero := make([]uint64, r.Dim)
 				dist[nd] = zero
 				hopCount[nd] = 0
-				heap.Push(pq, accItem{nd.s, nd.n, zero, 0})
+				heap.Push(pq, accItem{s: nd.s, n: nd.n, w: zero})
 			}
 		}
 	}
 	for pq.Len() > 0 {
 		it := heap.Pop(pq).(accItem)
-		nd := node{it.s, it.n}
+		nd := accNode{it.s, it.n}
 		if d, ok := dist[nd]; ok && (lexLess(d, it.w) || (equalVec(d, it.w) && hopCount[nd] < it.hops)) {
 			continue // stale queue entry superseded by a better one
 		}
@@ -421,56 +417,118 @@ func (r *Result) FindAccepting(starts []State, spec *nfa.NFA) (Accepted, bool) {
 				syms = append(syms, b.sym)
 				cur = b.from
 			}
-			for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-				path[i], path[j] = path[j], path[i]
-				syms[i], syms[j] = syms[j], syms[i]
-			}
-			stack := make([]Sym, len(syms))
-			copy(stack, syms)
-			start := cur.s
-			if len(path) > 0 {
-				start = path[0].From
-			}
-			return Accepted{
-				Config: Config{State: start, Stack: stack},
-				Path:   path,
-				Syms:   syms,
-				Weight: it.w,
-			}, true
+			return accepted(cur.s, path, syms, it.w), true
 		}
-		for _, e := range r.Auto.Out(nd.s) {
-			if e.Sym == Eps {
-				continue
+		r.productSteps(nd, spec, func(e Edge, nn accNode, csym Sym) {
+			nw := lexAdd(it.w, e.Weight)
+			nh := it.hops + 1
+			old, seen := dist[nn]
+			if !seen || lexLess(nw, old) || (equalVec(nw, old) && nh < hopCount[nn]) {
+				dist[nn] = nw
+				hopCount[nn] = nh
+				prev[nn] = back{nd, Trans{nd.s, e.Sym, e.To}, csym}
+				heap.Push(pq, accItem{s: nn.s, n: nn.n, w: nw, hops: nh})
 			}
-			for _, arc := range spec.Arcs(nd.n) {
-				var csym Sym
-				if set := r.Auto.SymSet(e.Sym); set != nil {
-					inter := arc.Set.Inter(set)
-					first, ok := inter.First()
-					if !ok {
-						continue
-					}
-					csym = Sym(first)
-				} else {
-					if !arc.Set.Has(nfa.Sym(e.Sym)) {
-						continue
-					}
-					csym = e.Sym
-				}
-				nn := node{e.To, arc.To}
-				nw := lexAdd(it.w, e.Weight)
-				nh := it.hops + 1
-				old, seen := dist[nn]
-				if !seen || lexLess(nw, old) || (equalVec(nw, old) && nh < hopCount[nn]) {
-					dist[nn] = nw
-					hopCount[nn] = nh
-					prev[nn] = back{nd, Trans{nd.s, e.Sym, e.To}, csym}
-					heap.Push(pq, accItem{nn.s, nn.n, nw, nh})
-				}
-			}
-		}
+		})
 	}
 	return Accepted{}, false
+}
+
+// FindAcceptingN returns up to n accepting configurations for starts and
+// spec, cheapest first in FindAccepting's order (weight, then stack
+// length). They are read off the n cheapest accepting paths through the
+// product of automaton and spec, which visit each product node at most n
+// times; a configuration accepted along several paths can repeat.
+func (r *Result) FindAcceptingN(starts []State, spec *nfa.NFA, n int) []Accepted {
+	type step struct {
+		prev int // index of the previous step, -1 at a start node
+		t    Trans
+		sym  Sym
+	}
+	var steps []step
+	visits := map[accNode]int{}
+	pq := &accHeap{}
+	for _, p := range starts {
+		for _, ns := range spec.EpsClosure(spec.Start()) {
+			heap.Push(pq, accItem{s: p, n: ns, w: make([]uint64, r.Dim), step: -1})
+		}
+	}
+	var out []Accepted
+	for pq.Len() > 0 && len(out) < n {
+		it := heap.Pop(pq).(accItem)
+		nd := accNode{it.s, it.n}
+		if visits[nd] == n {
+			continue
+		}
+		visits[nd]++
+		if r.Auto.Accepting(nd.s) && spec.Accepting(nd.n) {
+			var path []Trans
+			var syms []Sym
+			start := nd.s
+			for i := it.step; i >= 0; i = steps[i].prev {
+				path = append(path, steps[i].t)
+				syms = append(syms, steps[i].sym)
+				start = steps[i].t.From
+			}
+			out = append(out, accepted(start, path, syms, it.w))
+			continue
+		}
+		r.productSteps(nd, spec, func(e Edge, nn accNode, csym Sym) {
+			steps = append(steps, step{it.step, Trans{nd.s, e.Sym, e.To}, csym})
+			heap.Push(pq, accItem{s: nn.s, n: nn.n, w: lexAdd(it.w, e.Weight), hops: it.hops + 1, step: len(steps) - 1})
+		})
+	}
+	return out
+}
+
+// accNode is a node of the product of the saturated automaton and a stack
+// specification: an automaton state and a spec state.
+type accNode struct {
+	s State
+	n int
+}
+
+// productSteps calls f for every step out of nd in the product of the
+// automaton and spec: an automaton edge, the node it leads to and the
+// concrete symbol both read. ε-edges are skipped, and a virtual set edge
+// reads the first symbol the spec arc admits.
+func (r *Result) productSteps(nd accNode, spec *nfa.NFA, f func(e Edge, nn accNode, csym Sym)) {
+	for _, e := range r.Auto.Out(nd.s) {
+		if e.Sym == Eps {
+			continue
+		}
+		for _, arc := range spec.Arcs(nd.n) {
+			csym := e.Sym
+			if set := r.Auto.SymSet(e.Sym); set != nil {
+				first, ok := arc.Set.Inter(set).First()
+				if !ok {
+					continue
+				}
+				csym = Sym(first)
+			} else if !arc.Set.Has(nfa.Sym(e.Sym)) {
+				continue
+			}
+			f(e, accNode{e.To, arc.To}, csym)
+		}
+	}
+}
+
+// accepted assembles a configuration from the path that accepts it, given
+// in reverse (end to start) as a backward walk collects it; start is the
+// path's first state.
+func accepted(start State, path []Trans, syms []Sym, w []uint64) Accepted {
+	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
+		path[i], path[j] = path[j], path[i]
+		syms[i], syms[j] = syms[j], syms[i]
+	}
+	stack := make([]Sym, len(syms))
+	copy(stack, syms)
+	return Accepted{
+		Config: Config{State: start, Stack: stack},
+		Path:   path,
+		Syms:   syms,
+		Weight: w,
+	}
 }
 
 func equalVec(a, b []uint64) bool {
@@ -490,6 +548,7 @@ type accItem struct {
 	n    int
 	w    []uint64
 	hops int
+	step int // FindAcceptingN's index of the step that reached s
 }
 
 type accHeap []accItem

@@ -22,6 +22,7 @@ import (
 	"aalwines/internal/labels"
 	"aalwines/internal/network"
 	"aalwines/internal/nfa"
+	"aalwines/internal/obs"
 	"aalwines/internal/pds"
 	"aalwines/internal/query"
 	"aalwines/internal/routing"
@@ -109,6 +110,13 @@ func Build(net *network.Network, q *query.Query, opts Options) *System {
 	b.construct()
 	return b.System
 }
+
+// Rule counts of every build, plain or incremental: the rules emitted
+// before the reduction pass and the rules it keeps.
+var (
+	mRulesEmitted = obs.GetCounter("translate_rules_emitted_total")
+	mRulesKept    = obs.GetCounter("translate_rules_kept_total")
+)
 
 type builder struct {
 	*System
@@ -204,6 +212,8 @@ func (b *builder) construct() {
 	if !b.Opts.NoReductions {
 		b.reduce()
 	}
+	mRulesEmitted.Add(int64(b.RulesBeforeReduction))
+	mRulesKept.Add(int64(len(b.PDS.Rules)))
 	// Systems are shared read-only across concurrent saturations; freezing
 	// builds the rule indexes eagerly so no reader mutates the PDS.
 	b.PDS.Freeze()
