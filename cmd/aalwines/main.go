@@ -109,10 +109,10 @@ func run() error {
 	weightSpec := flag.String("weight", "", "minimisation vector, e.g. 'Hops, Failures + 3*Tunnels'")
 	useDistance := flag.Bool("geo-distance", false, "use great-circle distances for the Distance quantity")
 	noReductions := flag.Bool("no-reductions", false, "disable the pre-saturation reduction pass")
-	noSlice := flag.Bool("no-slice", false, "disable query-scoped network slicing")
+	noSlice := flag.Bool("no-slice", false, "build the whole reduced product up front instead of generating rules as saturation reaches them")
 	budget := flag.Int64("budget", 0, "work budget per saturation (0 = unlimited)")
 	asJSON := flag.Bool("json", false, "JSON output")
-	statsDump := flag.Bool("stats", false, "dump the metrics registry as JSON to stderr on exit")
+	statsDump := flag.Bool("stats", false, "dump the metrics registry as JSON to stderr on exit (engine_rules_generated_total counts on-the-fly rules per direction)")
 	writeTopo := flag.String("write-topology", "", "write the topology XML and exit")
 	writeRoute := flag.String("write-routing", "", "write the routing XML and exit")
 	writeLoc := flag.String("write-locations", "", "write the locations JSON and exit")

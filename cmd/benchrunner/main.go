@@ -157,28 +157,36 @@ func main() {
 	}
 }
 
-// runAblation compares the engine with and without the reduction pass, and
-// the over-approximation-only mode against the full dual pipeline.
+// runAblation compares the eager product with and without the reduction
+// pass, next to the default on-the-fly product, and runs one query under
+// several weight specs.
 func runAblation(seed, budget int64) {
-	fmt.Printf("== Ablation: reduction pass on/off (dual engine) ==\n")
+	fmt.Printf("== Ablation: reduction pass on/off (eager product, dual engine), on-the-fly product alongside ==\n")
 	s := gen.Nordunet(gen.NordOpts{Services: 4, EdgeRouters: 16, Seed: seed})
 	spec := weight.Spec{{{Coeff: 1, Q: weight.Failures}}}
 	for _, q := range s.Table1Queries() {
-		t0 := time.Now()
-		a, errA := engine.VerifyText(s.Net, q.Text, engine.Options{Budget: budget})
-		dA := time.Since(t0)
-		t0 = time.Now()
-		b, errB := engine.VerifyText(s.Net, q.Text, engine.Options{Budget: budget, NoReductions: true})
-		dB := time.Since(t0)
-		if errA != nil || errB != nil {
-			fmt.Printf("%-60s error/timeout (%v / %v)\n", truncate(q.Text, 60), errA, errB)
+		var res [3]engine.Result
+		var dur [3]time.Duration
+		var errs [3]error
+		for i, o := range []engine.Options{
+			{Budget: budget, NoSlice: true},
+			{Budget: budget, NoSlice: true, NoReductions: true},
+			{Budget: budget},
+		} {
+			t0 := time.Now()
+			res[i], errs[i] = engine.VerifyText(s.Net, q.Text, o)
+			dur[i] = time.Since(t0)
+		}
+		if errs[0] != nil || errs[1] != nil || errs[2] != nil {
+			fmt.Printf("%-60s error/timeout (%v / %v / %v)\n", truncate(q.Text, 60), errs[0], errs[1], errs[2])
 			continue
 		}
-		fmt.Printf("%-60s reduced=%7.2fs (%6d rules)  full=%7.2fs (%6d rules)  verdict=%s/%s\n",
+		fmt.Printf("%-60s reduced=%7.2fs (%6d rules)  full=%7.2fs (%6d rules)  on-the-fly=%7.2fs (%6d generated)  verdict=%s/%s/%s\n",
 			truncate(q.Text, 60),
-			dA.Seconds(), a.Stats.OverRules,
-			dB.Seconds(), b.Stats.OverRules,
-			a.Verdict, b.Verdict)
+			dur[0].Seconds(), res[0].Stats.OverRules,
+			dur[1].Seconds(), res[1].Stats.OverRules,
+			dur[2].Seconds(), res[2].Stats.OverRulesGenerated,
+			res[0].Verdict, res[1].Verdict, res[2].Verdict)
 	}
 	fmt.Printf("\n== Ablation: weighted quantities (same query, different specs) ==\n")
 	q := s.Table1Queries()[0]

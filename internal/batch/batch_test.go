@@ -196,19 +196,21 @@ func TestBatchOverlapping(t *testing.T) {
 
 // TestBatchBudgetErrorKeepsStats checks that a budget-exhausted query
 // still surfaces its partial engine stats on the Result: callers
-// diagnosing the timeout need the build time and rule counts of the
-// system that blew the budget.
+// diagnosing the timeout need the build time and the rules the
+// saturation that blew the budget had generated. The budget lets each
+// run generate some rules first: the first eight pops of both queries
+// reach no head with rules, and neither query finishes within 64 pops.
 func TestBatchBudgetErrorKeepsStats(t *testing.T) {
 	s, texts := testWorkload(t)
 	results := batch.Verify(context.Background(), s.Net, texts[:2], batch.Options{
 		Workers: 2,
-		Engine:  engine.Options{Budget: 1},
+		Engine:  engine.Options{Budget: 64},
 	})
 	for _, r := range results {
 		if !errors.Is(r.Err, engine.ErrBudget) {
 			t.Fatalf("%q: err = %v, want ErrBudget", r.Query, r.Err)
 		}
-		if r.Stats.BuildTime <= 0 || r.Stats.OverRules == 0 {
+		if r.Stats.BuildTime <= 0 || r.Stats.OverRulesGenerated == 0 {
 			t.Errorf("%q: partial stats missing on budget failure: %+v", r.Query, r.Stats)
 		}
 	}

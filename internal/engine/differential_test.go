@@ -207,41 +207,111 @@ func TestDifferentialEarlyAccept(t *testing.T) {
 	}
 }
 
-// TestDifferentialSlice runs the whole corpus with query-scoped slicing on
-// (the default) and off, demanding byte-identical serialised results. The
-// slice counters must move to prove slicing actually engaged.
+// TestDifferentialSlice runs the whole corpus on the on-the-fly product
+// (the default) and on the eager one (NoSlice), demanding byte-identical
+// serialised results. The on-the-fly runs must actually generate rules,
+// and the eager ones none.
 func TestDifferentialSlice(t *testing.T) {
 	cases := diffCorpus(t)
-	kept0 := obs.GetCounter("translate_slice_routers_kept_total").Value()
 	for _, c := range cases {
 		q, err := query.Parse(c.text, c.net)
 		if err != nil {
 			t.Fatalf("%s %q: %v", c.net.Name, c.text, err)
 		}
-		sliced, err := engine.Verify(c.net, q, engine.Options{})
+		lazy, err := engine.Verify(c.net, q, engine.Options{})
 		if err != nil {
-			t.Fatalf("%s %q: sliced: %v", c.net.Name, c.text, err)
+			t.Fatalf("%s %q: on the fly: %v", c.net.Name, c.text, err)
 		}
-		full, err := engine.Verify(c.net, q, engine.Options{NoSlice: true})
+		eager, err := engine.Verify(c.net, q, engine.Options{NoSlice: true})
 		if err != nil {
-			t.Fatalf("%s %q: unsliced: %v", c.net.Name, c.text, err)
+			t.Fatalf("%s %q: eager: %v", c.net.Name, c.text, err)
 		}
-		if got, want := marshalResult(t, sliced), marshalResult(t, full); !bytes.Equal(got, want) {
-			t.Errorf("%s %q (k=%d): sliced result differs from unsliced\nsliced: %s\nfull:   %s",
+		if got, want := marshalResult(t, lazy), marshalResult(t, eager); !bytes.Equal(got, want) {
+			t.Errorf("%s %q (k=%d): on-the-fly result differs from eager\non the fly: %s\neager:      %s",
 				c.net.Name, c.text, c.k, got, want)
 		}
-		if !sliced.Stats.Slice.Active {
-			t.Errorf("%s %q: default run reports inactive slice", c.net.Name, c.text)
+		if lazy.Stats.OverRules != 0 || lazy.Stats.OverRulesGenerated == 0 {
+			t.Errorf("%s %q: on-the-fly run built %d rules, generated %d",
+				c.net.Name, c.text, lazy.Stats.OverRules, lazy.Stats.OverRulesGenerated)
 		}
-		if full.Stats.Slice.Active {
-			t.Errorf("%s %q: NoSlice run reports an active slice", c.net.Name, c.text)
-		}
-		if got, want := sliced.Stats.OverRules, full.Stats.OverRules; got > want {
-			t.Errorf("%s %q: sliced build has more rules (%d > %d)", c.net.Name, c.text, got, want)
+		if eager.Stats.OverRules == 0 || eager.Stats.OverRulesGenerated != 0 {
+			t.Errorf("%s %q: eager run built %d rules, generated %d",
+				c.net.Name, c.text, eager.Stats.OverRules, eager.Stats.OverRulesGenerated)
 		}
 	}
-	if obs.GetCounter("translate_slice_routers_kept_total").Value() == kept0 {
-		t.Error("translate_slice_routers_kept_total did not move")
+}
+
+// satCounters are the saturation work counters the on-the-fly product
+// must move exactly as the eager one does.
+var satCounters = []string{
+	"pds_worklist_pops_total",
+	"pds_worklist_pushes_total",
+	"pds_trans_inserted_total",
+	"pds_early_accept_total",
+}
+
+// counterDeltas runs f and returns how far it moved each of the
+// saturation counters and the index-probe counter, summed over labels.
+func counterDeltas(f func()) (sat []int64, probes int64) {
+	sum := func(prefix string) int64 {
+		var n int64
+		for name, v := range obs.Default.Snapshot().Counters {
+			if strings.HasPrefix(name, prefix) {
+				n += v
+			}
+		}
+		return n
+	}
+	pre := make([]int64, len(satCounters))
+	for i, name := range satCounters {
+		pre[i] = sum(name)
+	}
+	p0 := sum("pds_index_probes_total")
+	f()
+	sat = make([]int64, len(satCounters))
+	for i, name := range satCounters {
+		sat[i] = sum(name) - pre[i]
+	}
+	return sat, sum("pds_index_probes_total") - p0
+}
+
+// checkCounterIdentity verifies one query on the default (on-the-fly) and
+// the NoSlice (eager) product and demands equal saturation work. Index
+// probes may differ — an on-the-fly set-edge probe counts only the rules
+// the set admits — so their deltas are logged.
+func checkCounterIdentity(t *testing.T, net *network.Network, text string) {
+	t.Helper()
+	var lazyErr, eagerErr error
+	lazy, lazyProbes := counterDeltas(func() { _, lazyErr = engine.VerifyText(net, text, engine.Options{}) })
+	eager, eagerProbes := counterDeltas(func() { _, eagerErr = engine.VerifyText(net, text, engine.Options{NoSlice: true}) })
+	if lazyErr != nil || eagerErr != nil {
+		t.Fatalf("%s %q: on the fly %v, eager %v", net.Name, text, lazyErr, eagerErr)
+	}
+	for i, name := range satCounters {
+		if lazy[i] != eager[i] {
+			t.Errorf("%s %q: %s moved %d on the fly, %d eager", net.Name, text, name, lazy[i], eager[i])
+		}
+	}
+	if lazyProbes != eagerProbes {
+		t.Logf("%s %.50q: index probes %d on the fly, %d eager", net.Name, text, lazyProbes, eagerProbes)
+	}
+}
+
+// TestDifferentialCounterIdentity pins the strongest form of the
+// on-the-fly contract on the differential corpus: not just equal results,
+// equal saturation work. Outside -short it also covers Table 1 rows 3 and
+// 6 on the >250k-rule NORDUnet configuration.
+func TestDifferentialCounterIdentity(t *testing.T) {
+	for _, c := range diffCorpus(t) {
+		checkCounterIdentity(t, c.net, c.text)
+	}
+	if testing.Short() {
+		return
+	}
+	s := gen.Nordunet(gen.NordOpts{Services: 70, EdgeRouters: 31, Seed: 1})
+	qs := s.Table1Queries()
+	for _, i := range []int{2, 5} {
+		checkCounterIdentity(t, s.Net, qs[i].Text)
 	}
 }
 
@@ -285,11 +355,11 @@ func TestDifferentialBatchSerial(t *testing.T) {
 
 // TestDifferentialPaperScale extends the differential harness to one
 // paper-scale input: the >250k-rule NORDUnet service configuration behind
-// the nordunet-svc-250k ladder rung. Query-scoped slicing promises
-// byte-identity, so the sliced run must serialise identically to the
-// unsliced one on a dataplane of this size, where index packing and arena
-// reuse actually engage. Two of the six Table 1 queries keep the
-// runtime test-suite-friendly; the bench ladder covers the full set.
+// the nordunet-svc-250k ladder rung. The on-the-fly product promises
+// byte-identity, so its run must serialise identically to the eager one on
+// a dataplane of this size, where index packing and arena reuse actually
+// engage. Two of the six Table 1 queries keep the runtime
+// test-suite-friendly; the bench ladder covers the full set.
 func TestDifferentialPaperScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale differential in -short mode")
@@ -303,18 +373,16 @@ func TestDifferentialPaperScale(t *testing.T) {
 		text := qs[i].Text
 		base, err := engine.VerifyText(s.Net, text, engine.Options{NoSlice: true})
 		if err != nil {
-			t.Fatalf("%q: unsliced: %v", text, err)
+			t.Fatalf("%q: eager: %v", text, err)
 		}
 		want := marshalResult(t, base)
-		sliced, err := engine.VerifyText(s.Net, text, engine.Options{})
+		lazy, err := engine.VerifyText(s.Net, text, engine.Options{})
 		if err != nil {
-			t.Fatalf("%q: sliced: %v", text, err)
+			t.Fatalf("%q: on the fly: %v", text, err)
 		}
-		if !sliced.Stats.Slice.Active {
-			t.Errorf("%q: default run reports inactive slice", text)
+		if got := marshalResult(t, lazy); !bytes.Equal(got, want) {
+			t.Errorf("%q: on-the-fly result differs from eager at paper scale", text)
 		}
-		if got := marshalResult(t, sliced); !bytes.Equal(got, want) {
-			t.Errorf("%q: sliced result differs from unsliced at paper scale", text)
-		}
+		t.Logf("%.50q: eager %d rules, generated %d", text, base.Stats.OverRules, lazy.Stats.OverRulesGenerated)
 	}
 }

@@ -40,6 +40,12 @@ var (
 		obs.GetCounter(`engine_verdicts_total{verdict="satisfied"}`),
 		obs.GetCounter(`engine_verdicts_total{verdict="inconclusive"}`),
 	}
+	// mGenerated counts the rules on-the-fly saturations generated, per
+	// approximation direction (engine.Stats.{Over,Under}RulesGenerated).
+	mGenerated = [2]*obs.Counter{
+		obs.GetCounter(`engine_rules_generated_total{approx="over"}`),
+		obs.GetCounter(`engine_rules_generated_total{approx="under"}`),
+	}
 	// mEarlyFallback counts runs where the early-accept fast path produced a
 	// witness that failed validation, forcing a full re-saturation. A high
 	// rate relative to pds_early_accept_total means the fast path is paying
@@ -107,10 +113,13 @@ type Options struct {
 	// make the two modes disagree (Satisfied with early accept, Inconclusive
 	// without).
 	NoEarlyAccept bool
-	// NoSlice disables query-scoped network slicing (ablation). By default
-	// the translator emits rules only for the part of the network the
-	// query's endpoints can reach (translate.Options.Slice); results are
+	// NoSlice builds the eager, reduced product instead of the on-the-fly
+	// one (ablation). By default post* generates a rule only when it first
+	// reaches the rule's head (translate.Options.Slice), so only the slice
+	// of the network the query explores is ever built; results are
 	// byte-identical either way, only build work and rule counts differ.
+	// NoReductions and a Saturate override also build eagerly: the
+	// reduction and the Moped baseline need the whole product.
 	NoSlice bool
 	// Saturate overrides the saturation backend (nil = pds.PoststarOpts).
 	Saturate Saturator
@@ -125,23 +134,24 @@ type Options struct {
 	Cache translate.Getter
 }
 
-// Stats reports sizes and timings of a run.
+// Stats reports sizes and timings of a run. OverRules, OverRulesPre and
+// UnderRules count the rules of the built system before saturation, so
+// they are 0 for the on-the-fly product; its rules are counted as the
+// saturations generate them, in OverRulesGenerated and
+// UnderRulesGenerated (0 for an eager build).
 type Stats struct {
-	OverRules    int
-	OverRulesPre int // before reduction
-	UnderRules   int
-	UnderUsed    bool
-	TransOver    int // saturated automaton transitions (over direction)
-	TransUnder   int
+	OverRules           int
+	OverRulesPre        int // before reduction
+	UnderRules          int
+	OverRulesGenerated  int // summed over the early-accept and fixed-point runs
+	UnderRulesGenerated int
+	UnderUsed           bool
+	TransOver           int // saturated automaton transitions (over direction)
+	TransUnder          int
 	// EarlyAccepted reports that the over-approximation saturation stopped
 	// at the early-accept check rather than the fixed point. TransOver then
 	// counts the partial automaton unless a fallback re-saturation ran.
-	EarlyAccepted bool
-	// Slice reports the query-scoped network slice the over-approximation
-	// was built under; Slice.Active is false when slicing was disabled or
-	// skipped (incremental session builds, Dist-override builds through a
-	// SessionCache).
-	Slice           translate.SliceStats
+	EarlyAccepted   bool
 	BuildTime       time.Duration
 	OverTime        time.Duration
 	UnderTime       time.Duration
@@ -182,6 +192,8 @@ func Verify(net *network.Network, q *query.Query, opts Options) (Result, error) 
 func VerifyCtx(ctx context.Context, net *network.Network, q *query.Query, opts Options) (Result, error) {
 	res, err := verifyCtx(ctx, net, q, opts)
 	mRuns.Inc()
+	mGenerated[0].Add(int64(res.Stats.OverRulesGenerated))
+	mGenerated[1].Add(int64(res.Stats.UnderRulesGenerated))
 	mPhases[0].ObserveDuration(res.Stats.BuildTime)
 	mPhases[1].ObserveDuration(res.Stats.OverTime)
 	if res.Stats.UnderUsed {
@@ -212,7 +224,7 @@ func verifyCtx(ctx context.Context, net *network.Network, q *query.Query, opts O
 			Spec:         opts.Spec,
 			Dist:         opts.Dist,
 			NoReductions: opts.NoReductions,
-			Slice:        !opts.NoSlice,
+			Slice:        !opts.NoSlice && !opts.NoReductions && opts.Saturate == nil,
 		}
 		if opts.Cache != nil && opts.Cache.Net() == net {
 			return opts.Cache.Get(q, topts)
@@ -231,7 +243,6 @@ func verifyCtx(ctx context.Context, net *network.Network, q *query.Query, opts O
 	res.Stats.BuildTime = time.Since(t0)
 	res.Stats.OverRules = len(over.PDS.Rules)
 	res.Stats.OverRulesPre = over.RulesBeforeReduction
-	res.Stats.Slice = over.SliceStats
 
 	// Early-accept applies to unweighted runs on the default backend: the
 	// saturation stops as soon as an accepting configuration is reachable,
@@ -253,6 +264,7 @@ func verifyCtx(ctx context.Context, net *network.Network, q *query.Query, opts O
 		overRes, err = sat(over.PDS, overInit, over.Dim, opts.Budget)
 	}
 	res.Stats.OverTime = time.Since(t1)
+	res.Stats.OverRulesGenerated = over.Generated()
 	if err != nil {
 		if cerr := ctxError(ctx, err); cerr != nil {
 			return res, cerr
@@ -313,6 +325,7 @@ func verifyCtx(ctx context.Context, net *network.Network, q *query.Query, opts O
 		t := time.Now()
 		overRes, err = sat(over.PDS, overInit, over.Dim, opts.Budget)
 		res.Stats.OverTime += time.Since(t)
+		res.Stats.OverRulesGenerated += over.Generated()
 		if err != nil {
 			if cerr := ctxError(ctx, err); cerr != nil {
 				return res, cerr
@@ -344,6 +357,7 @@ func verifyCtx(ctx context.Context, net *network.Network, q *query.Query, opts O
 	t3 := time.Now()
 	underRes, err := sat(under.PDS, underInit, under.Dim, opts.Budget)
 	res.Stats.UnderTime = time.Since(t3)
+	res.Stats.UnderRulesGenerated = under.Generated()
 	if err != nil {
 		if cerr := ctxError(ctx, err); cerr != nil {
 			return res, cerr

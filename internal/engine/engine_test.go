@@ -467,7 +467,7 @@ func TestStatsPopulatedOnUnderRun(t *testing.T) {
 	if st.BuildTime <= 0 || st.OverTime <= 0 || st.ReconstructTime <= 0 {
 		t.Errorf("over-side timings not populated: %+v", st)
 	}
-	if st.OverRules == 0 || st.TransOver == 0 {
+	if st.OverRulesGenerated == 0 || st.TransOver == 0 {
 		t.Errorf("over-side sizes not populated: %+v", st)
 	}
 	if !st.UnderUsed {
@@ -476,7 +476,7 @@ func TestStatsPopulatedOnUnderRun(t *testing.T) {
 	if st.UnderTime <= 0 {
 		t.Errorf("UnderTime = %v on a run that used the under engine", st.UnderTime)
 	}
-	if st.UnderRules == 0 || st.TransUnder == 0 {
+	if st.UnderRulesGenerated == 0 || st.TransUnder == 0 {
 		t.Errorf("under-side sizes not populated: %+v", st)
 	}
 }

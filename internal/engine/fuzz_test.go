@@ -272,38 +272,43 @@ func FuzzVerifyBatch(f *testing.F) {
 	})
 }
 
-// FuzzVerifyModes cross-checks query-scoped network slicing, on or off,
-// against the unsliced engine on random instances: slicing promises
-// byte-identical results, so any divergence in verdict, trace, failed set
-// or weight is a soundness bug in the slice's forward closure.
+// FuzzVerifyModes cross-checks the on-the-fly product (the default) or,
+// with eager set, the eager one against the eager engine on random
+// instances, unweighted and under a Failures-then-Hops spec. The
+// on-the-fly product promises byte-identical results, so any divergence
+// in verdict, trace, failed set or weight is a bug in its head order,
+// weights or failure-budget handling.
 func FuzzVerifyModes(f *testing.F) {
 	f.Add(int64(1), int64(2), false)
 	f.Add(int64(42), int64(7), true)
 	f.Add(int64(1234), int64(99), false)
 	f.Add(int64(-5), int64(0), true)
-	f.Fuzz(func(t *testing.T, netSeed, querySeed int64, noSlice bool) {
+	spec := weight.Spec{{{Coeff: 1, Q: weight.Failures}}, {{Coeff: 1, Q: weight.Hops}}}
+	f.Fuzz(func(t *testing.T, netSeed, querySeed int64, eager bool) {
 		rng := rand.New(rand.NewSource(netSeed))
 		n := randomNetwork(rng)
 		qrng := rand.New(rand.NewSource(querySeed))
 		for i := 0; i < 4; i++ {
 			qt := randomQuery(qrng, n)
-			base, berr := engine.VerifyText(n, qt, engine.Options{NoSlice: true})
-			res, err := engine.VerifyText(n, qt, engine.Options{NoSlice: noSlice})
-			if (berr != nil) != (err != nil) {
-				t.Fatalf("noSlice=%v %q: base err %v, mode err %v", noSlice, qt, berr, err)
-			}
-			if err != nil {
-				continue
-			}
-			if res.Verdict != base.Verdict {
-				t.Fatalf("noSlice=%v %q: verdict %v, unsliced %v", noSlice, qt, res.Verdict, base.Verdict)
-			}
-			if !reflect.DeepEqual(res.Trace, base.Trace) || !reflect.DeepEqual(res.Failed, base.Failed) {
-				t.Fatalf("noSlice=%v %q: witness differs from unsliced\nmode: %s\nbase: %s",
-					noSlice, qt, res.Trace.Format(n), base.Trace.Format(n))
-			}
-			if !reflect.DeepEqual(res.Weight, base.Weight) {
-				t.Fatalf("noSlice=%v %q: weight %v, unsliced %v", noSlice, qt, res.Weight, base.Weight)
+			for _, sp := range []weight.Spec{nil, spec} {
+				base, berr := engine.VerifyText(n, qt, engine.Options{Spec: sp, NoSlice: true})
+				res, err := engine.VerifyText(n, qt, engine.Options{Spec: sp, NoSlice: eager})
+				if (berr != nil) != (err != nil) {
+					t.Fatalf("eager=%v weighted=%v %q: base err %v, mode err %v", eager, sp != nil, qt, berr, err)
+				}
+				if err != nil {
+					continue
+				}
+				if res.Verdict != base.Verdict {
+					t.Fatalf("eager=%v weighted=%v %q: verdict %v, eager %v", eager, sp != nil, qt, res.Verdict, base.Verdict)
+				}
+				if !reflect.DeepEqual(res.Trace, base.Trace) || !reflect.DeepEqual(res.Failed, base.Failed) {
+					t.Fatalf("eager=%v weighted=%v %q: witness differs from eager\nmode: %s\nbase: %s",
+						eager, sp != nil, qt, res.Trace.Format(n), base.Trace.Format(n))
+				}
+				if !reflect.DeepEqual(res.Weight, base.Weight) {
+					t.Fatalf("eager=%v weighted=%v %q: weight %v, eager %v", eager, sp != nil, qt, res.Weight, base.Weight)
+				}
 			}
 		}
 	})

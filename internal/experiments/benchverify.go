@@ -25,8 +25,9 @@ import (
 // BenchVerifySchema identifies the BENCH_verify_<rung>.json document
 // layout. v2 added the memory block (alloc/op and peak RSS); v3 added the
 // translation block and the sweep matrix, and dropped workers, budget and
-// the saturation peak depth.
-const BenchVerifySchema = "aalwines/bench-verify/v3"
+// the saturation peak depth; v4 dropped the slice router counts, since the
+// on-the-fly product replaced query-scoped slicing.
+const BenchVerifySchema = "aalwines/bench-verify/v4"
 
 // BenchVerifyConfig configures one ladder rung: a fixed query set run
 // serially with no saturation budget. Latency, cache, translation and
@@ -104,16 +105,15 @@ type BenchCache struct {
 }
 
 // BenchTranslation reports the translation work done during the benchmark:
-// pushdown rules emitted and kept by the reduction pass, routers the query
-// slices kept and dropped, and the rule blocks scenario sessions spliced
-// from their block stores or rebuilt.
+// pushdown rules emitted and kept — by eager builds before and after the
+// reduction pass, plus every rule on-the-fly saturations generated, which
+// count as both — and the rule blocks scenario sessions spliced from their
+// block stores or rebuilt.
 type BenchTranslation struct {
-	RulesEmitted        int64 `json:"rulesEmitted"`
-	RulesKept           int64 `json:"rulesKept"`
-	SliceRoutersKept    int64 `json:"sliceRoutersKept"`
-	SliceRoutersDropped int64 `json:"sliceRoutersDropped"`
-	BlocksReused        int64 `json:"blocksReused"`
-	BlocksRebuilt       int64 `json:"blocksRebuilt"`
+	RulesEmitted  int64 `json:"rulesEmitted"`
+	RulesKept     int64 `json:"rulesKept"`
+	BlocksReused  int64 `json:"blocksReused"`
+	BlocksRebuilt int64 `json:"blocksRebuilt"`
 }
 
 // BenchSaturation reports the saturation work done during the benchmark.
@@ -280,12 +280,10 @@ func BenchVerify(cfg BenchVerifyConfig) (*BenchVerifyReport, error) {
 		rep.Cache.HitRate = float64(rep.Cache.Hits) / float64(rep.Cache.Gets)
 	}
 	rep.Translation = BenchTranslation{
-		RulesEmitted:        delta("translate_rules_emitted_total"),
-		RulesKept:           delta("translate_rules_kept_total"),
-		SliceRoutersKept:    delta("translate_slice_routers_kept_total"),
-		SliceRoutersDropped: delta("translate_slice_routers_dropped_total"),
-		BlocksReused:        delta("scenario_rule_blocks_reused_total"),
-		BlocksRebuilt:       delta("scenario_rule_blocks_rebuilt_total"),
+		RulesEmitted:  delta("translate_rules_emitted_total"),
+		RulesKept:     delta("translate_rules_kept_total"),
+		BlocksReused:  delta("scenario_rule_blocks_reused_total"),
+		BlocksRebuilt: delta("scenario_rule_blocks_rebuilt_total"),
 	}
 	rep.Saturation = BenchSaturation{
 		Runs:            delta("pds_saturation_runs_total"),
@@ -507,8 +505,7 @@ func ValidateBenchVerify(data []byte) error {
 		return fmt.Errorf("benchverify: cache hit rate %g outside [0,1]", c.HitRate)
 	}
 	tr := rep.Translation
-	if tr.RulesKept < 0 || tr.RulesKept > tr.RulesEmitted || tr.SliceRoutersKept < 0 ||
-		tr.SliceRoutersDropped < 0 || tr.BlocksReused < 0 || tr.BlocksRebuilt < 0 {
+	if tr.RulesKept < 0 || tr.RulesKept > tr.RulesEmitted || tr.BlocksReused < 0 || tr.BlocksRebuilt < 0 {
 		return fmt.Errorf("benchverify: translation counters inconsistent: %+v", tr)
 	}
 	s := rep.Saturation

@@ -15,9 +15,9 @@ import (
 //
 //   - determinism: the verdict histogram, the saturation work counters
 //     (runs, pops, pushes, inserted transitions, early accepts, index
-//     probes), the translation counters (rules emitted and kept, slice
-//     routers kept and dropped, rule blocks reused and rebuilt), cache gets
-//     and hits, and a sweep rung's verdict matrix must match the baseline
+//     probes), the translation counters (rules emitted and kept, rule
+//     blocks reused and rebuilt), cache gets and hits, and a sweep rung's
+//     verdict matrix must match the baseline
 //     EXACTLY. These are bit-reproducible for a fixed (network, seed)
 //     workload run serially — translation and saturation are deterministic
 //     — so any drift is a real behaviour change, not noise.
@@ -78,8 +78,6 @@ func CompareBenchVerify(base, fresh *BenchVerifyReport, tol, memTol float64) err
 		{"cache hits", base.Cache.Hits, fresh.Cache.Hits},
 		{"rules emitted", bt.RulesEmitted, ft.RulesEmitted},
 		{"rules kept", bt.RulesKept, ft.RulesKept},
-		{"slice routers kept", bt.SliceRoutersKept, ft.SliceRoutersKept},
-		{"slice routers dropped", bt.SliceRoutersDropped, ft.SliceRoutersDropped},
 		{"blocks reused", bt.BlocksReused, ft.BlocksReused},
 		{"blocks rebuilt", bt.BlocksRebuilt, ft.BlocksRebuilt},
 	}

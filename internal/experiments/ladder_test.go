@@ -58,9 +58,9 @@ func TestLadderHasPaperScaleRungs(t *testing.T) {
 }
 
 // TestReadBenchVerifyV1Compat checks that a report of an older schema no
-// longer reads: the ladder gate's reader rejects a bench-verify/v2 document
-// with a schema error, not by its first unknown field, and a current report
-// must carry its memory block.
+// longer reads: the ladder gate's reader rejects bench-verify/v2 and v3
+// documents with a schema error, not by their first unknown field, and a
+// current report must carry its memory block.
 func TestReadBenchVerifyV1Compat(t *testing.T) {
 	rep, err := BenchVerify(BenchVerifyConfig{Repeat: 1, Seed: 1})
 	if err != nil {
@@ -75,16 +75,25 @@ func TestReadBenchVerifyV1Compat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var v2 map[string]any
-	if err := json.Unmarshal(data, &v2); err != nil {
-		t.Fatal(err)
+	old := func(schema string, extra func(doc map[string]any)) []byte {
+		var doc map[string]any
+		if err := json.Unmarshal(data, &doc); err != nil {
+			t.Fatal(err)
+		}
+		doc["schema"] = schema
+		extra(doc)
+		out, _ := json.MarshalIndent(doc, "", "  ")
+		return out
 	}
-	v2["schema"] = "aalwines/bench-verify/v2"
-	v2["workers"] = 1
-	v2["budget"] = 0
-	data, _ = json.MarshalIndent(v2, "", "  ")
-	if _, err := ReadBenchVerify(data); err == nil || !strings.Contains(err.Error(), "schema") {
-		t.Fatalf("v2 document: got %v, want schema error", err)
+	v2 := old("aalwines/bench-verify/v2", func(doc map[string]any) {
+		doc["workers"] = 1
+		doc["budget"] = 0
+	})
+	v3 := old("aalwines/bench-verify/v3", func(map[string]any) {})
+	for name, doc := range map[string][]byte{"v2": v2, "v3": v3} {
+		if _, err := ReadBenchVerify(doc); err == nil || !strings.Contains(err.Error(), "schema") {
+			t.Fatalf("%s document: got %v, want schema error", name, err)
+		}
 	}
 
 	noMem := *rep
@@ -105,21 +114,19 @@ func TestCompareBenchVerifyExactGate(t *testing.T) {
 	base.Sweep = []sweep.InvariantReport{{Query: "q", Baseline: "satisfied",
 		Verdicts: map[string]int{"satisfied": 2}, MinimalBreaking: [][]string{}}}
 	cases := map[string]func(r *BenchVerifyReport){
-		"saturation runs":       func(r *BenchVerifyReport) { r.Saturation.Runs++ },
-		"worklist pops":         func(r *BenchVerifyReport) { r.Saturation.WorklistPops++ },
-		"worklist pushes":       func(r *BenchVerifyReport) { r.Saturation.WorklistPushes++ },
-		"transitions inserted":  func(r *BenchVerifyReport) { r.Saturation.TransInserted++ },
-		"early accepts":         func(r *BenchVerifyReport) { r.Saturation.EarlyAccepts++ },
-		"index probes":          func(r *BenchVerifyReport) { r.Saturation.IndexProbes++ },
-		"cache gets":            func(r *BenchVerifyReport) { r.Cache.Gets++ },
-		"cache hits":            func(r *BenchVerifyReport) { r.Cache.Hits++ },
-		"rules emitted":         func(r *BenchVerifyReport) { r.Translation.RulesEmitted++ },
-		"rules kept":            func(r *BenchVerifyReport) { r.Translation.RulesKept++ },
-		"slice routers kept":    func(r *BenchVerifyReport) { r.Translation.SliceRoutersKept++ },
-		"slice routers dropped": func(r *BenchVerifyReport) { r.Translation.SliceRoutersDropped++ },
-		"blocks reused":         func(r *BenchVerifyReport) { r.Translation.BlocksReused++ },
-		"blocks rebuilt":        func(r *BenchVerifyReport) { r.Translation.BlocksRebuilt++ },
-		"sweep matrix":          func(r *BenchVerifyReport) { r.Sweep[0].Verdicts["satisfied"]++ },
+		"saturation runs":      func(r *BenchVerifyReport) { r.Saturation.Runs++ },
+		"worklist pops":        func(r *BenchVerifyReport) { r.Saturation.WorklistPops++ },
+		"worklist pushes":      func(r *BenchVerifyReport) { r.Saturation.WorklistPushes++ },
+		"transitions inserted": func(r *BenchVerifyReport) { r.Saturation.TransInserted++ },
+		"early accepts":        func(r *BenchVerifyReport) { r.Saturation.EarlyAccepts++ },
+		"index probes":         func(r *BenchVerifyReport) { r.Saturation.IndexProbes++ },
+		"cache gets":           func(r *BenchVerifyReport) { r.Cache.Gets++ },
+		"cache hits":           func(r *BenchVerifyReport) { r.Cache.Hits++ },
+		"rules emitted":        func(r *BenchVerifyReport) { r.Translation.RulesEmitted++ },
+		"rules kept":           func(r *BenchVerifyReport) { r.Translation.RulesKept++ },
+		"blocks reused":        func(r *BenchVerifyReport) { r.Translation.BlocksReused++ },
+		"blocks rebuilt":       func(r *BenchVerifyReport) { r.Translation.BlocksRebuilt++ },
+		"sweep matrix":         func(r *BenchVerifyReport) { r.Sweep[0].Verdicts["satisfied"]++ },
 	}
 	fresh := func() *BenchVerifyReport {
 		r := *base

@@ -247,11 +247,16 @@ func TestVerifyBudgetCap(t *testing.T) {
 			t.Errorf("%s: code = %q, want budget-exhausted", eng, env.Code)
 		}
 		// Partial stats: the build phase completed before saturation gave
-		// up, so the envelope's stats block carries the rule counts.
+		// up, so the envelope's stats block carries its timing — and, for
+		// moped's eager product, its rule count (the default on-the-fly
+		// product has no rules before saturation).
 		if env.Stats == nil {
 			t.Fatalf("%s: error envelope missing partial stats", eng)
 		}
-		if env.Stats.Sizes.OverRules == 0 {
+		if env.Stats.TimingMS.Build <= 0 {
+			t.Errorf("%s: partial stats lost the build timing: %+v", eng, env.Stats.TimingMS)
+		}
+		if eng == "moped" && env.Stats.Sizes.OverRules == 0 {
 			t.Errorf("%s: partial stats lost the rule count: %+v", eng, env.Stats.Sizes)
 		}
 	}
@@ -277,8 +282,8 @@ func TestVerifyBatchBudgetCode(t *testing.T) {
 	if item.Error == "" || item.Code != "budget-exhausted" {
 		t.Fatalf("item = %+v, want budget-exhausted error", item)
 	}
-	if item.Sizes.OverRules == 0 {
-		t.Errorf("batch error item lost partial stats: %+v", item.Sizes)
+	if item.TimingMS.Build <= 0 {
+		t.Errorf("batch error item lost partial stats: %+v", item.TimingMS)
 	}
 }
 
@@ -316,8 +321,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"pds_index_probes_total{alg=\"poststar\"}",
 		"pds_pool_hits_total",
 		"pds_pool_misses_total",
-		"translate_slice_routers_kept_total",
-		"translate_slice_routers_dropped_total",
+		"engine_rules_generated_total{approx=\"over\"}",
 		"translate_rules_emitted_total",
 		"translate_rules_kept_total",
 		"engine_early_accept_fallback_total",
@@ -334,10 +338,10 @@ func TestMetricsEndpoint(t *testing.T) {
 	if strings.Contains(body, "pds_worklist_pops_total{alg=\"poststar\"} 0\n") {
 		t.Error("poststar pops counter is zero after a batch")
 	}
-	// Slicing is on by default in the engine, so the slice router counter
-	// must have moved too.
-	if strings.Contains(body, "translate_slice_routers_kept_total 0\n") {
-		t.Error("slice routers-kept counter is zero after a batch")
+	// The engine builds on the fly by default, so the batch generated
+	// rules.
+	if strings.Contains(body, "engine_rules_generated_total{approx=\"over\"} 0\n") {
+		t.Error("over generated-rules counter is zero after a batch")
 	}
 }
 

@@ -94,7 +94,7 @@ type WatchEvent struct {
 // HubOptions configures verification of watched invariants.
 type HubOptions struct {
 	// Engine options apply to every re-verification (budget, weight
-	// minimisation, slicing...).
+	// minimisation, ...).
 	Engine engine.Options
 	// Workers bounds the batch pool per refresh (0 = GOMAXPROCS).
 	Workers int

@@ -22,10 +22,14 @@ import (
 
 // Poststar is a drop-in replacement for pds.PoststarOpts with only Dim and
 // Budget set, restricted to the unweighted case (dim must be 0; the weighted engine has no Moped
-// analogue, which is the point of the paper's comparison).
+// analogue, which is the point of the paper's comparison) and to an eager
+// PDS: like the real tool, it reads the whole rule list up front.
 func Poststar(p *pds.PDS, init *pds.Auto, dim int, budget int64) (*pds.Result, error) {
 	if dim != 0 {
 		return nil, fmt.Errorf("moped: weighted pushdown systems are not supported (dim=%d)", dim)
+	}
+	if p.Gen != nil {
+		return nil, fmt.Errorf("moped: on-the-fly pushdown systems are not supported")
 	}
 	if err := init.Validate(); err != nil {
 		return nil, err

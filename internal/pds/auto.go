@@ -429,7 +429,13 @@ func (a *Auto) AddSetEdge(from State, set *nfa.Set, to State, w []uint64) {
 	if set.IsEmpty() {
 		return
 	}
-	t := Trans{from, a.VirtualSym(set), to}
+	a.AddVirtualEdge(from, a.VirtualSym(set), to, w)
+}
+
+// AddVirtualEdge inserts an initial transition over a virtual symbol that
+// VirtualSym returned, so a set added from many states is interned once.
+func (a *Auto) AddVirtualEdge(from State, sym Sym, to State, w []uint64) {
+	t := Trans{from, sym, to}
 	a.Insert(t, w, &Witness{Kind: WitInitial, Rule: -1, T: t, Weight: w})
 }
 

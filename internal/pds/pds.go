@@ -67,10 +67,19 @@ func (r Rule) String() string {
 
 // PDS is a pushdown system: a number of control states, a stack alphabet
 // size and a rule set.
+//
+// A PDS with Gen set is on the fly: it is built with no rules, and each
+// post* run generates the rules of the heads it reaches (see Generator
+// and PoststarOpts). Its NumStates counts the base control states only;
+// the chain states a run generates live in that run's automaton.
 type PDS struct {
 	NumStates int
 	NumSyms   int
-	Rules     []Rule
+	// Rules lists the rules of an eager PDS. On the fly it holds the rules
+	// the latest post* run generated.
+	Rules []Rule
+	// Gen, when set, makes the PDS on the fly.
+	Gen Generator
 
 	// Packed rule indexes, built by Freeze or lazily on first use. Both
 	// are CSR-style: one flat int32 array of rule indices plus offsets,

@@ -79,7 +79,11 @@ const (
 
 // postRun is the mutable state of one post* saturation.
 type postRun struct {
-	p     *PDS
+	p *PDS
+	// rules is p.Rules for an eager PDS; on the fly it is the run's own
+	// rule store, and lazy indexes it.
+	rules []Rule
+	lazy  *lazyRules
 	a     *Auto
 	o     SatOptions
 	dim   int
@@ -118,17 +122,32 @@ type postRun struct {
 // are accumulated, every transition keeps its lexicographically minimal
 // weight, and witness records always describe a derivation achieving the
 // stored weight.
+//
+// On an on-the-fly PDS (p.Gen set) the run starts an empty rule store and
+// asks p.Gen for a head's rules the first time a transition reaches it;
+// chain states are allocated in init after its own states. When the run
+// ends, with or without an error, p.Rules is replaced by the run's store,
+// so a PDS saturated again reads the latest run's rules. A saturation
+// therefore needs its own copy of an on-the-fly PDS.
 func PoststarOpts(p *PDS, init *Auto, o SatOptions) (*Result, error) {
 	if err := init.Validate(); err != nil {
 		return nil, err
 	}
-	r := &postRun{p: p, a: init, o: o, dim: o.Dim, sc: getScratch(), nextCheck: firstCheck}
+	r := &postRun{p: p, rules: p.Rules, a: init, o: o, dim: o.Dim, sc: getScratch(), nextCheck: firstCheck}
+	if p.Gen != nil {
+		r.rules = nil
+		r.lazy = &lazyRules{gen: p.Gen}
+	}
 	r.queue, r.head = r.sc.queue[:0], 0
 	defer func() {
 		r.sc.queue = r.queue
 		putScratch(r.sc)
 		r.tally.probes += r.a.takeProbes()
 		r.tally.flushPost()
+		if r.lazy != nil {
+			p.Rules = r.rules
+			p.Gen.Done(len(r.rules))
+		}
 	}()
 	r.a.NormalizeWeights(r.dim)
 	r.mids = map[[2]uint32]State{}
@@ -266,7 +285,7 @@ func (r *postRun) epsOf(s State) []State {
 // apply fires one PDS rule on transition t given its current weight and
 // witness record.
 func (r *postRun) apply(ri int32, t Trans, w []uint64, rec *Witness) {
-	rl := &r.p.Rules[ri]
+	rl := &r.rules[ri]
 	nw := r.wts.add(w, ruleWeight(rl, r.dim))
 	switch rl.Kind {
 	case PopRule:
@@ -283,6 +302,10 @@ func (r *postRun) apply(ri int32, t Trans, w []uint64, rec *Witness) {
 // applyRules fires every PDS rule matching transition t (whose source is a
 // control state).
 func (r *postRun) applyRules(t Trans, w []uint64, rec *Witness) {
+	if r.lazy != nil {
+		r.applyLazy(t, w, rec)
+		return
+	}
 	if set := r.a.SymSet(t.Sym); set != nil {
 		rs := r.p.RulesFromState(t.From)
 		r.tally.probes += int64(len(rs))
@@ -339,14 +362,19 @@ func (r *postRun) process(ref edgeRef) {
 		r.push(Trans{src, t.Sym, t.To}, nw, WitCombine, -1, 0, et.Wit, rec)
 	}
 
-	if int(t.From) >= r.p.NumStates {
+	if !r.control(t.From) {
 		return // no rules apply to non-control sources
 	}
 	r.applyRules(t, w, rec)
 }
 
 func (r *postRun) finish(early bool) *Result {
-	res := &Result{PDS: r.p, Auto: r.a, Dim: r.dim, Mids: map[State][2]uint32{}, EarlyAccepted: early}
+	p := r.p
+	if r.lazy != nil {
+		// The result keeps this run's rules even if p is saturated again.
+		p = &PDS{NumStates: p.NumStates, NumSyms: p.NumSyms, Rules: r.rules}
+	}
+	res := &Result{PDS: p, Auto: r.a, Dim: r.dim, Mids: map[State][2]uint32{}, EarlyAccepted: early}
 	for k, v := range r.mids {
 		res.Mids[v] = k
 	}

@@ -16,6 +16,9 @@ package pds
 // old inQueue map is gone (pre* inserts are pure novelty checks, so an
 // edge never re-enters the worklist anyway).
 func Prestar(p *PDS, target *Auto) *Result {
+	if p.Gen != nil {
+		panic("pds: Prestar needs an eager PDS")
+	}
 	a := target
 	var tally satTally
 	var wits witArena

@@ -85,24 +85,28 @@ type tableKey struct {
 // The zero value is an empty table.
 //
 // Reads at translation/verification time go through a lazily built flat
-// view (sorted key and group slices) cached behind an atomic pointer, so
-// the repeated whole-table walks of query translation and slicing cost one
-// sort per table lifetime instead of one per query. Any mutation drops the
-// view; it is rebuilt on the next Keys/Range call. Tables must not be
-// mutated concurrently with reads (the map itself forbids that already);
-// concurrent readers are safe and share one view.
+// view (sorted key and group slices, indexed by incoming link) cached
+// behind an atomic pointer, so the repeated table walks and per-link
+// lookups of query translation cost one sort per table lifetime instead of
+// one per query. Any mutation drops the view; it is rebuilt on the next
+// read. Tables must not be mutated concurrently with reads (the map itself
+// forbids that already); concurrent readers are safe and share one view.
 type Table struct {
 	entries map[tableKey]Groups
 	view    atomic.Pointer[tableView]
 }
 
 // tableView is an immutable sorted snapshot of the table: keys ascending
-// by (incoming link, top label), groups aligned with keys. numRules is the
-// entry total, cached because NumRules sits on sizing/stats paths.
+// by (incoming link, top label), groups aligned with keys. Entries are
+// numbered consecutively in view order, key by key and group by group:
+// first[i] is the number of keys[i]'s first entry, and first[len(keys)]
+// is the entry total that NumRules reports.
 type tableView struct {
-	keys     []Key
-	groups   []Groups
-	numRules int
+	keys   []Key
+	groups []Groups
+	first  []int32
+	// byIn[l]:byIn[l+1] is the range of keys with incoming link l.
+	byIn []int32
 }
 
 // NewTable returns an empty routing table.
@@ -140,12 +144,10 @@ func (t *Table) flat() *tableView {
 	v := &tableView{
 		keys:   make([]Key, 0, len(t.entries)),
 		groups: make([]Groups, 0, len(t.entries)),
+		first:  make([]int32, 0, len(t.entries)+1),
 	}
-	for k, gs := range t.entries {
+	for k := range t.entries {
 		v.keys = append(v.keys, Key{In: k.in, Top: k.top})
-		for _, g := range gs {
-			v.numRules += len(g.Entries)
-		}
 	}
 	sort.Slice(v.keys, func(i, j int) bool {
 		if v.keys[i].In != v.keys[j].In {
@@ -153,9 +155,22 @@ func (t *Table) flat() *tableView {
 		}
 		return v.keys[i].Top < v.keys[j].Top
 	})
+	var n int32
 	for _, k := range v.keys {
-		v.groups = append(v.groups, t.entries[tableKey{k.In, k.Top}])
+		gs := t.entries[tableKey{k.In, k.Top}]
+		v.groups = append(v.groups, gs)
+		v.first = append(v.first, n)
+		for _, g := range gs {
+			n += int32(len(g.Entries))
+		}
 	}
+	v.first = append(v.first, n)
+	for i, k := range v.keys {
+		for len(v.byIn) <= int(k.In) {
+			v.byIn = append(v.byIn, int32(i))
+		}
+	}
+	v.byIn = append(v.byIn, int32(len(v.keys)))
 	t.view.Store(v)
 	return v
 }
@@ -267,7 +282,7 @@ type Key struct {
 // networks (NORDUnet has >250,000 of them).
 func (t *Table) NumRules() int {
 	if v := t.view.Load(); v != nil {
-		return v.numRules
+		return int(v.first[len(v.keys)])
 	}
 	n := 0
 	for _, gs := range t.entries {
@@ -276,6 +291,36 @@ func (t *Table) NumRules() int {
 		}
 	}
 	return n
+}
+
+// In returns the part of the sorted view that belongs to incoming link
+// in: its keys ascending by top label, their groups, and the number of
+// each key's first entry. Entries are numbered consecutively in view
+// order, key by key and group by group, so a number names one entry until
+// the table next changes. The slices are shared with the view and must
+// not be modified; first has one more element than keys, closing the last
+// key's range.
+func (t *Table) In(in topology.LinkID) (keys []Key, groups []Groups, first []int32) {
+	v := t.flat()
+	if int(in) >= len(v.byIn)-1 {
+		return nil, nil, nil
+	}
+	lo, hi := v.byIn[in], v.byIn[in+1]
+	return v.keys[lo:hi], v.groups[lo:hi], v.first[lo : hi+1]
+}
+
+// Entry returns the entry numbered id (see In) and the index of its group.
+func (t *Table) Entry(id int32) (Entry, int) {
+	v := t.flat()
+	i := sort.Search(len(v.keys), func(i int) bool { return v.first[i+1] > id })
+	n := id - v.first[i]
+	for j, g := range v.groups[i] {
+		if int(n) < len(g.Entries) {
+			return g.Entries[n], j
+		}
+		n -= int32(len(g.Entries))
+	}
+	panic(fmt.Sprintf("routing: entry %d out of range", id))
 }
 
 // TopLabelsFor returns the set of top labels with entries for the given

@@ -14,15 +14,17 @@ import (
 
 // Cache memoizes translated systems for one network so that many
 // verification runs (typically a batch sweep) build each pushdown system
-// once and share it read-only. A built System is immutable — Build freezes
-// the PDS rule indexes — and the cached pristine initial automaton is
-// handed out as a Clone per run, so concurrent saturations never touch
-// shared mutable state.
+// once and share it read-only. An eager System is immutable — Build
+// freezes the PDS rule indexes — and is shared as is. An on-the-fly System
+// is handed out per Get with a private rule store over the shared
+// generator. The cached pristine initial automaton is handed out as a
+// Clone per run, so concurrent saturations never touch shared mutable
+// state.
 //
 // Entries are keyed by (compiled query, direction, weight spec, reduction
-// flag). The compiled query is keyed by pointer identity: callers that want
-// textual deduplication (the batch runner does) parse each distinct query
-// text once and reuse the *query.Query. The failure bound k is part of the
+// flag, product form). The compiled query is keyed by pointer identity:
+// callers that want textual deduplication (the batch runner does) parse
+// each distinct query text once and reuse the *query.Query. The failure bound k is part of the
 // compiled query, so it needs no separate key component. Options with a
 // Dist function are not keyable (functions have no identity); Get then
 // builds fresh without caching.
@@ -45,7 +47,7 @@ type cacheKey struct {
 	mode         Mode
 	spec         string // rendering of the weight spec; "" = unweighted
 	noReductions bool
-	sliced       bool
+	onTheFly     bool
 }
 
 type cacheEntry struct {
@@ -72,9 +74,10 @@ func (c *Cache) Net() *network.Network { return c.net }
 
 // Get returns the translated system for (q, opts) and a fresh initial
 // automaton for it, building and memoizing on first use. The returned
-// System must be treated as read-only; the automaton is private to the
-// caller. Concurrent callers with the same key block until the single
-// build completes.
+// System must be treated as read-only, except that saturating an
+// on-the-fly one replaces its private rule store; the automaton is private
+// to the caller. Concurrent callers with the same key block until the
+// single build completes.
 func (c *Cache) Get(q *query.Query, opts Options) (*System, *pds.Auto) {
 	c.gets.Add(1)
 	c.obsGets.Inc()
@@ -84,7 +87,7 @@ func (c *Cache) Get(q *query.Query, opts Options) (*System, *pds.Auto) {
 		sys := Build(c.net, q, opts)
 		return sys, sys.InitAuto()
 	}
-	key := cacheKey{q: q, mode: opts.Mode, spec: specString(opts.Spec), noReductions: opts.NoReductions, sliced: opts.Slice}
+	key := cacheKey{q: q, mode: opts.Mode, spec: specString(opts.Spec), noReductions: opts.NoReductions, onTheFly: opts.Slice}
 	c.mu.Lock()
 	e := c.entries[key]
 	if e == nil {
@@ -109,7 +112,7 @@ func (c *Cache) Get(q *query.Query, opts Options) (*System, *pds.Auto) {
 		// blocked on another goroutine's in-flight build.
 		c.obsHits.Inc()
 	}
-	return e.sys, e.init.Clone()
+	return e.sys.share(), e.init.Clone()
 }
 
 // CacheStats summarises cache effectiveness. Hits = Gets - Misses; a get

@@ -64,7 +64,7 @@ func (s *System) DecodeTrace(init pds.Config, rules []int32) (network.Trace, err
 		if tag < 0 {
 			return nil, fmt.Errorf("translate: chain rule %d outside any step", rules[i])
 		}
-		step := s.Steps[tag]
+		step := s.step(tag)
 		// The chain ends right before the next tagged rule.
 		j := i + 1
 		for j < len(rules) && s.PDS.Rules[rules[j]].Tag < 0 {

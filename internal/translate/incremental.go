@@ -122,7 +122,7 @@ func (st BuildStats) Sub(prev BuildStats) BuildStats {
 func BuildIncremental(net *network.Network, q *query.Query, opts Options,
 	store *BlockStore, version func(routing.Key) uint64) (*System, BuildStats) {
 	b := &builder{
-		System:  &System{Net: net, Query: q, Opts: opts},
+		System:  newSystem(net, q, opts),
 		store:   store,
 		version: version,
 	}
@@ -273,12 +273,9 @@ func (c *SessionCache) SetOverlay(net *network.Network, fp uint64, version func(
 // System is read-only and shared; the automaton is private to the caller.
 func (c *SessionCache) Get(q *query.Query, opts Options) (*System, *pds.Auto) {
 	c.gets.Add(1)
-	// Query-scoped slicing is incompatible with incremental assembly: a
-	// cached per-key block must splice into any future overlay, but slice
-	// liveness is a global property of the whole routing table, so a block
-	// recorded under one slice could be wrong under the next overlay's.
-	// Sessions therefore always build unsliced — the documented fallback
-	// (DESIGN.md §11).
+	// Sessions assemble the eager product from per-key blocks that splice
+	// into any later overlay. The on-the-fly product has no blocks to
+	// reuse, so session builds are always eager (DESIGN.md §11).
 	opts.Slice = false
 	c.mu.Lock()
 	net, fp, version := c.net, c.fp, c.version

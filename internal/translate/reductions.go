@@ -95,7 +95,7 @@ func (b *builder) reduce() {
 	for _, arc := range pre.Arcs(pre.Start()) {
 		firstSets = append(firstSets, arc.Set)
 	}
-	bStart := b.pathNFA.Arcs(b.pathNFA.Start())
+	bStart := b.Query.PathNFA.Arcs(b.Query.PathNFA.Start())
 	for e := 0; e < b.Net.Topo.NumLinks(); e++ {
 		for _, arc := range bStart {
 			if !arc.Set.Has(nfa.Sym(e)) {
