@@ -38,7 +38,7 @@ func main() {
 	checkLadder := flag.Bool("check-ladder", false, "re-run the ladder and gate it against the committed baselines in -ladder-dir (no files written)")
 	ladderTol := flag.Float64("ladder-tol", 0.15, "relative mean-latency tolerance for -check-ladder (0 disables the timing gate)")
 	ladderMemTol := flag.Float64("ladder-mem-tol", 0.35, "relative alloc-per-run tolerance for -check-ladder (0 disables the memory gate)")
-	ladderRung := flag.String("ladder-rung", "", "restrict -check-ladder to a comma-separated set of rungs (default: all)")
+	ladderRung := flag.String("ladder-rung", "", "restrict -check-ladder and -bench-ladder to a comma-separated set of rungs (default: all)")
 	ladderDir := flag.String("ladder-dir", ".", "output directory for -bench-ladder")
 	validate := flag.String("validate", "", "validate an existing BENCH_verify_<rung>.json report and exit")
 
@@ -113,7 +113,7 @@ func main() {
 		}
 	}
 	if *benchLadder {
-		paths, reps, err := experiments.RunBenchLadder(*ladderDir)
+		paths, reps, err := experiments.RunBenchLadder(*ladderDir, *ladderRung)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "benchrunner:", err)
 			os.Exit(1)

@@ -80,10 +80,10 @@ type Result struct {
 // API, the experiment sweeps) amortise translation across runs. A Runner
 // is safe for concurrent use; overlapping Verify calls share the caches.
 type Runner struct {
+	net   *network.Network
 	cache translate.Getter
 
 	mu     sync.Mutex
-	net    *network.Network
 	parsed map[string]*parseEntry
 }
 
@@ -101,32 +101,14 @@ func NewRunner(net *network.Network) *Runner {
 
 // NewRunnerWithCache returns a runner using a caller-supplied translation
 // cache — a scenario session passes its SessionCache here so batch runs
-// share the session's incrementally maintained systems. The cache must be
-// bound to net (cache.Net() == net), or every run builds from scratch.
+// share the session's incrementally maintained systems. A run on a network
+// the cache does not serve builds from scratch.
 func NewRunnerWithCache(net *network.Network, cache translate.Getter) *Runner {
 	return &Runner{
 		net:    net,
 		cache:  cache,
 		parsed: make(map[string]*parseEntry),
 	}
-}
-
-// Network returns the network the runner is currently bound to.
-func (r *Runner) Network() *network.Network {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.net
-}
-
-// Rebind points the runner at a new network sharing the previous one's
-// topology and label table (a scenario overlay after a delta). Parsed
-// queries are kept: query compilation reads only labels and topology,
-// which overlays share with their base. In-flight batches keep verifying
-// the network they started with.
-func (r *Runner) Rebind(net *network.Network) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.net = net
 }
 
 // CacheStats reports the translation cache counters.
@@ -142,10 +124,9 @@ func (r *Runner) parse(text string) (*query.Query, error) {
 		e = &parseEntry{}
 		r.parsed[text] = e
 	}
-	net := r.net
 	r.mu.Unlock()
 	e.once.Do(func() {
-		e.q, e.err = query.Parse(text, net)
+		e.q, e.err = query.Parse(text, r.net)
 	})
 	return e.q, e.err
 }
@@ -154,16 +135,16 @@ func (r *Runner) parse(text string) (*query.Query, error) {
 // per query, in input order regardless of scheduling. Cancelling ctx stops
 // the batch: queries not yet finished report the context's error.
 func (r *Runner) Verify(ctx context.Context, queries []string, opts Options) []Result {
-	return r.VerifyOn(ctx, r.Network(), queries, opts)
+	return r.VerifyOn(ctx, r.net, queries, opts)
 }
 
-// VerifyOn is Verify against an explicit network snapshot instead of the
-// runner's current binding. A scenario session pins the overlay it hands
-// back for response rendering, so the run and the rendering agree even
-// when a concurrent delta rebinds the runner mid-request. The network must
-// share the runner's topology and label table (parsed queries are reused
-// across Rebind); the translation cache is consulted only while it still
-// serves net, so a stale snapshot costs a rebuild, never a wrong answer.
+// VerifyOn is Verify against a network other than the runner's own. A
+// scenario session runs each batch on the overlay it hands back for
+// response rendering, so the run and the rendering agree even when a
+// concurrent delta replaces the overlay mid-request. The network must
+// share the runner's topology and label table, because queries are
+// compiled against the runner's network; the translation cache builds for
+// the network it is asked for, or the run builds from scratch.
 func (r *Runner) VerifyOn(ctx context.Context, net *network.Network, queries []string, opts Options) []Result {
 	workers := opts.Workers
 	if workers <= 0 {

@@ -11,12 +11,15 @@ import (
 	"testing"
 
 	"aalwines/internal/batch"
+	"aalwines/internal/cli"
 	"aalwines/internal/engine"
 	"aalwines/internal/explicit"
 	"aalwines/internal/gen"
 	"aalwines/internal/network"
 	"aalwines/internal/obs"
 	"aalwines/internal/query"
+	"aalwines/internal/scenario"
+	"aalwines/internal/translate"
 	"aalwines/internal/weight"
 )
 
@@ -384,5 +387,55 @@ func TestDifferentialPaperScale(t *testing.T) {
 			t.Errorf("%q: on-the-fly result differs from eager at paper scale", text)
 		}
 		t.Logf("%.50q: eager %d rules, generated %d", text, base.Stats.OverRules, lazy.Stats.OverRulesGenerated)
+	}
+}
+
+// TestSessionCacheVerifiesRequestedOverlay verifies one scenario overlay
+// through a session cache last used for another overlay of the same base:
+// the cache must translate the overlay it is asked for, so each run renders
+// exactly what a cache-less eager verify of that overlay renders (timings
+// aside), and matches the default on-the-fly verify in every stable field.
+func TestSessionCacheVerifiesRequestedOverlay(t *testing.T) {
+	re := gen.RunningExample()
+	overlay := func(cmd string) *network.Network {
+		s := scenario.NewSession(re.Network)
+		defer s.Close()
+		if _, err := s.ApplyText(cmd); err != nil {
+			t.Fatal(err)
+		}
+		return s.Overlay()
+	}
+	nets := []*network.Network{overlay("fail v2.oe4#v3.ie4"), overlay("fail v0.oe1#v2.ie1")}
+	for i := 0; i < 5; i++ {
+		qt := phi(i)
+		// One compiled query, so every cached run hits the same entry.
+		q, err := query.Parse(qt, re.Network)
+		if err != nil {
+			t.Fatal(err)
+		}
+		render := func(net *network.Network, opts engine.Options) cli.ResultJSON {
+			t.Helper()
+			res, err := engine.Verify(net, q, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rj := cli.ToJSON(net, qt, res)
+			rj.TimingMS = cli.Timings{}
+			return rj
+		}
+		cache := translate.NewSessionCache(re.Network)
+		for _, n := range []int{1, 0, 1, 0} {
+			got := render(nets[n], engine.Options{Cache: cache})
+			eager := render(nets[n], engine.Options{NoSlice: true})
+			if !reflect.DeepEqual(got, eager) {
+				t.Errorf("φ%d on overlay %d: cached %+v, cache-less eager %+v", i, n, got, eager)
+			}
+			if lazy := render(nets[n], engine.Options{}); !reflect.DeepEqual(got.Stable(), lazy.Stable()) {
+				t.Errorf("φ%d on overlay %d: cached %+v, cache-less %+v", i, n, got, lazy)
+			}
+		}
+		if st := cache.Stats(); st.Entries == 0 || st.Hits != 0 {
+			t.Errorf("φ%d: cache stats %+v, want entries and no hits across alternating overlays", i, st)
+		}
 	}
 }

@@ -123,7 +123,7 @@ type Options struct {
 	NoSlice bool
 	// Saturate overrides the saturation backend (nil = pds.PoststarOpts).
 	Saturate Saturator
-	// Cache, when non-nil and bound to the verified network, memoizes
+	// Cache, when non-nil and serving the verified network, memoizes
 	// translated systems across runs: the pushdown system is built once per
 	// (query, direction, spec, reductions) and shared read-only, with a
 	// fresh initial automaton cloned per run. Used by the batch runner; any
@@ -226,8 +226,10 @@ func verifyCtx(ctx context.Context, net *network.Network, q *query.Query, opts O
 			NoReductions: opts.NoReductions,
 			Slice:        !opts.NoSlice && !opts.NoReductions && opts.Saturate == nil,
 		}
-		if opts.Cache != nil && opts.Cache.Net() == net {
-			return opts.Cache.Get(q, topts)
+		if opts.Cache != nil {
+			if sys, init, ok := opts.Cache.Get(net, q, topts); ok {
+				return sys, init
+			}
 		}
 		sys := translate.Build(net, q, topts)
 		return sys, sys.InitAuto()

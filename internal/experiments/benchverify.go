@@ -419,13 +419,18 @@ func BenchLadder() []LadderRung {
 	}
 }
 
-// RunBenchLadder runs every rung of the ladder, writes one validated
+// RunBenchLadder runs every rung of the ladder named in the
+// comma-separated only ("" = all), writes one validated
 // BENCH_verify_<name>.json per rung into dir, and returns the written
 // paths alongside the reports, in rung order.
-func RunBenchLadder(dir string) ([]string, []*BenchVerifyReport, error) {
+func RunBenchLadder(dir, only string) ([]string, []*BenchVerifyReport, error) {
+	rungs, err := ladderRungs(only)
+	if err != nil {
+		return nil, nil, err
+	}
 	var paths []string
 	var reps []*BenchVerifyReport
-	for _, rung := range BenchLadder() {
+	for _, rung := range rungs {
 		rep, err := BenchVerify(rung.Cfg)
 		if err != nil {
 			return paths, reps, fmt.Errorf("benchverify: ladder rung %s: %w", rung.Name, err)

@@ -130,25 +130,40 @@ type LadderGateConfig struct {
 	Only string
 }
 
+// ladderRungs returns the ladder rungs named in the comma-separated only
+// ("" = all), in ladder order, and an error when it names none.
+func ladderRungs(only string) ([]LadderRung, error) {
+	if only == "" {
+		return BenchLadder(), nil
+	}
+	names := map[string]bool{}
+	for _, name := range strings.Split(only, ",") {
+		names[strings.TrimSpace(name)] = true
+	}
+	var rungs []LadderRung
+	for _, rung := range BenchLadder() {
+		if names[rung.Name] {
+			rungs = append(rungs, rung)
+		}
+	}
+	if len(rungs) == 0 {
+		return nil, fmt.Errorf("ladder: no rung matches %q", only)
+	}
+	return rungs, nil
+}
+
 // CheckBenchLadder re-runs every ladder rung (or just cfg.Only) and gates
 // it against the committed baselines in cfg.Dir, without touching the
 // baseline files. It returns one human-readable summary line per rung; the
 // error aggregates every rung that failed its gate.
 func CheckBenchLadder(cfg LadderGateConfig) ([]string, error) {
-	only := map[string]bool{}
-	if cfg.Only != "" {
-		for _, name := range strings.Split(cfg.Only, ",") {
-			only[strings.TrimSpace(name)] = true
-		}
+	rungs, err := ladderRungs(cfg.Only)
+	if err != nil {
+		return nil, err
 	}
 	var lines []string
 	var failures []string
-	matched := false
-	for _, rung := range BenchLadder() {
-		if len(only) > 0 && !only[rung.Name] {
-			continue
-		}
-		matched = true
+	for _, rung := range rungs {
 		path := filepath.Join(cfg.Dir, "BENCH_verify_"+rung.Name+".json")
 		data, err := os.ReadFile(path)
 		if err != nil {
@@ -170,9 +185,6 @@ func CheckBenchLadder(cfg LadderGateConfig) ([]string, error) {
 		lines = append(lines, fmt.Sprintf("%-18s ok    mean=%.3fms (baseline %.3fms)  pops=%d  alloc/run=%.1fMB",
 			rung.Name, fresh.LatencyMS.Mean, base.LatencyMS.Mean, fresh.Saturation.WorklistPops,
 			float64(fresh.Memory.AllocBytesPerRun)/(1<<20)))
-	}
-	if cfg.Only != "" && !matched {
-		return lines, fmt.Errorf("ladder: no rung matches %q", cfg.Only)
 	}
 	if len(failures) > 0 {
 		return lines, fmt.Errorf("ladder regression gate: %d rung(s) failed:\n  %s",

@@ -35,20 +35,21 @@
 //
 // Every error response, on every route, uses the same JSON envelope
 // {code, message, details?, stats?} — code is machine-readable
-// ("bad-request", "not-found", "session-not-found", "method-not-allowed",
-// "gone", "internal-error", "query-error", "budget-exhausted",
-// "deadline-exceeded", "cancelled"), details carries request-specific
-// context (e.g. the delta command that failed), and stats carries the
-// partial timings/sizes of an aborted verification. That includes routing
-// misses: an unknown /api/... path or a wrong method gets the envelope,
-// not the Go mux's plain-text page, and a handler panic surfaces as a 500
-// "internal-error" envelope rather than an empty reply.
+// ("bad-request", "request-too-large", "not-found", "session-not-found",
+// "method-not-allowed", "gone", "internal-error", "query-error",
+// "budget-exhausted", "deadline-exceeded", "cancelled"), details carries
+// request-specific context (e.g. the delta command that failed), and stats
+// carries the partial timings/sizes of an aborted verification. That
+// includes routing misses: an unknown /api/... path or a wrong method gets
+// the envelope, not the Go mux's plain-text page, and a handler panic
+// surfaces as a 500 "internal-error" envelope rather than an empty reply.
+// A request body over 1 MiB is answered with 413 "request-too-large".
 //
 // Networks are immutable after registration, so verification requests run
 // concurrently without locking. Each network gets a batch.Runner whose
 // translation cache is shared by all verification requests; scenario
 // sessions additionally maintain an incremental cache that re-translates
-// only the rule blocks their deltas touch.
+// only the routing keys whose content their deltas changed.
 package httpapi
 
 import (
@@ -215,6 +216,28 @@ func writeErrorDetails(w http.ResponseWriter, status int, code, msg string, deta
 	writeJSON(w, status, ErrorEnvelope{Code: code, Message: msg, Details: details})
 }
 
+// maxBodyBytes caps every request body (withMiddleware). The largest
+// legitimate bodies, query batches and delta stacks, are a few kilobytes.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes the JSON request body into v. On failure it writes
+// the error envelope — 413 "request-too-large" when the body exceeds
+// maxBodyBytes, 400 "bad-request" otherwise — and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(r.Body).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		writeError(w, http.StatusRequestEntityTooLarge, "request-too-large",
+			fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit))
+	default:
+		writeError(w, http.StatusBadRequest, "bad-request", "invalid JSON: "+err.Error())
+	}
+	return false
+}
+
 // writeVerifyError writes a verification failure with its machine-readable
 // code and the partial stats of the aborted run.
 func writeVerifyError(w http.ResponseWriter, err error, st engine.Stats) {
@@ -353,8 +376,7 @@ func (s *Server) engineOptions(w http.ResponseWriter, net *network.Network,
 
 func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	var req VerifyRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad-request", "invalid JSON: "+err.Error())
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	net, runner := s.lookup(req.Network)
@@ -412,8 +434,7 @@ type VerifyBatchResponse struct {
 
 func (s *Server) handleVerifyBatch(w http.ResponseWriter, r *http.Request) {
 	var req VerifyBatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad-request", "invalid JSON: "+err.Error())
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	net, runner := s.lookup(req.Network)
@@ -466,8 +487,6 @@ type SweepRequest struct {
 	// Stream switches the response to NDJSON: one {"cell": ...} line per
 	// completed cell as it lands, then a final {"report": ...} line.
 	Stream bool `json:"stream,omitempty"`
-	// NoCache disables cross-scenario translation reuse (diagnostics).
-	NoCache bool `json:"noCache,omitempty"`
 }
 
 // SweepStreamEvent is one NDJSON line of a streaming sweep response:
@@ -485,8 +504,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SweepRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad-request", "invalid JSON: "+err.Error())
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Invariants) == 0 {
@@ -507,7 +525,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		Workers:      s.clampWorkers(req.Workers),
 		Engine:       opts,
 		Timeout:      time.Duration(req.TimeoutMS) * time.Millisecond,
-		NoCache:      req.NoCache,
 		IncludeCells: req.IncludeCells,
 	}
 
@@ -576,8 +593,7 @@ type SessionCreateRequest struct {
 type SessionJSON struct {
 	ID      string `json:"id"`
 	Network string `json:"network"`
-	// Fingerprint identifies the delta stack; translations are cached
-	// under it.
+	// Fingerprint identifies the delta stack.
 	Fingerprint string                  `json:"fingerprint"`
 	Deltas      []scenario.AppliedDelta `json:"deltas"`
 	Cache       *SessionCacheStatsJSON  `json:"cache,omitempty"`
@@ -613,8 +629,7 @@ func sessionJSON(e *sessionEntry, withStats bool) SessionJSON {
 
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	var req SessionCreateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad-request", "invalid JSON: "+err.Error())
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	net, _ := s.lookup(req.Network)
@@ -756,8 +771,7 @@ func (s *Server) handleSessionDeltas(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SessionDeltasRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad-request", "invalid JSON: "+err.Error())
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Commands) == 0 {
@@ -820,8 +834,7 @@ func (s *Server) handleSessionVerify(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req VerifyRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad-request", "invalid JSON: "+err.Error())
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if strings.TrimSpace(req.Query) == "" {
@@ -850,8 +863,7 @@ func (s *Server) handleSessionVerifyBatch(w http.ResponseWriter, r *http.Request
 		return
 	}
 	var req VerifyBatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad-request", "invalid JSON: "+err.Error())
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Queries) == 0 {

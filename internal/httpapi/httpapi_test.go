@@ -422,6 +422,38 @@ func TestVerifyBatchErrors(t *testing.T) {
 	}
 }
 
+// TestRequestBodyCap sends bodies just over the 1 MiB cap to a batch route
+// and a session mutation: both answer 413 "request-too-large", the session
+// keeps its empty stack, and the server keeps serving.
+func TestRequestBodyCap(t *testing.T) {
+	ts := newTestServer(t)
+	huge := strings.Repeat("x", 1<<20)
+	resp := doJSON(t, http.MethodPost, ts.URL+"/api/v1/verify-batch",
+		json.RawMessage(`{"network":"running-example","queries":["`+huge+`"]}`))
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize verify-batch: status = %d, want 413", resp.StatusCode)
+	}
+	if env := decodeEnvelope(t, resp); env.Code != "request-too-large" {
+		t.Errorf("oversize verify-batch: code = %q", env.Code)
+	}
+
+	cresp := doJSON(t, http.MethodPost, ts.URL+"/api/v1/sessions",
+		httpapi.SessionCreateRequest{Network: "running-example"})
+	sess := decodeBody[httpapi.SessionJSON](t, cresp)
+	sessURL := ts.URL + "/api/v1/sessions/" + sess.ID
+	resp = doJSON(t, http.MethodPost, sessURL+"/deltas",
+		json.RawMessage(`{"commands":["fail `+huge+`"]}`))
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize deltas: status = %d, want 413", resp.StatusCode)
+	}
+	if env := decodeEnvelope(t, resp); env.Code != "request-too-large" {
+		t.Errorf("oversize deltas: code = %q", env.Code)
+	}
+	if got := decodeBody[httpapi.SessionJSON](t, doJSON(t, http.MethodGet, sessURL, nil)); len(got.Deltas) != 0 {
+		t.Errorf("oversize deltas changed the session: %+v", got.Deltas)
+	}
+}
+
 // TestConcurrentBatch fires overlapping batch requests (and a worker cap)
 // at one server; under -race this stresses the per-network runner sharing.
 func TestConcurrentBatch(t *testing.T) {

@@ -61,14 +61,16 @@ func (ew *envelopeWriter) Flush() {
 	}
 }
 
-// withMiddleware wraps the mux with the uniform-envelope writer and panic
-// recovery: mux-generated 404/405 responses under /api/ carry the JSON
-// error envelope, and a handler panic becomes a 500 "internal-error"
-// envelope when the response has not started, instead of the empty reply
-// net/http would produce. http.ErrAbortHandler (the sanctioned way to drop
-// a connection) is re-raised.
+// withMiddleware wraps the mux with the body cap, the uniform-envelope
+// writer and panic recovery: request bodies are cut at maxBodyBytes,
+// mux-generated 404/405 responses under /api/ carry the JSON error
+// envelope, and a handler panic becomes a 500 "internal-error" envelope
+// when the response has not started, instead of the empty reply net/http
+// would produce. http.ErrAbortHandler (the sanctioned way to drop a
+// connection) is re-raised.
 func withMiddleware(h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 		ew := &envelopeWriter{ResponseWriter: w, req: r}
 		defer func() {
 			p := recover()

@@ -28,8 +28,7 @@ func (s *Server) handleWatchCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req WatchCreateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad-request", "invalid JSON: "+err.Error())
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Invariants) == 0 {

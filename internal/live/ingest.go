@@ -67,9 +67,9 @@ type ReplayStats struct {
 // Ingester consumes routing-update events and applies them to a session in
 // coalesced, atomic batches. Coalescing is desired-state for link and
 // router status — a link-up cancels a pending link-down rather than
-// stacking a restore on a fail, so the delta stack the session re-hashes
-// per router stays minimal — while table edits (add-entry, remove-entry,
-// swap-priority) are order-sensitive and accumulate verbatim.
+// stacking a restore on a fail, so the session's delta stack stays
+// minimal — while table edits (add-entry, remove-entry, swap-priority) are
+// order-sensitive and accumulate verbatim.
 //
 // Ingest and Flush are not safe for concurrent use with themselves; Run
 // drives both from one goroutine. The edits list grows with the lifetime
@@ -178,10 +178,9 @@ func (ing *Ingester) Ingest(ev Event) (flushNow bool, err error) {
 // Stack renders the current desired state as a delta stack: table edits in
 // arrival order, then drains, then fails. Materialization applies edits in
 // stack order and filters failures afterwards, so the relative position of
-// fails vs edits does not change the overlay — this order just keeps the
-// stable edit prefix at the bottom so per-router version hashes of routers
-// untouched by the newest events stay identical across flushes, keeping
-// their cached rule blocks live.
+// fails vs edits does not change the overlay. The fixed order keeps the
+// fingerprint stable when a window's events cancel out, so Flush can skip
+// it.
 func (ing *Ingester) Stack() []scenario.Delta {
 	out := make([]scenario.Delta, 0, len(ing.edits)+len(ing.drainOrder)+len(ing.failedOrder))
 	out = append(out, ing.edits...)

@@ -11,8 +11,9 @@
 //     long-lived scenario.Session via SetStack. Coalescing is
 //     desired-state: a link-up cancels a pending link-down instead of
 //     stacking on top of it, so the session's delta stack stays minimal
-//     and per-router version hashes — hence the incremental translation
-//     cache's rule blocks — stay hot across flushes.
+//     and a window whose events cancel out leaves the fingerprint
+//     unchanged and is skipped. The incremental translation cache keys
+//     rule blocks by routing content, so they stay hot across flushes.
 //
 //   - A Hub owns watch subscriptions on the session: each watch registers
 //     a set of invariants (queries), and every flush re-verifies the

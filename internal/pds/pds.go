@@ -5,8 +5,11 @@
 // witness records from which the engine reconstructs the rule sequence —
 // and hence the network trace — that justifies reachability.
 //
-// The weighted generalisation (Reps–Schwoon–Jha–Melski 2005) used by the
-// quantitative engine lives in internal/wpds and shares these types.
+// The weighted generalisation (Reps–Schwoon–Jha–Melski 2005) that the
+// quantitative engine uses lives here too: PoststarOpts with
+// SatOptions.Dim > 0 accumulates rule weight vectors and keeps the
+// lexicographically minimal weight per transition. The generic semiring
+// library internal/wpds serves as a test oracle for it.
 package pds
 
 import (

@@ -2,6 +2,7 @@ package routing
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -73,6 +74,30 @@ func (gs Groups) PrefixLinks(j int) []topology.LinkID {
 		}
 	}
 	return sortDedupLinks(out)
+}
+
+// Equal reports whether two group sequences have the same entries in the
+// same order. A sequence compared with itself, such as one an overlay
+// shares with its base table, answers in O(1).
+func (gs Groups) Equal(other Groups) bool {
+	if len(gs) != len(other) {
+		return false
+	}
+	if len(gs) == 0 || &gs[0] == &other[0] {
+		return true
+	}
+	for j := range gs {
+		a, b := gs[j].Entries, other[j].Entries
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if a[i].Out != b[i].Out || !slices.Equal(a[i].Ops, b[i].Ops) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // tableKey indexes the routing table τ by (incoming link, top label).
@@ -208,6 +233,15 @@ func (t *Table) MustAdd(in topology.LinkID, top labels.ID, priority int, e Entry
 // to install filtered views of a base table. Callers must not pass
 // trailing empty groups: Add never creates them, and keeping the invariant
 // makes an overlay table indistinguishable from one built from scratch.
+//
+// An installed sequence is never modified in place. SetGroups replaces a
+// key's sequence whole, the caller must not write to gs afterwards, and
+// Add, which grows a key's sequence in place while a table is built, must
+// not be called on a key installed here. A reference to an installed
+// sequence is therefore a snapshot of its content: overlays share a base
+// table's sequences by slice, and the rule-block store in translate keeps
+// the sequences it emitted blocks from and compares them with
+// Groups.Equal, which answers for a shared slice in O(1).
 func (t *Table) SetGroups(in topology.LinkID, top labels.ID, gs Groups) {
 	if t.entries == nil {
 		t.entries = make(map[tableKey]Groups)

@@ -125,6 +125,41 @@ func TestGroupLinks(t *testing.T) {
 	}
 }
 
+func TestGroupsEqual(t *testing.T) {
+	gs := Groups{
+		{Entries: []Entry{{Out: 1, Ops: Ops{Swap(2)}}, {Out: 3}}},
+		{Entries: []Entry{{Out: 4, Ops: Ops{Push(5), Swap(6)}}}},
+	}
+	copied := Groups{
+		{Entries: []Entry{{Out: 1, Ops: Ops{Swap(2)}}, {Out: 3}}},
+		{Entries: []Entry{{Out: 4, Ops: Ops{Push(5), Swap(6)}}}},
+	}
+	otherOps := Groups{
+		{Entries: []Entry{{Out: 1, Ops: Ops{Swap(2)}}, {Out: 3}}},
+		{Entries: []Entry{{Out: 4, Ops: Ops{Push(5)}}}},
+	}
+	otherOut := Groups{
+		{Entries: []Entry{{Out: 1, Ops: Ops{Swap(2)}}, {Out: 2}}},
+		{Entries: []Entry{{Out: 4, Ops: Ops{Push(5), Swap(6)}}}},
+	}
+	for _, c := range []struct {
+		name string
+		a, b Groups
+		want bool
+	}{
+		{"same slice", gs, gs, true},
+		{"equal copy", gs, copied, true},
+		{"shared prefix", gs, gs[:1], false},
+		{"other ops", gs, otherOps, false},
+		{"other out-link", gs, otherOut, false},
+		{"empty", nil, Groups{}, true},
+	} {
+		if got := c.a.Equal(c.b); got != c.want {
+			t.Errorf("%s: Equal = %v, want %v", c.name, got, c.want)
+		}
+	}
+}
+
 func TestNumRulesAndKeys(t *testing.T) {
 	rt, _, m, links := protTable(t)
 	if got := rt.NumRules(); got != 2 {

@@ -4,10 +4,11 @@
 // as an overlay view that shares the base network's topology, label table
 // and untouched routing partitions. Verification against the overlay goes
 // through an incrementally maintained translation cache
-// (translate.SessionCache): a delta only re-emits the pushdown rule blocks
-// of the routers it touches, everything else is spliced from cache, and
-// the result is byte-identical to verifying a from-scratch copy of the
-// mutated network (see DESIGN.md §9 and the differential tests).
+// (translate.SessionCache): only routing keys whose groups the cache has
+// not translated before re-emit their pushdown rule blocks, everything
+// else is spliced from cache, and the result is byte-identical to
+// verifying a from-scratch copy of the mutated network (see DESIGN.md §9
+// and the differential tests).
 package scenario
 
 import (
@@ -291,57 +292,6 @@ func CanonicalLink(net *network.Network, name string) (string, error) {
 		return "", err
 	}
 	return net.Topo.LinkName(l), nil
-}
-
-// touched returns the routers whose routing content the delta can affect —
-// the dirty set driving rule-block invalidation. A link delta touches both
-// endpoints (the source loses forwarding entries over the link, the target
-// loses the keys arriving over it); a router delta touches the router and
-// every neighbor; entry deltas touch the router owning the edited key (the
-// target of its in-link).
-func (d Delta) touched(net *network.Network) ([]topology.RouterID, error) {
-	g := net.Topo
-	switch d.Kind {
-	case FailLink, RestoreLink:
-		l, err := resolveLink(g, d.Link)
-		if err != nil {
-			return nil, err
-		}
-		return dedupRouters(g.Source(l), g.Target(l)), nil
-	case DrainRouter, RestoreRouter:
-		r := g.RouterByName(d.Router)
-		if r == topology.NoRouter {
-			return nil, fmt.Errorf("scenario: unknown router %q", d.Router)
-		}
-		rs := []topology.RouterID{r}
-		for _, l := range g.Routers[r].Out() {
-			rs = append(rs, g.Target(l))
-		}
-		for _, l := range g.Routers[r].In() {
-			rs = append(rs, g.Source(l))
-		}
-		return dedupRouters(rs...), nil
-	case AddEntry, RemoveEntry, SwapPriority:
-		l, err := resolveLink(g, d.In)
-		if err != nil {
-			return nil, err
-		}
-		return []topology.RouterID{g.Target(l)}, nil
-	default:
-		return nil, fmt.Errorf("scenario: unknown delta kind %d", d.Kind)
-	}
-}
-
-func dedupRouters(rs ...topology.RouterID) []topology.RouterID {
-	seen := make(map[topology.RouterID]bool, len(rs))
-	var out []topology.RouterID
-	for _, r := range rs {
-		if !seen[r] {
-			seen[r] = true
-			out = append(out, r)
-		}
-	}
-	return out
 }
 
 // checkPriority bounds a priority slot to [1, MaxPriority]. Enforced here

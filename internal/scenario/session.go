@@ -32,11 +32,11 @@ type AppliedDelta struct {
 // Session owns a base network and a stack of applied deltas, and serves
 // verification against the resulting overlay. The overlay shares the
 // base's topology, label table and every routing partition no delta
-// touched; the translation layer additionally reuses compiled rule blocks
-// for all routers outside the deltas' dirty sets. Sessions are safe for
-// concurrent use; mutations serialize against each other, and verifies
-// concurrent with a mutation see either the old or the new overlay in
-// full.
+// touched; the translation layer additionally reuses the compiled rule
+// block of every routing key whose groups it has translated before.
+// Sessions are safe for concurrent use; mutations serialize against each
+// other, and verifies concurrent with a mutation see either the old or the
+// new overlay in full.
 type Session struct {
 	base   *network.Network
 	cache  *translate.SessionCache
@@ -62,7 +62,6 @@ func NewSession(base *network.Network) *Session {
 		overlay: base,
 		fp:      fnvOffset,
 	}
-	s.cache.SetOverlay(base, s.fp, func(routing.Key) uint64 { return 0 })
 	mSessionsLive.Add(1)
 	mSessionsTotal.Inc()
 	return s
@@ -97,8 +96,9 @@ func (s *Session) Overlay() *network.Network {
 	return s.overlay
 }
 
-// Fingerprint returns the delta-stack fingerprint the overlay and all its
-// cached translations are keyed by.
+// Fingerprint returns the delta-stack fingerprint: an FNV-1a chain over
+// the canonical commands of the applied deltas, so equal stacks have equal
+// fingerprints.
 func (s *Session) Fingerprint() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -189,11 +189,10 @@ func (s *Session) ApplyAll(ds []Delta) ([]int, error) {
 // under one lock — a concurrent Verify sees the old stack or the new one,
 // never a mixture. It is the bulk analogue of ApplyAll+Undo for callers
 // that step between neighbouring what-if states (the resilience sweep
-// walks thousands of 1–2 delta stacks): per-router version hashes depend
-// only on the deltas touching the router, so routers shared between the
-// outgoing and incoming stacks keep their versions and the session cache's
-// rule blocks stay hot. On failure the stack is unchanged and the error is
-// an *ApplyError naming the offending delta.
+// walks thousands of 1–2 delta stacks): the session cache keys rule blocks
+// by routing content, so every key the two stacks leave alike reuses its
+// block. On failure the stack is unchanged and the error is an
+// *ApplyError naming the offending delta.
 func (s *Session) SetStack(ds []Delta) ([]int, error) {
 	for i, d := range ds {
 		if err := d.validate(s.base); err != nil {
@@ -244,34 +243,17 @@ func (s *Session) Undo(seq int) error {
 	return fmt.Errorf("scenario: no delta with seq %d", seq)
 }
 
-// refresh recomputes the overlay, fingerprint and per-router versions from
-// the current stack and installs them in the translation cache and batch
-// runner. Caller holds s.mu. Rebuilding from the full stack (rather than
-// patching incrementally) keeps undo trivially correct: the state after
-// undoing delta seq is definitionally the state of the remaining stack,
-// and router versions return to their prior values so cached rule blocks
-// hit again.
+// refresh recomputes the overlay and fingerprint from the current stack.
+// Caller holds s.mu. Rebuilding from the full stack (rather than patching
+// incrementally) keeps undo trivially correct: the state after undoing
+// delta seq is definitionally the state of the remaining stack, and its
+// keys' groups match the rule blocks cached before the delta.
 func (s *Session) refresh() {
 	s.overlay = s.materialize(false)
-	fp := uint64(fnvOffset)
-	routerFP := make(map[topology.RouterID]uint64)
+	s.fp = fnvOffset
 	for _, ad := range s.deltas {
-		fp = fnvAdd(fp, ad.Canon)
-		rs, err := ad.Delta.touched(s.base)
-		if err != nil {
-			// Apply validated every delta against the immutable base, so
-			// resolution cannot fail here.
-			panic(fmt.Sprintf("scenario: applied delta no longer resolves: %v", err))
-		}
-		for _, r := range rs {
-			routerFP[r] = fnvAdd(routerFP[r], ad.Canon)
-		}
+		s.fp = fnvAdd(s.fp, ad.Canon)
 	}
-	s.fp = fp
-	topo := s.base.Topo
-	version := func(k routing.Key) uint64 { return routerFP[topo.Target(k.In)] }
-	s.cache.SetOverlay(s.overlay, fp, version)
-	s.runner.Rebind(s.overlay)
 }
 
 // MaterializeFresh builds a standalone deep copy of the mutated network —
@@ -504,9 +486,6 @@ const (
 )
 
 func fnvAdd(h uint64, s string) uint64 {
-	if h == 0 {
-		h = fnvOffset
-	}
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
 		h *= fnvPrime

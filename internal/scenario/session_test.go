@@ -11,6 +11,7 @@ import (
 	"aalwines/internal/gen"
 	"aalwines/internal/obs"
 	"aalwines/internal/query"
+	"aalwines/internal/routing"
 	"aalwines/internal/topology"
 )
 
@@ -310,11 +311,11 @@ func TestSessionDifferentialRandomStacks(t *testing.T) {
 	}
 }
 
-// TestCacheInvalidationUnderMutation is the satellite coverage: a delta
-// touching router R rebuilds exactly the rule blocks of the touched
-// routers (asserted through the scenario obs counters), and undo restores
-// the prior hit rate — repeat verifies are pure assembled-system hits and
-// the rebuild counter stays flat.
+// TestCacheInvalidationUnderMutation checks rule-block reuse through the
+// scenario obs counters: a verify after a delta rebuilds exactly the
+// overlay keys whose groups differ from every version the session has
+// translated before, undo rebuilds nothing, and repeat verifies are pure
+// assembled-system hits with the block counters flat.
 func TestCacheInvalidationUnderMutation(t *testing.T) {
 	re := gen.RunningExample()
 	qt := "<s40 ip> [.#v0] .* [v3#.] <smpls ip> 0"
@@ -327,8 +328,29 @@ func TestCacheInvalidationUnderMutation(t *testing.T) {
 	s := NewSession(re.Network)
 	defer s.Close()
 
-	run := func() engine.Result {
+	// seen models the block store: every group version translated so far,
+	// per key.
+	seen := map[routing.Key][]routing.Groups{}
+	// verify runs the query and checks the block counters moved by exactly
+	// the model's rebuilt and reused counts.
+	verify := func(label string) (rebuilt int) {
 		t.Helper()
+		overlay := s.Overlay()
+		reused := 0
+		overlay.Routing.Range(func(k routing.Key, gs routing.Groups) bool {
+			hit := false
+			for _, old := range seen[k] {
+				hit = hit || old.Equal(gs)
+			}
+			if hit {
+				reused++
+			} else {
+				rebuilt++
+				seen[k] = append(seen[k], gs)
+			}
+			return true
+		})
+		re0, rb0 := cReused.Value(), cRebuilt.Value()
 		res, err := s.Verify(ctx, qt, engine.Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -336,76 +358,57 @@ func TestCacheInvalidationUnderMutation(t *testing.T) {
 		if res.Stats.UnderUsed {
 			t.Fatal("test query must be decided by the over-approximation alone")
 		}
-		return res
+		if d := cRebuilt.Value() - rb0; d != int64(rebuilt) {
+			t.Errorf("%s: rebuilt %d blocks, want %d", label, d, rebuilt)
+		}
+		if d := cReused.Value() - re0; d != int64(reused) {
+			t.Errorf("%s: spliced %d blocks, want %d", label, d, reused)
+		}
+		t.Logf("%s: rebuilt %d, reused %d blocks", label, rebuilt, reused)
+		return rebuilt
+	}
+	// repeat checks a second verify is a pure assembled-system hit.
+	repeat := func(label string) {
+		t.Helper()
+		re0, rb0, h0 := cReused.Value(), cRebuilt.Value(), cHits.Value()
+		if _, err := s.Verify(ctx, qt, engine.Options{}); err != nil {
+			t.Fatal(err)
+		}
+		if cRebuilt.Value() != rb0 || cReused.Value() != re0 {
+			t.Errorf("%s: repeat verify touched rule blocks", label)
+		}
+		if cHits.Value() != h0+1 {
+			t.Errorf("%s: repeat verify was not an overlay cache hit", label)
+		}
 	}
 
 	// Cold: every key's block is rebuilt.
-	nKeys := len(re.Network.Routing.Keys())
-	re0, rb0 := cReused.Value(), cRebuilt.Value()
-	run()
-	if d := cRebuilt.Value() - rb0; d != int64(nKeys) {
-		t.Errorf("cold verify rebuilt %d blocks, want %d", d, nKeys)
+	if n := verify("cold"); n != len(re.Network.Routing.Keys()) {
+		t.Errorf("cold verify rebuilt %d blocks, want every key", n)
 	}
+	repeat("cold")
 
-	// Warm repeat: a pure assembled-system hit, no block activity at all.
-	re0, rb0 = cReused.Value(), cRebuilt.Value()
-	h0 := cHits.Value()
-	run()
-	if cRebuilt.Value() != rb0 || cReused.Value() != re0 {
-		t.Error("repeat verify touched rule blocks")
-	}
-	if cHits.Value() != h0+1 {
-		t.Error("repeat verify was not an overlay cache hit")
-	}
-
-	// Delta: fail e4 (v2 -> v3). Touched routers are v2 and v3; exactly the
-	// overlay keys owned by them (keys whose in-link targets v2 or v3) may
-	// be rebuilt, everything else must be spliced from cache.
-	failLink := re.Links["e4"]
-	touched := map[topology.RouterID]bool{
-		re.Network.Topo.Source(failLink): true,
-		re.Network.Topo.Target(failLink): true,
-	}
-	if _, err := s.ApplyText("fail " + re.Network.Topo.LinkName(failLink)); err != nil {
-		t.Fatal(err)
-	}
-	overlay := s.Overlay()
-	dirty := 0
-	for _, k := range overlay.Routing.Keys() {
-		if touched[overlay.Topo.Target(k.In)] {
-			dirty++
+	// Each delta rebuilds at least the key it changes, and its undo returns
+	// to groups the store still holds.
+	for _, cmd := range []string{"fail " + re.Network.Topo.LinkName(re.Links["e4"]), "drain v2"} {
+		seq, err := s.ApplyText(cmd)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if n := verify(cmd); n == 0 {
+			t.Errorf("%s: rebuilt no block", cmd)
+		}
+		repeat(cmd)
+		if err := s.Undo(seq); err != nil {
+			t.Fatal(err)
+		}
+		if n := verify("undo " + cmd); n != 0 {
+			t.Errorf("undo %s: rebuilt %d blocks, want 0", cmd, n)
+		}
+		repeat("undo " + cmd)
 	}
-	clean := len(overlay.Routing.Keys()) - dirty
-	re0, rb0 = cReused.Value(), cRebuilt.Value()
-	run()
-	if d := cRebuilt.Value() - rb0; d != int64(dirty) {
-		t.Errorf("delta verify rebuilt %d blocks, want exactly the %d dirty keys", d, dirty)
-	}
-	if d := cReused.Value() - re0; d != int64(clean) {
-		t.Errorf("delta verify spliced %d blocks, want the %d untouched keys", d, clean)
-	}
-
-	// Undo: versions revert, so reassembly splices every key from cache —
-	// zero rebuilds — and the next repeat is a pure hit again.
-	if err := s.Undo(s.Deltas()[0].Seq); err != nil {
-		t.Fatal(err)
-	}
-	re0, rb0 = cReused.Value(), cRebuilt.Value()
-	run()
-	if d := cRebuilt.Value() - rb0; d != 0 {
-		t.Errorf("post-undo verify rebuilt %d blocks, want 0", d)
-	}
-	if d := cReused.Value() - re0; d != int64(nKeys) {
-		t.Errorf("post-undo verify spliced %d blocks, want all %d", d, nKeys)
-	}
-	h0 = cHits.Value()
-	run()
-	if cHits.Value() != h0+1 {
-		t.Error("post-undo repeat verify was not a pure cache hit")
-	}
-	if s.CacheStats().Hits < 2 {
-		t.Errorf("session cache stats = %+v, want >= 2 hits", s.CacheStats())
+	if s.CacheStats().Hits < 4 {
+		t.Errorf("session cache stats = %+v, want >= 4 hits", s.CacheStats())
 	}
 }
 

@@ -15,71 +15,66 @@ import (
 	"aalwines/internal/topology"
 )
 
-// checkSweepDifferential is the soundness harness: it runs the sweep in
-// both caching modes and re-verifies every completed cell through an
-// independent from-scratch scenario session of the same failure set,
-// requiring byte-identical results — first structurally (verdict, witness
-// trace, failed set, weight), then on the rendered JSON with wall-clock
-// timings zeroed, so the whole user-visible verdict contract is covered.
+// checkSweepDifferential is the soundness harness: it runs the sweep and
+// re-verifies every completed cell through an independent from-scratch
+// scenario session of the same failure set, requiring byte-identical
+// results — first structurally (verdict, witness trace, failed set,
+// weight), then on the rendered JSON with wall-clock timings zeroed, so
+// the whole user-visible verdict contract is covered.
 func checkSweepDifferential(t *testing.T, net *network.Network, cfg Config) {
 	t.Helper()
 	ctx := context.Background()
-	for _, noCache := range []bool{false, true} {
-		c := cfg
-		c.NoCache = noCache
-		res, err := Run(ctx, net, c)
-		if err != nil {
-			t.Fatalf("noCache=%v: %v", noCache, err)
+	res, err := Run(ctx, net, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Report.Incomplete {
+		t.Fatal("sweep incomplete")
+	}
+	for _, cell := range res.Cells {
+		qt := cfg.Invariants[cell.Invariant]
+		sc := res.Scenarios[cell.Scenario]
+		ref := scenario.NewSession(net)
+		if _, err := ref.ApplyAll(sc.Deltas(net.Topo)); err != nil {
+			t.Fatalf("reference apply of %v: %v", sc.Links, err)
 		}
-		if res.Report.Incomplete {
-			t.Fatalf("noCache=%v: sweep incomplete", noCache)
-		}
-		for _, cell := range res.Cells {
-			qt := cfg.Invariants[cell.Invariant]
-			sc := res.Scenarios[cell.Scenario]
-			ref := scenario.NewSession(net)
-			if _, err := ref.ApplyAll(sc.Deltas(net.Topo)); err != nil {
-				t.Fatalf("reference apply of %v: %v", sc.Links, err)
-			}
-			want, werr := ref.Verify(ctx, qt, cfg.Engine)
-			ref.Close()
+		want, werr := ref.Verify(ctx, qt, cfg.Engine)
+		ref.Close()
 
-			label := "noCache=" + map[bool]string{false: "off", true: "on"}[noCache] +
-				" scenario " + sc.String() + " " + qt
-			if (cell.Err == nil) != (werr == nil) {
-				t.Fatalf("%s: err %v vs reference %v", label, cell.Err, werr)
-			}
-			if cell.Err != nil {
-				continue
-			}
-			got := cell.Res
-			if got.Verdict != want.Verdict {
-				t.Fatalf("%s: verdict %v, want %v", label, got.Verdict, want.Verdict)
-			}
-			if !reflect.DeepEqual(got.Trace, want.Trace) {
-				t.Fatalf("%s: traces differ:\n  got  %v\n  want %v", label, got.Trace, want.Trace)
-			}
-			if !reflect.DeepEqual(got.Failed, want.Failed) {
-				t.Fatalf("%s: failed sets differ: got %v want %v", label, got.Failed, want.Failed)
-			}
-			if !reflect.DeepEqual(got.Weight, want.Weight) {
-				t.Fatalf("%s: weights differ: got %v want %v", label, got.Weight, want.Weight)
-			}
-			// Byte identity of the rendered result (trace steps, headers,
-			// failed-link names) — the form every surface ships.
-			gj, wj := cli.ToJSON(net, qt, got), cli.ToJSON(net, qt, want)
-			gj.TimingMS, wj.TimingMS = cli.Timings{}, cli.Timings{}
-			gb, err := json.Marshal(gj)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wb, err := json.Marshal(wj)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(gb, wb) {
-				t.Fatalf("%s: rendered JSON differs:\n  got  %s\n  want %s", label, gb, wb)
-			}
+		label := "scenario " + sc.String() + " " + qt
+		if (cell.Err == nil) != (werr == nil) {
+			t.Fatalf("%s: err %v vs reference %v", label, cell.Err, werr)
+		}
+		if cell.Err != nil {
+			continue
+		}
+		got := cell.Res
+		if got.Verdict != want.Verdict {
+			t.Fatalf("%s: verdict %v, want %v", label, got.Verdict, want.Verdict)
+		}
+		if !reflect.DeepEqual(got.Trace, want.Trace) {
+			t.Fatalf("%s: traces differ:\n  got  %v\n  want %v", label, got.Trace, want.Trace)
+		}
+		if !reflect.DeepEqual(got.Failed, want.Failed) {
+			t.Fatalf("%s: failed sets differ: got %v want %v", label, got.Failed, want.Failed)
+		}
+		if !reflect.DeepEqual(got.Weight, want.Weight) {
+			t.Fatalf("%s: weights differ: got %v want %v", label, got.Weight, want.Weight)
+		}
+		// Byte identity of the rendered result (trace steps, headers,
+		// failed-link names) — the form every surface ships.
+		gj, wj := cli.ToJSON(net, qt, got), cli.ToJSON(net, qt, want)
+		gj.TimingMS, wj.TimingMS = cli.Timings{}, cli.Timings{}
+		gb, err := json.Marshal(gj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wb, err := json.Marshal(wj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gb, wb) {
+			t.Fatalf("%s: rendered JSON differs:\n  got  %s\n  want %s", label, gb, wb)
 		}
 	}
 }

@@ -9,9 +9,10 @@
 // scenarios in link-ID order, then (depth 2) all unordered pairs in
 // lexicographic (i, j) order. The order is chosen for cache locality, not
 // just reproducibility: neighbouring scenarios share all but one failed
-// link, so the per-router version hashes of a scenario session change for
-// at most two routers between steps and the incremental translation cache
-// (translate.SessionCache) re-emits only those routers' rule blocks.
+// link, so between steps of a scenario session only the routing keys that
+// link's failure or restoration changes take new content, and the
+// incremental translation cache (translate.SessionCache) re-emits only
+// the rule blocks of keys whose content it has not translated before.
 // Scheduling preserves that locality — the scenario list is split into
 // contiguous chunks, one long-lived scenario.Session per worker, and each
 // scenario's invariant batch runs on the session's batch pool. Verdicts
@@ -130,10 +131,6 @@ type Config struct {
 	// Timeout is the per-cell wall-clock deadline (0 = none); an expired
 	// deadline is that cell's outcome, not a sweep abort.
 	Timeout time.Duration
-	// NoCache disables cross-scenario translation reuse: every scenario is
-	// verified through a fresh scenario session. The differential harness
-	// runs both modes; production sweeps want the default.
-	NoCache bool
 	// Exclude drops links from the enumerated failure space (nil = none) —
 	// e.g. links already failed or drained in a base what-if state.
 	Exclude func(topology.LinkID) bool
@@ -343,19 +340,8 @@ func Run(ctx context.Context, net *network.Network, cfg Config) (*Result, error)
 	per := (len(scs) + chunks - 1) / chunks
 
 	var cellMu sync.Mutex // serializes OnCell across workers
-	var statMu sync.Mutex
-	var cache CacheReport
-	addStats := func(s *scenario.Session) {
-		cs, bs := s.CacheStats(), s.BlockStats()
-		statMu.Lock()
-		cache.Gets += cs.Gets
-		cache.Hits += cs.Hits
-		cache.BlocksReused += bs.BlocksReused
-		cache.BlocksRebuilt += bs.BlocksRebuilt
-		statMu.Unlock()
-	}
-
 	bopts := batch.Options{Workers: innerW, Timeout: cfg.Timeout, Engine: cfg.Engine}
+	var sessions []*scenario.Session
 	var wg sync.WaitGroup
 	for w := 0; w < chunks; w++ {
 		lo, hi := w*per, (w+1)*per
@@ -365,22 +351,16 @@ func Run(ctx context.Context, net *network.Network, cfg Config) (*Result, error)
 		if lo >= hi {
 			continue
 		}
+		sess := scenario.NewSession(net)
+		sessions = append(sessions, sess)
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			var sess *scenario.Session
-			if !cfg.NoCache {
-				sess = scenario.NewSession(net)
-				defer func() {
-					addStats(sess)
-					sess.Close()
-				}()
-			}
 			for si := lo; si < hi; si++ {
 				if ctx.Err() != nil {
 					return // remaining cells stay pre-marked incomplete
 				}
-				runScenario(ctx, net, sess, scs[si], cfg, bopts, cells[si*nq:si*nq+nq], addStats)
+				runScenario(ctx, sess, scs[si], cfg.Invariants, bopts, cells[si*nq:si*nq+nq])
 				if cfg.OnCell != nil {
 					cellMu.Lock()
 					for qi := 0; qi < nq; qi++ {
@@ -392,6 +372,15 @@ func Run(ctx context.Context, net *network.Network, cfg Config) (*Result, error)
 		}(lo, hi)
 	}
 	wg.Wait()
+	var cache CacheReport
+	for _, sess := range sessions {
+		cs, bs := sess.CacheStats(), sess.BlockStats()
+		cache.Gets += cs.Gets
+		cache.Hits += cs.Hits
+		cache.BlocksReused += bs.BlocksReused
+		cache.BlocksRebuilt += bs.BlocksRebuilt
+		sess.Close()
+	}
 
 	res := &Result{Scenarios: scs, Cells: cells, Baseline: baseline}
 	res.Report = buildReport(net, cfg, workers, scs, cells, baseline, cache, time.Since(start))
@@ -400,27 +389,12 @@ func Run(ctx context.Context, net *network.Network, cfg Config) (*Result, error)
 	return res, nil
 }
 
-// runScenario verifies one failure set's invariant batch, through the
-// worker's long-lived session (retargeted with one atomic stack swap, so
-// rule blocks of routers shared with the previous scenario stay hot) or,
-// with NoCache, through a throwaway session.
-func runScenario(ctx context.Context, net *network.Network, sess *scenario.Session,
-	sc Scenario, cfg Config, bopts batch.Options, out []CellResult,
-	addStats func(*scenario.Session)) {
-	g := net.Topo
-	s := sess
-	var err error
-	if s == nil {
-		s = scenario.NewSession(net)
-		defer func() {
-			addStats(s)
-			s.Close()
-		}()
-		_, err = s.ApplyAll(sc.Deltas(g))
-	} else {
-		_, err = s.SetStack(sc.Deltas(g))
-	}
-	if err != nil {
+// runScenario verifies one failure set's invariant batch through the
+// worker's long-lived session, retargeted with one atomic stack swap so
+// the rule blocks of every routing key the failure leaves alike stay hot.
+func runScenario(ctx context.Context, sess *scenario.Session, sc Scenario,
+	invariants []string, bopts batch.Options, out []CellResult) {
+	if _, err := sess.SetStack(sc.Deltas(sess.Base().Topo)); err != nil {
 		// Enumeration only names links of the session's own topology, so
 		// this is unreachable; keep the cells honest rather than panicking.
 		for qi := range out {
@@ -429,7 +403,7 @@ func runScenario(ctx context.Context, net *network.Network, sess *scenario.Sessi
 		}
 		return
 	}
-	for qi, r := range s.VerifyBatch(ctx, cfg.Invariants, bopts) {
+	for qi, r := range sess.VerifyBatch(ctx, invariants, bopts) {
 		c := &out[qi]
 		c.Res, c.Err, c.Elapsed = r.Res, r.Err, r.Elapsed
 		// A cancelled batch context means the sweep was stopped, not that

@@ -69,23 +69,24 @@ func NewCache(net *network.Network) *Cache {
 	}
 }
 
-// Net returns the network the cache is bound to.
-func (c *Cache) Net() *network.Network { return c.net }
-
 // Get returns the translated system for (q, opts) and a fresh initial
-// automaton for it, building and memoizing on first use. The returned
-// System must be treated as read-only, except that saturating an
-// on-the-fly one replaces its private rule store; the automaton is private
-// to the caller. Concurrent callers with the same key block until the
-// single build completes.
-func (c *Cache) Get(q *query.Query, opts Options) (*System, *pds.Auto) {
+// automaton for it, building and memoizing on first use; ok is false when
+// net is not the network the cache is bound to. The returned System must
+// be treated as read-only, except that saturating an on-the-fly one
+// replaces its private rule store; the automaton is private to the caller.
+// Concurrent callers with the same key block until the single build
+// completes.
+func (c *Cache) Get(net *network.Network, q *query.Query, opts Options) (*System, *pds.Auto, bool) {
+	if net != c.net {
+		return nil, nil, false
+	}
 	c.gets.Add(1)
 	c.obsGets.Inc()
 	if opts.Dist != nil {
 		c.misses.Add(1)
 		c.obsMisses.Inc()
-		sys := Build(c.net, q, opts)
-		return sys, sys.InitAuto()
+		sys := Build(net, q, opts)
+		return sys, sys.InitAuto(), true
 	}
 	key := cacheKey{q: q, mode: opts.Mode, spec: specString(opts.Spec), noReductions: opts.NoReductions, onTheFly: opts.Slice}
 	c.mu.Lock()
@@ -112,7 +113,7 @@ func (c *Cache) Get(q *query.Query, opts Options) (*System, *pds.Auto) {
 		// blocked on another goroutine's in-flight build.
 		c.obsHits.Inc()
 	}
-	return e.sys.share(), e.init.Clone()
+	return e.sys.share(), e.init.Clone(), true
 }
 
 // CacheStats summarises cache effectiveness. Hits = Gets - Misses; a get

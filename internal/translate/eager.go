@@ -14,11 +14,9 @@ type builder struct {
 	em chainEmitter
 
 	// Incremental-build hooks (nil for a plain Build): store caches
-	// relocatable per-key rule blocks, version maps a routing key to the
-	// content version its cached block must match, stats tallies reuse.
-	store   *BlockStore
-	version func(routing.Key) uint64
-	stats   BuildStats
+	// relocatable per-key rule blocks, stats tallies reuse.
+	store *BlockStore
+	stats BuildStats
 }
 
 func (b *builder) construct() {
@@ -47,25 +45,17 @@ func (b *builder) buildRules() {
 	// query. Iteration order is identical to Keys, so emission order (and
 	// with it every saturation counter) is unchanged.
 	b.Net.Routing.Range(func(key routing.Key, gs routing.Groups) bool {
-		if b.store != nil {
-			ver := b.version(key)
-			if blk := b.store.get(key, ver); blk != nil {
-				b.splice(blk)
-				b.stats.BlocksReused++
-				return true
-			}
-			b.store.put(key, ver, b.record(key))
+		if b.store == nil {
+			b.buildKeyGroups(key, gs)
+		} else if blk := b.store.get(key, gs); blk != nil {
+			b.splice(blk)
+			b.stats.BlocksReused++
+		} else {
+			b.store.put(key, b.record(key, gs))
 			b.stats.BlocksRebuilt++
-			return true
 		}
-		b.buildKeyGroups(key, gs)
 		return true
 	})
-}
-
-// buildKey emits all rules of one routing-table key.
-func (b *builder) buildKey(key routing.Key) {
-	b.buildKeyGroups(key, b.Net.Routing.Lookup(key.In, key.Top))
 }
 
 // buildKeyGroups emits all rules of one routing-table key: group by group,

@@ -13,14 +13,13 @@ import (
 
 // Getter abstracts a translation cache for the engine: anything that can
 // hand out a (shared, read-only) System plus a private initial automaton
-// for a compiled query. Cache implements it for immutable networks,
-// SessionCache for scenario overlays.
+// for a compiled query on a network. Cache implements it for one
+// immutable network, SessionCache for the overlays of a scenario session.
 type Getter interface {
-	// Net returns the network the cache currently serves; the engine only
-	// consults the cache when this pointer matches the verified network.
-	Net() *network.Network
-	// Get returns the translated system and a fresh initial automaton.
-	Get(q *query.Query, opts Options) (*System, *pds.Auto)
+	// Get returns the translated system of (net, q, opts) and a fresh
+	// initial automaton, or ok false when the cache does not serve net;
+	// the engine then builds from scratch.
+	Get(net *network.Network, q *query.Query, opts Options) (sys *System, init *pds.Auto, ok bool)
 	// Stats reports cache effectiveness counters.
 	Stats() CacheStats
 }
@@ -35,21 +34,24 @@ var (
 // (encoded as baseCnt+offset, which cannot collide with base control
 // states), tags relative to the block's first Steps entry. Splicing a
 // block into a new build reproduces exactly the rules, state ids and step
-// tags a from-scratch build would emit for that key — provided the key's
-// routing content is unchanged, which the caller guarantees via the
-// version it looked the block up under.
+// tags a from-scratch build would emit for that key, provided the key's
+// groups equal the groups the block was emitted from.
 type ruleBlock struct {
+	groups    routing.Groups // the key's groups the block was emitted from
 	rules     []pds.Rule
 	steps     []StepInfo
 	numStates int // chain states the block allocates
 }
 
 // BlockStore caches rule blocks for one (query, translate options) pair
-// across incremental rebuilds of a mutating network. Blocks are keyed by
-// (routing key, content version); versions that fall out of the retention
-// window are evicted FIFO, so undoing a recent delta still hits.
+// across incremental builds of networks that share one topology and label
+// table. A block is keyed by its routing key and the key's groups,
+// compared by content. That is exact: buildKeyGroups reads only the key,
+// its groups, the query and the shared topology and label table. Up to
+// keyVersions blocks of one key are retained, evicted FIFO, so undoing a
+// recent delta still hits.
 type BlockStore struct {
-	blocks map[routing.Key]*keyBlocks
+	blocks map[routing.Key][]*ruleBlock
 }
 
 // keyVersions bounds how many content versions of one routing key a store
@@ -58,41 +60,26 @@ type BlockStore struct {
 // letting an adversarial delta churn grow the store without bound.
 const keyVersions = 8
 
-type keyBlocks struct {
-	vers []uint64
-	blks []*ruleBlock
-}
-
 // NewBlockStore returns an empty store.
 func NewBlockStore() *BlockStore {
-	return &BlockStore{blocks: make(map[routing.Key]*keyBlocks)}
+	return &BlockStore{blocks: make(map[routing.Key][]*ruleBlock)}
 }
 
-func (s *BlockStore) get(key routing.Key, ver uint64) *ruleBlock {
-	kb := s.blocks[key]
-	if kb == nil {
-		return nil
-	}
-	for i, v := range kb.vers {
-		if v == ver {
-			return kb.blks[i]
+func (s *BlockStore) get(key routing.Key, gs routing.Groups) *ruleBlock {
+	for _, blk := range s.blocks[key] {
+		if blk.groups.Equal(gs) {
+			return blk
 		}
 	}
 	return nil
 }
 
-func (s *BlockStore) put(key routing.Key, ver uint64, blk *ruleBlock) {
-	kb := s.blocks[key]
-	if kb == nil {
-		kb = &keyBlocks{}
-		s.blocks[key] = kb
+func (s *BlockStore) put(key routing.Key, blk *ruleBlock) {
+	blks := s.blocks[key]
+	if len(blks) >= keyVersions {
+		blks = append(blks[:0], blks[1:]...)
 	}
-	if len(kb.vers) >= keyVersions {
-		kb.vers = append(kb.vers[:0], kb.vers[1:]...)
-		kb.blks = append(kb.blks[:0], kb.blks[1:]...)
-	}
-	kb.vers = append(kb.vers, ver)
-	kb.blks = append(kb.blks, blk)
+	s.blocks[key] = append(blks, blk)
 }
 
 // BuildStats reports how much of an incremental build was served from
@@ -112,32 +99,27 @@ func (st BuildStats) Sub(prev BuildStats) BuildStats {
 }
 
 // BuildIncremental constructs the same System Build would, but partitioned
-// by routing-table key: keys whose cached block (under version(key)) is
-// present are spliced in without re-running rule emission, keys without
-// one are emitted normally and recorded into the store. The assembled rule
-// list, state numbering, step tags, reduction and final specification are
-// byte-identical to a from-scratch Build of the same network — splicing
-// rebases each block to the state/tag offsets the fresh build would have
-// reached at that key.
-func BuildIncremental(net *network.Network, q *query.Query, opts Options,
-	store *BlockStore, version func(routing.Key) uint64) (*System, BuildStats) {
-	b := &builder{
-		System:  newSystem(net, q, opts),
-		store:   store,
-		version: version,
-	}
+// by routing-table key: keys whose groups match a cached block are spliced
+// in without re-running rule emission, the others are emitted normally and
+// recorded into the store. The assembled rule list, state numbering, step
+// tags, reduction and final specification are byte-identical to a
+// from-scratch Build of the same network — splicing rebases each block to
+// the state/tag offsets the fresh build would have reached at that key.
+func BuildIncremental(net *network.Network, q *query.Query, opts Options, store *BlockStore) (*System, BuildStats) {
+	b := &builder{System: newSystem(net, q, opts), store: store}
 	b.construct()
 	return b.System, b.stats
 }
 
 // record emits one key's rules normally, then snapshots them in
 // relocatable form.
-func (b *builder) record(key routing.Key) *ruleBlock {
+func (b *builder) record(key routing.Key, gs routing.Groups) *ruleBlock {
 	r0 := len(b.PDS.Rules)
 	s0 := b.PDS.NumStates
 	t0 := len(b.Steps)
-	b.buildKey(key)
+	b.buildKeyGroups(key, gs)
 	blk := &ruleBlock{
+		groups:    gs,
 		numStates: b.PDS.NumStates - s0,
 		steps:     append([]StepInfo(nil), b.Steps[t0:]...),
 		rules:     make([]pds.Rule, 0, len(b.PDS.Rules)-r0),
@@ -203,27 +185,19 @@ var (
 	mOverlayEntries = obs.GetGauge("scenario_overlay_cache_entries")
 )
 
-// SessionCache memoizes translated systems for a scenario session: a
-// network that mutates in controlled steps (deltas) while keeping its
-// topology and label table fixed. Entries are keyed like Cache's — by
-// compiled query identity, direction, weight spec and reduction flag — but
-// each entry additionally carries the delta fingerprint it was assembled
-// under and a BlockStore of per-routing-key rule blocks. A Get under the
-// same fingerprint is a pure hit; a Get after a delta reassembles the
-// system via BuildIncremental, re-emitting only the keys whose content
-// version changed (the session's per-router dirty tracking) and splicing
-// every other block from the store.
-//
-// SetOverlay swaps the overlay network, fingerprint and version function
-// after each mutation; the session serializes SetOverlay against Get, so
-// a consistent (net, fp, version) triple is read under the lock.
+// SessionCache memoizes translated systems for the overlays of a scenario
+// session: networks that share the base's topology and label table and
+// differ in routing content. Entries are keyed like Cache's — by compiled
+// query identity, direction, weight spec and reduction flag. Each entry
+// keeps the System it last assembled, keyed by the overlay it was built
+// for, and a BlockStore of per-routing-key rule blocks. A Get for that
+// same overlay is a pure hit; a Get for any other overlay reassembles the
+// system with BuildIncremental, which re-emits only the keys whose groups
+// match no retained block and splices every other block from the store.
 type SessionCache struct {
 	base *network.Network
 
 	mu      sync.Mutex
-	net     *network.Network // current overlay
-	fp      uint64
-	version func(routing.Key) uint64
 	entries map[cacheKey]*sessionEntry
 
 	gets, hits                  atomic.Int64
@@ -233,60 +207,38 @@ type SessionCache struct {
 type sessionEntry struct {
 	mu    sync.Mutex
 	store *BlockStore
-	fp    uint64
-	valid bool
+	net   *network.Network // the overlay sys was assembled for
 	sys   *System
 	init  *pds.Auto
 }
 
-// NewSessionCache returns a session cache whose overlay starts as the base
-// network itself (fingerprint 0, every key at version 0).
+// NewSessionCache returns an empty session cache for the overlays of base.
 func NewSessionCache(base *network.Network) *SessionCache {
-	return &SessionCache{
-		base:    base,
-		net:     base,
-		version: func(routing.Key) uint64 { return 0 },
-		entries: make(map[cacheKey]*sessionEntry),
+	return &SessionCache{base: base, entries: make(map[cacheKey]*sessionEntry)}
+}
+
+// Get returns the translated system for (net, q, opts), reassembling it
+// incrementally unless the entry's last System was built for net itself.
+// It serves any network that shares the base's topology and label table,
+// and answers ok false for any other. The returned System is read-only and
+// shared; the automaton is private to the caller.
+func (c *SessionCache) Get(net *network.Network, q *query.Query, opts Options) (*System, *pds.Auto, bool) {
+	if net.Topo != c.base.Topo || net.Labels != c.base.Labels {
+		return nil, nil, false
 	}
-}
-
-// Net returns the current overlay network.
-func (c *SessionCache) Net() *network.Network {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.net
-}
-
-// SetOverlay installs a new overlay network with its delta fingerprint and
-// per-key content version function. Assembled systems are invalidated
-// lazily: each entry compares its fingerprint on the next Get.
-func (c *SessionCache) SetOverlay(net *network.Network, fp uint64, version func(routing.Key) uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.net = net
-	c.fp = fp
-	c.version = version
-}
-
-// Get returns the translated system for (q, opts) against the current
-// overlay, assembling incrementally on fingerprint change. The returned
-// System is read-only and shared; the automaton is private to the caller.
-func (c *SessionCache) Get(q *query.Query, opts Options) (*System, *pds.Auto) {
 	c.gets.Add(1)
 	// Sessions assemble the eager product from per-key blocks that splice
 	// into any later overlay. The on-the-fly product has no blocks to
 	// reuse, so session builds are always eager (DESIGN.md §11).
 	opts.Slice = false
-	c.mu.Lock()
-	net, fp, version := c.net, c.fp, c.version
 	if opts.Dist != nil {
-		c.mu.Unlock()
 		// Functions have no identity; build fresh without caching, like Cache.
 		mOverlayMisses.Inc()
 		sys := Build(net, q, opts)
-		return sys, sys.InitAuto()
+		return sys, sys.InitAuto(), true
 	}
 	key := cacheKey{q: q, mode: opts.Mode, spec: specString(opts.Spec), noReductions: opts.NoReductions}
+	c.mu.Lock()
 	e := c.entries[key]
 	if e == nil {
 		e = &sessionEntry{store: NewBlockStore()}
@@ -297,25 +249,22 @@ func (c *SessionCache) Get(q *query.Query, opts Options) (*System, *pds.Auto) {
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.valid && e.fp == fp {
+	if e.net == net {
 		c.hits.Add(1)
 		mOverlayHits.Inc()
-		return e.sys, e.init.Clone()
+		return e.sys, e.init.Clone(), true
 	}
 	mOverlayMisses.Inc()
-	sys, st := BuildIncremental(net, q, opts, e.store, version)
+	sys, st := BuildIncremental(net, q, opts, e.store)
 	c.blocksReused.Add(int64(st.BlocksReused))
 	c.blocksRebuilt.Add(int64(st.BlocksRebuilt))
 	mBlocksReused.Add(int64(st.BlocksReused))
 	mBlocksRebuilt.Add(int64(st.BlocksRebuilt))
-	e.sys = sys
-	e.init = sys.InitAuto()
+	e.net, e.sys, e.init = net, sys, sys.InitAuto()
 	// Pre-normalise weights so saturating a clone never rewrites a witness
 	// record shared with the pristine automaton.
 	e.init.NormalizeWeights(sys.Dim)
-	e.fp = fp
-	e.valid = true
-	return e.sys, e.init.Clone()
+	return e.sys, e.init.Clone(), true
 }
 
 // Stats reports assembled-system cache effectiveness (a miss is a Get that

@@ -2,6 +2,7 @@ package translate_test
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"aalwines/internal/gen"
@@ -62,16 +63,15 @@ func TestBuildIncrementalMatchesBuild(t *testing.T) {
 		for _, opts := range optionMatrix() {
 			want := translate.Build(re.Network, q, opts)
 			store := translate.NewBlockStore()
-			ver := func(routing.Key) uint64 { return 0 }
 
-			cold, st := translate.BuildIncremental(re.Network, q, opts, store, ver)
+			cold, st := translate.BuildIncremental(re.Network, q, opts, store)
 			nKeys := len(re.Network.Routing.Keys())
 			if st.BlocksRebuilt != nKeys || st.BlocksReused != 0 {
 				t.Errorf("cold build: stats = %+v, want %d rebuilt", st, nKeys)
 			}
 			sameSystem(t, "cold "+qt, cold, want)
 
-			warm, st := translate.BuildIncremental(re.Network, q, opts, store, ver)
+			warm, st := translate.BuildIncremental(re.Network, q, opts, store)
 			if st.BlocksReused != nKeys || st.BlocksRebuilt != 0 {
 				t.Errorf("warm build: stats = %+v, want %d reused", st, nKeys)
 			}
@@ -90,15 +90,48 @@ func TestBuildIncrementalZoo(t *testing.T) {
 		opts := translate.Options{Mode: translate.Over}
 		want := translate.Build(s.Net, q, opts)
 		store := translate.NewBlockStore()
-		ver := func(routing.Key) uint64 { return 0 }
-		cold, _ := translate.BuildIncremental(s.Net, q, opts, store, ver)
+		cold, _ := translate.BuildIncremental(s.Net, q, opts, store)
 		sameSystem(t, "cold "+gq.Text, cold, want)
-		warm, st := translate.BuildIncremental(s.Net, q, opts, store, ver)
+		warm, st := translate.BuildIncremental(s.Net, q, opts, store)
 		if st.BlocksRebuilt != 0 {
 			t.Errorf("warm build rebuilt %d blocks", st.BlocksRebuilt)
 		}
 		sameSystem(t, "warm "+gq.Text, warm, want)
 	}
+}
+
+// withGroups returns an overlay of base in which victim's groups are
+// replaced by gs (nil removes the key). Every other key shares base's group
+// slice, as a scenario overlay does.
+func withGroups(base *network.Network, victim routing.Key, gs routing.Groups) *network.Network {
+	ov := &network.Network{
+		Name:    base.Name,
+		Topo:    base.Topo,
+		Labels:  base.Labels,
+		Routing: routing.NewTable(),
+	}
+	base.Routing.Range(func(k routing.Key, kgs routing.Groups) bool {
+		if k == victim {
+			kgs = gs
+		}
+		ov.Routing.SetGroups(k.In, k.Top, kgs)
+		return true
+	})
+	return ov
+}
+
+// dropBackup returns an overlay of net in which the first key with a
+// backup group loses its lowest-priority group, as a delta removing a
+// backup entry would, and that key.
+func dropBackup(t *testing.T, net *network.Network) (*network.Network, routing.Key) {
+	t.Helper()
+	for _, k := range net.Routing.Keys() {
+		if gs := net.Routing.Lookup(k.In, k.Top); len(gs) > 1 {
+			return withGroups(net, k, gs[:len(gs)-1]), k
+		}
+	}
+	t.Fatal("no routing key has a backup group")
+	return nil, routing.Key{}
 }
 
 // TestBuildIncrementalPartialInvalidation mutates one routing key between
@@ -109,51 +142,24 @@ func TestBuildIncrementalPartialInvalidation(t *testing.T) {
 	q := mustParse(t, "<ip> [.#v0] .* [v3#.] <ip> 2", re.Network)
 	opts := translate.Options{Mode: translate.Over}
 
-	keys := re.Network.Routing.Keys()
-	if len(keys) < 2 {
-		t.Fatal("need at least two routing keys")
-	}
-	victim := keys[len(keys)/2]
-
 	store := translate.NewBlockStore()
-	vers := map[routing.Key]uint64{}
-	ver := func(k routing.Key) uint64 { return vers[k] }
-	translate.BuildIncremental(re.Network, q, opts, store, ver)
+	translate.BuildIncremental(re.Network, q, opts, store)
 
-	// Mutate: drop the victim key's lowest-priority group (simulating a
-	// delta that removes a backup entry), bump only its version.
-	gs := re.Network.Routing.Lookup(victim.In, victim.Top)
-	mutated := &network.Network{
-		Name:    re.Network.Name,
-		Topo:    re.Network.Topo,
-		Labels:  re.Network.Labels,
-		Routing: routing.NewTable(),
-	}
-	for _, k := range keys {
-		cur := re.Network.Routing.Lookup(k.In, k.Top)
-		if k == victim {
-			cur = cur[:len(cur)-1]
-		}
-		mutated.Routing.SetGroups(k.In, k.Top, cur)
-	}
-	vers[victim] = 1
-
+	mutated, _ := dropBackup(t, re.Network)
 	want := translate.Build(mutated, q, opts)
-	got, st := translate.BuildIncremental(mutated, q, opts, store, ver)
+	got, st := translate.BuildIncremental(mutated, q, opts, store)
 	sameSystem(t, "mutated", got, want)
-	if len(gs) > 0 && st.BlocksRebuilt > 1 {
-		t.Errorf("mutating one key rebuilt %d blocks", st.BlocksRebuilt)
+	if st.BlocksRebuilt != 1 {
+		t.Errorf("mutating one key rebuilt %d blocks, want 1", st.BlocksRebuilt)
 	}
-	wantReused := len(mutated.Routing.Keys()) - st.BlocksRebuilt
-	if st.BlocksReused != wantReused {
-		t.Errorf("reused %d blocks, want %d", st.BlocksReused, wantReused)
+	if want := len(mutated.Routing.Keys()) - 1; st.BlocksReused != want {
+		t.Errorf("reused %d blocks, want %d", st.BlocksReused, want)
 	}
 
-	// Undo: restoring the version restores a full-splice build of the
-	// original network.
-	vers[victim] = 0
+	// Undo: the original groups still match their retained blocks, so the
+	// original network is a full-splice build.
 	wantOrig := translate.Build(re.Network, q, opts)
-	back, st := translate.BuildIncremental(re.Network, q, opts, store, ver)
+	back, st := translate.BuildIncremental(re.Network, q, opts, store)
 	if st.BlocksRebuilt != 0 {
 		t.Errorf("undo rebuilt %d blocks, want 0", st.BlocksRebuilt)
 	}
@@ -161,26 +167,26 @@ func TestBuildIncrementalPartialInvalidation(t *testing.T) {
 }
 
 // TestSessionCacheGet exercises the assembled-system layer: repeated gets
-// under one fingerprint hit, a fingerprint change reassembles
-// incrementally, and results always match a plain Build against the
-// current overlay.
+// for one overlay hit, a get for another overlay reassembles
+// incrementally, results always match a plain Build of the requested
+// overlay, and a network with another topology is not served.
 func TestSessionCacheGet(t *testing.T) {
 	re := gen.RunningExample()
 	q := mustParse(t, "<ip> [.#v0] .* [v3#.] <ip> 1", re.Network)
 	opts := translate.Options{Mode: translate.Over}
 
 	sc := translate.NewSessionCache(re.Network)
-	if sc.Net() != re.Network {
-		t.Fatal("fresh session cache must serve the base network")
+	sys1, init1, ok := sc.Get(re.Network, q, opts)
+	if !ok {
+		t.Fatal("session cache must serve its base network")
 	}
-	sys1, init1 := sc.Get(q, opts)
 	sameSystem(t, "base", sys1, translate.Build(re.Network, q, opts))
 	if init1 == nil {
 		t.Fatal("nil init automaton")
 	}
-	sys2, init2 := sc.Get(q, opts)
+	sys2, init2, _ := sc.Get(re.Network, q, opts)
 	if sys2 != sys1 {
-		t.Error("same-fingerprint get must return the shared system")
+		t.Error("a get for the same overlay must return the shared system")
 	}
 	if init2 == init1 {
 		t.Error("init automata must be private clones")
@@ -189,13 +195,70 @@ func TestSessionCacheGet(t *testing.T) {
 		t.Errorf("stats = %+v, want 1 hit of 2 gets", st)
 	}
 
-	// Install an overlay (here: the same network content under a new
-	// fingerprint, the degenerate delta) and check reassembly is served
-	// entirely from the block store.
-	sc.SetOverlay(re.Network, 1, func(routing.Key) uint64 { return 0 })
-	sys3, _ := sc.Get(q, opts)
-	sameSystem(t, "overlay", sys3, translate.Build(re.Network, q, opts))
-	if bs := sc.BlockStats(); bs.BlocksReused == 0 {
-		t.Errorf("block stats = %+v, want reuse on refingerprinted overlay", bs)
+	// Another overlay with the same routing content (the degenerate delta)
+	// reassembles entirely from the block store.
+	same := *re.Network
+	sys3, _, _ := sc.Get(&same, q, opts)
+	if sys3.Net != &same {
+		t.Error("reassembled system is not bound to the requested overlay")
 	}
+	sameSystem(t, "overlay", sys3, translate.Build(&same, q, opts))
+	if bs := sc.BlockStats(); bs.BlocksReused != len(re.Network.Routing.Keys()) {
+		t.Errorf("block stats = %+v, want every key reused", bs)
+	}
+
+	other := gen.Zoo(gen.ZooOpts{Routers: 6, Seed: 1}).Net
+	if _, _, ok := sc.Get(other, q, opts); ok {
+		t.Error("session cache served a network with another topology")
+	}
+}
+
+// TestSessionCacheOverlaysInterleaved pins that a Get answers for the
+// overlay it is asked for, whatever overlay the cache served last: gets
+// for two overlays of one base, interleaved and concurrent (run under
+// -race), each return a System bound to the requested overlay and
+// identical to a fresh eager Build of it.
+func TestSessionCacheOverlaysInterleaved(t *testing.T) {
+	re := gen.RunningExample()
+	q := mustParse(t, "<ip> [.#v0] .* [v3#.] <ip> 1", re.Network)
+	opts := translate.Options{Mode: translate.Over}
+	a, victim := dropBackup(t, re.Network)
+	var b *network.Network
+	for _, k := range re.Network.Routing.Keys() {
+		if k != victim {
+			b = withGroups(re.Network, k, nil) // a key vanishes
+			break
+		}
+	}
+	overlays := []*network.Network{a, b}
+	want := []*translate.System{
+		translate.Build(overlays[0], q, opts),
+		translate.Build(overlays[1], q, opts),
+	}
+	sc := translate.NewSessionCache(re.Network)
+	check := func(i int) {
+		sys, init, ok := sc.Get(overlays[i], q, opts)
+		if !ok || init == nil {
+			t.Errorf("overlay %d not served", i)
+			return
+		}
+		if sys.Net != overlays[i] {
+			t.Errorf("get for overlay %d returned a system for another network", i)
+		}
+		sameSystem(t, "overlay "+string(rune('A'+i)), sys, want[i])
+	}
+	for round := 0; round < 4; round++ {
+		check(round % 2)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 6; i++ {
+				check((w + i) % 2)
+			}
+		}(w)
+	}
+	wg.Wait()
 }

@@ -156,10 +156,10 @@ func TestSliceCacheKeyed(t *testing.T) {
 	re := gen.RunningExample()
 	q := mustParse(t, "<ip> [.#v0] .* [v3#.] <ip> 0", re.Network)
 	c := translate.NewCache(re.Network)
-	lazy1, _ := c.Get(q, translate.Options{Slice: true})
-	lazy2, _ := c.Get(q, translate.Options{Slice: true})
-	eager1, _ := c.Get(q, translate.Options{})
-	eager2, _ := c.Get(q, translate.Options{})
+	lazy1, _, _ := c.Get(re.Network, q, translate.Options{Slice: true})
+	lazy2, _, _ := c.Get(re.Network, q, translate.Options{Slice: true})
+	eager1, _, _ := c.Get(re.Network, q, translate.Options{})
+	eager2, _, _ := c.Get(re.Network, q, translate.Options{})
 	if lazy1.PDS.Gen == nil || eager1.PDS.Gen != nil {
 		t.Fatal("cache conflated on-the-fly and eager builds")
 	}
@@ -185,7 +185,7 @@ func TestSessionCacheIgnoresSlice(t *testing.T) {
 	re := gen.RunningExample()
 	q := mustParse(t, "<ip> [.#v0] .* [v3#.] <ip> 0", re.Network)
 	sc := translate.NewSessionCache(re.Network)
-	sys, _ := sc.Get(q, translate.Options{Slice: true})
+	sys, _, _ := sc.Get(re.Network, q, translate.Options{Slice: true})
 	if sys.PDS.Gen != nil {
 		t.Fatal("session cache produced an on-the-fly build")
 	}
@@ -238,7 +238,7 @@ func TestOnTheFlyResaturation(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 3; i++ {
-				sys, init := c.Get(q, translate.Options{Slice: true})
+				sys, init, _ := c.Get(net, q, translate.Options{Slice: true})
 				if got := decodeWitness(t, sys, init).Format(net); got != want {
 					t.Errorf("cached on-the-fly witness %s, eager %s", got, want)
 				}
