@@ -156,17 +156,11 @@ func (t *Table) Reserve(n int) {
 	t.all = all
 }
 
-// InternGuess interns a label, deriving its kind from the paper's naming
-// convention: names starting with "s" followed by a digit are bottom-of-
-// stack MPLS labels, names starting with "ip" (or containing a dot, as in
+// GuessKind derives a label's kind from the paper's naming convention:
+// names starting with "s" followed by a digit are bottom-of-stack MPLS
+// labels, names starting with "ip" (or containing a dot, as in
 // dotted-quad addresses) are IP labels, everything else is a plain MPLS
 // label. Service labels such as "$449550" are plain MPLS labels.
-func (t *Table) InternGuess(name string) (ID, error) {
-	return t.Intern(name, GuessKind(name))
-}
-
-// GuessKind derives the label kind from the naming convention described at
-// InternGuess.
 func GuessKind(name string) Kind {
 	switch {
 	case strings.HasPrefix(name, "ip"), strings.Contains(name, "."):

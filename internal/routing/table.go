@@ -200,12 +200,23 @@ func (t *Table) flat() *tableView {
 	return v
 }
 
+// MaxPriority caps the priority of a traffic engineering group. Real TE
+// tables hold a handful of backup groups (the paper's examples use two or
+// three), while Add pads a key's groups out to the named priority, so
+// without a cap one priority in a configuration file or a what-if delta
+// could make a table allocate arbitrarily many empty groups.
+const MaxPriority = 64
+
+// errPriority is the error of a priority outside 1..MaxPriority.
+var errPriority = fmt.Errorf("routing: priority out of range (want 1..%d)", MaxPriority)
+
 // Add appends an entry for (in, top) at the given priority (1 = highest,
 // matching the paper's tables). Missing intermediate priorities are created
-// as empty groups and skipped by the active-group logic.
+// as empty groups and skipped by the active-group logic. A priority outside
+// 1..MaxPriority fails before anything is allocated.
 func (t *Table) Add(in topology.LinkID, top labels.ID, priority int, e Entry) error {
-	if priority < 1 {
-		return fmt.Errorf("routing: priority %d < 1", priority)
+	if priority < 1 || priority > MaxPriority {
+		return errPriority
 	}
 	if t.entries == nil {
 		t.entries = make(map[tableKey]Groups)

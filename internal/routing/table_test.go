@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"errors"
 	"testing"
 
 	"aalwines/internal/labels"
@@ -82,6 +83,31 @@ func TestAddRejectsBadPriority(t *testing.T) {
 	rt := NewTable()
 	if err := rt.Add(0, 1, 0, Entry{}); err == nil {
 		t.Fatal("priority 0 accepted")
+	}
+}
+
+// TestAddRejectsPriorityAboveMax checks that a priority past MaxPriority
+// fails before the key's groups are padded out to it: the failing Add
+// allocates nothing and leaves the table empty, while MaxPriority itself
+// is accepted.
+func TestAddRejectsPriorityAboveMax(t *testing.T) {
+	rt := NewTable()
+	allocs := testing.AllocsPerRun(10, func() {
+		if err := rt.Add(0, 1, MaxPriority+1, Entry{}); !errors.Is(err, errPriority) {
+			t.Fatalf("Add(MaxPriority+1) = %v, want errPriority", err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("rejected Add allocated %.0f times, want 0", allocs)
+	}
+	if rt.NumRules() != 0 || rt.Lookup(0, 1) != nil {
+		t.Fatal("rejected Add left groups in the table")
+	}
+	if err := rt.Add(0, 1, MaxPriority, Entry{Out: 2}); err != nil {
+		t.Fatalf("Add(MaxPriority) = %v", err)
+	}
+	if gs := rt.Lookup(0, 1); len(gs) != MaxPriority {
+		t.Fatalf("groups = %d, want %d", len(gs), MaxPriority)
 	}
 }
 

@@ -49,12 +49,11 @@ const (
 	SwapPriority
 )
 
-// MaxPriority caps the priority slot a delta may address. Real TE tables
-// hold a handful of backup groups (the paper's examples use two or three),
-// while applyEdit pads a key's group list out to the named priority — so
-// without a cap a single add-entry or swap-priority delta could make
-// materialize allocate arbitrarily many groups.
-const MaxPriority = 64
+// MaxPriority caps the priority slot a delta may address. It is the
+// routing table's own cap: applyEdit pads a key's group list out to the
+// named priority, so without it a single add-entry or swap-priority delta
+// could make materialize allocate arbitrarily many groups.
+const MaxPriority = routing.MaxPriority
 
 var kindWords = map[Kind]string{
 	FailLink:      "fail",

@@ -2,15 +2,15 @@
 // Appendix A: a topology file (routers with interfaces, links as pairs of
 // shared interfaces) and a routing file (per-router destinations with
 // priority-ordered traffic engineering groups of routes and MPLS actions).
+// The writers marshal the schema structs below with encoding/xml; the
+// reader scans the files itself and builds the network as it reads.
 package xmlio
 
 import (
 	"encoding/xml"
-	"fmt"
 	"io"
 	"sort"
 
-	"aalwines/internal/labels"
 	"aalwines/internal/network"
 	"aalwines/internal/routing"
 	"aalwines/internal/topology"
@@ -212,120 +212,4 @@ func encode(w io.Writer, v interface{}) error {
 	}
 	_, err := io.WriteString(w, "\n")
 	return err
-}
-
-// ReadNetwork parses a topology file and a routing file into a network.
-func ReadNetwork(topo io.Reader, route io.Reader) (*network.Network, error) {
-	var xn XMLNetwork
-	if err := xml.NewDecoder(topo).Decode(&xn); err != nil {
-		return nil, fmt.Errorf("xmlio: topology: %w", err)
-	}
-	name := xn.Name
-	if name == "" {
-		name = "xml-network"
-	}
-	net := network.New(name)
-	g := net.Topo
-	for _, xr := range xn.Routers {
-		g.AddRouter(xr.Name)
-	}
-	for i, sides := range xn.Links {
-		if len(sides.Sides) != 2 {
-			return nil, fmt.Errorf("xmlio: link %d has %d sides, want 2", i, len(sides.Sides))
-		}
-		a, b := sides.Sides[0], sides.Sides[1]
-		ra := g.RouterByName(a.Router)
-		rb := g.RouterByName(b.Router)
-		if ra == topology.NoRouter || rb == topology.NoRouter {
-			return nil, fmt.Errorf("xmlio: link %d references unknown router", i)
-		}
-		w := sides.Weight
-		if w == 0 {
-			w = 1
-		}
-		if _, err := g.AddLink(ra, rb, a.Interface, b.Interface, w); err != nil {
-			return nil, fmt.Errorf("xmlio: link %d: %w", i, err)
-		}
-		if _, err := g.AddLink(rb, ra, b.Interface, a.Interface, w); err != nil {
-			return nil, fmt.Errorf("xmlio: link %d reverse: %w", i, err)
-		}
-	}
-
-	var xr XMLRoutes
-	if err := xml.NewDecoder(route).Decode(&xr); err != nil {
-		return nil, fmt.Errorf("xmlio: routing: %w", err)
-	}
-	intern := func(name, kind string) (labels.ID, error) {
-		if kind == "" {
-			return net.Labels.InternGuess(name)
-		}
-		k, err := parseKind(kind)
-		if err != nil {
-			return labels.None, err
-		}
-		return net.Labels.Intern(name, k)
-	}
-	for _, routerEntry := range xr.Routings {
-		r := g.RouterByName(routerEntry.For)
-		if r == topology.NoRouter {
-			return nil, fmt.Errorf("xmlio: routing for unknown router %q", routerEntry.For)
-		}
-		for _, d := range routerEntry.Destinations {
-			in := g.LinkIn(r, d.From)
-			if in == topology.NoLink {
-				return nil, fmt.Errorf("xmlio: router %s has no incoming interface %q", routerEntry.For, d.From)
-			}
-			top, err := intern(d.Label, d.Kind)
-			if err != nil {
-				return nil, fmt.Errorf("xmlio: label %q: %w", d.Label, err)
-			}
-			for _, grp := range d.TE {
-				if grp.Priority < 1 {
-					return nil, fmt.Errorf("xmlio: router %s: priority %d < 1", routerEntry.For, grp.Priority)
-				}
-				for _, xroute := range grp.Routes {
-					out := g.LinkOut(r, xroute.To)
-					if out == topology.NoLink {
-						return nil, fmt.Errorf("xmlio: router %s has no outgoing interface %q", routerEntry.For, xroute.To)
-					}
-					var ops routing.Ops
-					for _, act := range xroute.Actions {
-						switch act.Type {
-						case "swap", "push":
-							l, err := intern(act.Arg, act.Kind)
-							if err != nil {
-								return nil, fmt.Errorf("xmlio: action label %q: %w", act.Arg, err)
-							}
-							if act.Type == "swap" {
-								ops = append(ops, routing.Swap(l))
-							} else {
-								ops = append(ops, routing.Push(l))
-							}
-						case "pop":
-							ops = append(ops, routing.Pop())
-						default:
-							return nil, fmt.Errorf("xmlio: unknown action type %q", act.Type)
-						}
-					}
-					if err := net.Routing.Add(in, top, grp.Priority, routing.Entry{Out: out, Ops: ops}); err != nil {
-						return nil, err
-					}
-				}
-			}
-		}
-	}
-	return net, nil
-}
-
-func parseKind(s string) (labels.Kind, error) {
-	switch s {
-	case "mpls":
-		return labels.MPLS, nil
-	case "smpls":
-		return labels.BottomMPLS, nil
-	case "ip":
-		return labels.IP, nil
-	default:
-		return 0, fmt.Errorf("xmlio: unknown label kind %q", s)
-	}
 }

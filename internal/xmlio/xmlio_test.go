@@ -1,4 +1,4 @@
-package xmlio_test
+package xmlio
 
 import (
 	"bytes"
@@ -7,7 +7,6 @@ import (
 
 	"aalwines/internal/engine"
 	"aalwines/internal/gen"
-	"aalwines/internal/xmlio"
 )
 
 // TestRoundTripRunningExample writes the running example and reads it back;
@@ -15,13 +14,13 @@ import (
 func TestRoundTripRunningExample(t *testing.T) {
 	re := gen.RunningExample()
 	var topo, route bytes.Buffer
-	if err := xmlio.WriteTopology(&topo, re.Network); err != nil {
+	if err := WriteTopology(&topo, re.Network); err != nil {
 		t.Fatal(err)
 	}
-	if err := xmlio.WriteRouting(&route, re.Network); err != nil {
+	if err := WriteRouting(&route, re.Network); err != nil {
 		t.Fatal(err)
 	}
-	got, err := xmlio.ReadNetwork(bytes.NewReader(topo.Bytes()), bytes.NewReader(route.Bytes()))
+	got, err := ReadNetwork(bytes.NewReader(topo.Bytes()), bytes.NewReader(route.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,13 +54,13 @@ func TestRoundTripRunningExample(t *testing.T) {
 func TestRoundTripZoo(t *testing.T) {
 	s := gen.Zoo(gen.ZooOpts{Routers: 16, Seed: 2, Protection: true})
 	var topo, route bytes.Buffer
-	if err := xmlio.WriteTopology(&topo, s.Net); err != nil {
+	if err := WriteTopology(&topo, s.Net); err != nil {
 		t.Fatal(err)
 	}
-	if err := xmlio.WriteRouting(&route, s.Net); err != nil {
+	if err := WriteRouting(&route, s.Net); err != nil {
 		t.Fatal(err)
 	}
-	got, err := xmlio.ReadNetwork(&topo, &route)
+	got, err := ReadNetwork(&topo, &route)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +119,7 @@ const appendixRoute = `<?xml version="1.0"?>
 
 // TestAppendixFormat parses hand-written XML in the Appendix A shape.
 func TestAppendixFormat(t *testing.T) {
-	net, err := xmlio.ReadNetwork(strings.NewReader(appendixTopo), strings.NewReader(appendixRoute))
+	net, err := ReadNetwork(strings.NewReader(appendixTopo), strings.NewReader(appendixRoute))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,17 +155,23 @@ func TestReadErrors(t *testing.T) {
 		{"unknown out interface", ok, strings.Replace(appendixRoute, `to="et-1/3/0.2"`, `to="nope"`, 1)},
 		{"bad action", ok, strings.Replace(appendixRoute, `type="swap"`, `type="frob"`, 1)},
 		{"bad priority", ok, strings.Replace(appendixRoute, `priority="1"`, `priority="0"`, 1)},
+		{"priority above max", ok, strings.Replace(appendixRoute, `priority="1"`, `priority="65"`, 1)},
+		{"destination without label", ok, strings.Replace(appendixRoute, ` label="$300292"`, "", 1)},
+		{"swap without arg", ok, strings.Replace(appendixRoute, ` arg="$300293"`, "", 1)},
 	}
 	for _, c := range cases {
-		if _, err := xmlio.ReadNetwork(strings.NewReader(c.topo), strings.NewReader(c.route)); err == nil {
+		if _, err := ReadNetwork(strings.NewReader(c.topo), strings.NewReader(c.route)); err == nil {
 			t.Errorf("%s: expected error", c.name)
+		}
+		if _, err := readNetworkOracle(strings.NewReader(c.topo), strings.NewReader(c.route)); err == nil {
+			t.Errorf("%s: oracle accepted", c.name)
 		}
 	}
 }
 
 func TestExplicitKinds(t *testing.T) {
 	route := strings.Replace(appendixRoute, `label="$300292"`, `label="$300292" kind="smpls"`, 1)
-	net, err := xmlio.ReadNetwork(strings.NewReader(appendixTopo), strings.NewReader(route))
+	net, err := ReadNetwork(strings.NewReader(appendixTopo), strings.NewReader(route))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +181,7 @@ func TestExplicitKinds(t *testing.T) {
 	}
 	// Conflicting kind later must error.
 	route2 := strings.Replace(route, `arg="$300293"`, `arg="$300292" kind="mpls"`, 1)
-	if _, err := xmlio.ReadNetwork(strings.NewReader(appendixTopo), strings.NewReader(route2)); err == nil {
+	if _, err := ReadNetwork(strings.NewReader(appendixTopo), strings.NewReader(route2)); err == nil {
 		t.Error("conflicting kinds accepted")
 	}
 }
