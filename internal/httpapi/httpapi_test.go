@@ -14,6 +14,7 @@ import (
 	"aalwines/internal/cli"
 	"aalwines/internal/gen"
 	"aalwines/internal/httpapi"
+	"aalwines/internal/nfa"
 	"aalwines/internal/sweep"
 )
 
@@ -217,6 +218,33 @@ func TestVerifyErrors(t *testing.T) {
 	}
 	if env := decodeEnvelope(t, resp); env.Code != "bad-request" {
 		t.Errorf("malformed body: code = %q, want bad-request", env.Code)
+	}
+}
+
+// TestQueryAutomatonBound: a query whose automaton would pass
+// nfa.MaxStates is a query error naming the bound, answered 422 on the
+// single route and reported per item in a batch.
+func TestQueryAutomatonBound(t *testing.T) {
+	ts := newTestServer(t)
+	over := fmt.Sprintf("<ip> [.#v0] .{%d} <ip> 0", nfa.MaxStates)
+	bound := fmt.Sprintf("%d-state bound", nfa.MaxStates)
+	resp, _ := postVerify(t, ts, httpapi.VerifyRequest{Network: "running-example", Query: over})
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("status = %d, want 422", resp.StatusCode)
+	}
+	if env := decodeEnvelope(t, resp); env.Code != "query-error" || !strings.Contains(env.Message, bound) {
+		t.Errorf("envelope = %+v, want query-error naming the %s", env, bound)
+	}
+	queries := []string{"<ip> [.#v0] .* [v3#.] <ip> 0", over}
+	bresp, out := postBatch(t, ts, httpapi.VerifyBatchRequest{Network: "running-example", Queries: queries})
+	if bresp.StatusCode != http.StatusOK || len(out.Results) != 2 {
+		t.Fatalf("batch: status = %d, %d results", bresp.StatusCode, len(out.Results))
+	}
+	if item := out.Results[0]; item.Error != "" || item.Verdict != "satisfied" {
+		t.Errorf("batch item 0 = %+v, want satisfied", item)
+	}
+	if item := out.Results[1]; item.Code != "query-error" || !strings.Contains(item.Error, bound) {
+		t.Errorf("batch item 1 = %+v, want query-error naming the %s", item, bound)
 	}
 }
 

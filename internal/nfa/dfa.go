@@ -1,9 +1,21 @@
 package nfa
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 )
+
+// MaxStates bounds the automata compiled from query text: Thompson
+// construction (rex.Compile) and subset construction (Determinize) stop
+// once an automaton would grow past it. Every generated, test and golden
+// query compiles to a few dozen states. Without the bound a short query
+// could ask for a quadratic (bounded repetition) or exponential (subset
+// construction) amount of work before anything looks at its context.
+const MaxStates = 512
+
+// ErrTooManyStates reports an automaton that would exceed MaxStates.
+var ErrTooManyStates = fmt.Errorf("automaton exceeds the %d-state bound", MaxStates)
 
 // Minterms computes the atomic partition of the universe induced by the
 // distinct arc sets of the automaton: the coarsest partition such that each
@@ -41,8 +53,9 @@ func (a *NFA) Minterms() []*Set {
 // returns a complete deterministic automaton (every state has exactly one
 // successor per minterm; a non-accepting sink absorbs missing transitions).
 // The result has no epsilon transitions and deterministic, disjoint arc
-// sets per state.
-func (a *NFA) Determinize() *NFA {
+// sets per state. Construction stops with ErrTooManyStates as soon as the
+// result would have more than MaxStates states.
+func (a *NFA) Determinize() (*NFA, error) {
 	minterms := a.Minterms()
 	out := New(a.universe)
 	// out's state 0 is the DFA start.
@@ -72,15 +85,6 @@ func (a *NFA) Determinize() *NFA {
 	}
 	queue := []item{{out.Start(), startSet}}
 	sink := State(-1)
-	getSink := func() State {
-		if sink < 0 {
-			sink = out.AddState()
-			for _, mt := range minterms {
-				out.AddArc(sink, mt, sink)
-			}
-		}
-		return sink
-	}
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
@@ -92,12 +96,24 @@ func (a *NFA) Determinize() *NFA {
 				succ = a.Step(cur.states, x)
 			}
 			if len(succ) == 0 {
-				out.AddArc(cur.d, mt, getSink())
+				if sink < 0 {
+					if out.NumStates() == MaxStates {
+						return nil, ErrTooManyStates
+					}
+					sink = out.AddState()
+					for _, mt := range minterms {
+						out.AddArc(sink, mt, sink)
+					}
+				}
+				out.AddArc(cur.d, mt, sink)
 				continue
 			}
 			k := mkKey(succ)
 			d, ok2 := idx[k]
 			if !ok2 {
+				if out.NumStates() == MaxStates {
+					return nil, ErrTooManyStates
+				}
 				d = out.AddState()
 				idx[k] = d
 				setAccept(d, succ)
@@ -106,21 +122,21 @@ func (a *NFA) Determinize() *NFA {
 			out.AddArc(cur.d, mt, d)
 		}
 	}
-	if a.universe == 0 {
-		// Degenerate: no symbols at all; acceptance is decided by the start.
-		return out
-	}
-	return out
+	return out, nil
 }
 
 // Complement returns an automaton accepting exactly the words the receiver
-// rejects. The receiver may be any NFA; it is determinized first.
-func (a *NFA) Complement() *NFA {
-	d := a.Determinize()
+// rejects. The receiver may be any NFA; it is determinized first, so it
+// fails as Determinize does.
+func (a *NFA) Complement() (*NFA, error) {
+	d, err := a.Determinize()
+	if err != nil {
+		return nil, err
+	}
 	for s := range d.accept {
 		d.accept[s] = !d.accept[s]
 	}
-	return d
+	return d, nil
 }
 
 // Product returns an automaton for the intersection of two languages over

@@ -8,13 +8,17 @@ import (
 
 // Minimize returns the minimal deterministic automaton for the receiver's
 // language, using Moore's partition refinement over the minterm alphabet.
-// The receiver may be any NFA; it is determinised (and completed) first.
-func (a *NFA) Minimize() *NFA {
-	d := a.Determinize()
+// The receiver may be any NFA; it is determinised (and completed) first,
+// so it fails as Determinize does.
+func (a *NFA) Minimize() (*NFA, error) {
+	d, err := a.Determinize()
+	if err != nil {
+		return nil, err
+	}
 	minterms := d.Minterms()
 	n := d.NumStates()
 	if n == 0 {
-		return d
+		return d, nil
 	}
 
 	// succ[s][m] = successor of state s on minterm m (complete DFA: always
@@ -133,5 +137,5 @@ func (a *NFA) Minimize() *NFA {
 	for _, k := range keys {
 		out.AddArc(mapped[k.from], merged[k], mapped[k.to])
 	}
-	return out
+	return out, nil
 }

@@ -1,6 +1,7 @@
 package nfa
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 )
@@ -210,7 +211,7 @@ func TestMintermsPartitionUniverse(t *testing.T) {
 
 func TestDeterminizePreservesLanguage(t *testing.T) {
 	a := buildAB()
-	d := a.Determinize()
+	d := determinize(t, a)
 	words := [][]Sym{{}, {0}, {1}, {0, 1}, {1, 0}, {0, 0, 1}, {1, 1}, {0, 1, 1}}
 	for _, w := range words {
 		if a.Accepts(w) != d.Accepts(w) {
@@ -221,7 +222,7 @@ func TestDeterminizePreservesLanguage(t *testing.T) {
 
 func TestDeterminizeIsDeterministicAndComplete(t *testing.T) {
 	a := buildAB()
-	d := a.Determinize()
+	d := determinize(t, a)
 	for s := 0; s < d.NumStates(); s++ {
 		cover := NewSet(2)
 		for _, arc := range d.Arcs(s) {
@@ -238,7 +239,7 @@ func TestDeterminizeIsDeterministicAndComplete(t *testing.T) {
 
 func TestComplement(t *testing.T) {
 	a := buildAB()
-	c := a.Complement()
+	c := complement(t, a)
 	words := [][]Sym{{}, {0}, {1}, {0, 1}, {1, 0}, {0, 0, 1}, {1, 1}}
 	for _, w := range words {
 		if a.Accepts(w) == c.Accepts(w) {
@@ -285,7 +286,7 @@ func TestProductEmptyIntersection(t *testing.T) {
 // on random short words.
 func TestDoubleComplementProperty(t *testing.T) {
 	a := buildAB()
-	cc := a.Complement().Complement()
+	cc := complement(t, complement(t, a))
 	f := func(w []bool) bool {
 		word := make([]Sym, len(w))
 		for i, b := range w {
@@ -302,7 +303,7 @@ func TestDoubleComplementProperty(t *testing.T) {
 
 func TestMinimizePreservesLanguage(t *testing.T) {
 	a := buildAB()
-	m := a.Minimize()
+	m := minimize(t, a)
 	words := [][]Sym{{}, {0}, {1}, {0, 1}, {1, 0}, {0, 0, 1}, {1, 1}, {0, 1, 1}, {0, 0, 0, 1}}
 	for _, w := range words {
 		if a.Accepts(w) != m.Accepts(w) {
@@ -320,7 +321,7 @@ func TestMinimizeReducesRedundantStates(t *testing.T) {
 		a.AddArc(a.Start(), SetOf(2, 0), f)
 		a.SetAccept(f, true)
 	}
-	m := a.Minimize()
+	m := minimize(t, a)
 	// Minimal complete DFA for {a} over a 2-symbol alphabet: start, accept,
 	// sink = 3 states.
 	if m.NumStates() > 3 {
@@ -334,9 +335,9 @@ func TestMinimizeReducesRedundantStates(t *testing.T) {
 // Property: minimization is idempotent and preserves the language on random
 // words.
 func TestMinimizeProperty(t *testing.T) {
-	inner := Product(buildAB().Complement(), buildAB().Determinize().Complement())
-	m1 := inner.Minimize()
-	m2 := m1.Minimize()
+	inner := Product(complement(t, buildAB()), complement(t, determinize(t, buildAB())))
+	m1 := minimize(t, inner)
+	m2 := minimize(t, m1)
 	if m2.NumStates() != m1.NumStates() {
 		t.Fatalf("not idempotent: %d -> %d states", m1.NumStates(), m2.NumStates())
 	}
@@ -351,5 +352,78 @@ func TestMinimizeProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func determinize(t *testing.T, a *NFA) *NFA {
+	t.Helper()
+	d, err := a.Determinize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+func complement(t *testing.T, a *NFA) *NFA {
+	t.Helper()
+	c, err := a.Complement()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+func minimize(t *testing.T, a *NFA) *NFA {
+	t.Helper()
+	m, err := a.Minimize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// kthFromEnd accepts the words over {0,1} whose k-th symbol from the end
+// is 0. The NFA has k+1 states; its DFA needs 2^k.
+func kthFromEnd(k int) *NFA {
+	a := New(2)
+	a.AddArc(a.Start(), FullSet(2), a.Start())
+	cur := a.AddState()
+	a.AddArc(a.Start(), SetOf(2, 0), cur)
+	for i := 1; i < k; i++ {
+		next := a.AddState()
+		a.AddArc(cur, FullSet(2), next)
+		cur = next
+	}
+	a.SetAccept(cur, true)
+	return a
+}
+
+// TestDeterminizeStopsAtMaxStates: subset construction may build exactly
+// MaxStates states and fails as soon as it needs one more.
+func TestDeterminizeStopsAtMaxStates(t *testing.T) {
+	if MaxStates != 1<<9 {
+		t.Fatalf("MaxStates = %d; retune the k below to sit at the bound", MaxStates)
+	}
+	d := determinize(t, kthFromEnd(9))
+	if d.NumStates() != MaxStates {
+		t.Fatalf("DFA for k=9 has %d states, want %d", d.NumStates(), MaxStates)
+	}
+	for _, w := range [][]Sym{{0, 1, 1, 1, 1, 1, 1, 1, 1}, {1, 0, 1, 1, 1, 1, 1, 1, 1, 1}} {
+		if !d.Accepts(w) {
+			t.Errorf("DFA rejects %v", w)
+		}
+	}
+	if d.Accepts([]Sym{1, 1, 1, 1, 1, 1, 1, 1, 1}) {
+		t.Error("DFA accepts 1^9")
+	}
+	a := kthFromEnd(10)
+	if _, err := a.Determinize(); !errors.Is(err, ErrTooManyStates) {
+		t.Fatalf("Determinize(k=10) = %v, want ErrTooManyStates", err)
+	}
+	if _, err := a.Minimize(); !errors.Is(err, ErrTooManyStates) {
+		t.Fatalf("Minimize(k=10) = %v, want ErrTooManyStates", err)
+	}
+	if _, err := a.Complement(); !errors.Is(err, ErrTooManyStates) {
+		t.Fatalf("Complement(k=10) = %v, want ErrTooManyStates", err)
 	}
 }

@@ -97,6 +97,36 @@ func BenchmarkPoststarRunningExample(b *testing.B) { benchPoststar(b, "running-e
 // operator network.
 func BenchmarkPoststarNordunet(b *testing.B) { benchPoststar(b, "nordunet") }
 
+// BenchmarkPoststarEarlyAccept saturates Table 1's last query, the
+// any-tunnel shape <smpls? ip> .* <. smpls ip> 0, on the NORDUnet-scale
+// network with the early-accept probe on, as the engine runs its
+// over-approximation. The probe fires at the run's cadence until an
+// accepting configuration is reachable, so this measures the probe's
+// share of a real run.
+func BenchmarkPoststarEarlyAccept(b *testing.B) {
+	s := gen.Nordunet(gen.NordOpts{Services: 4, EdgeRouters: 16, Seed: 1})
+	text := s.Table1Queries()[5].Text
+	q, err := query.Parse(text, s.Net)
+	if err != nil {
+		b.Fatalf("%q: %v", text, err)
+	}
+	sys := translate.Build(s.Net, q, translate.Options{Mode: translate.Over})
+	sys.PDS.Freeze()
+	init := sys.InitAuto()
+	o := pds.SatOptions{EarlyAccept: true, FinalStates: sys.FinalStates, FinalSpec: sys.FinalSpec}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := pds.PoststarOpts(sys.PDS, init.Clone(), o)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !res.EarlyAccepted {
+			b.Fatal("the any-tunnel query did not accept early")
+		}
+	}
+}
+
 // BenchmarkPrestarZoo saturates pre* (the cross-validation direction) on
 // the same zoo-scale workload, seeding from the final-spec side.
 func BenchmarkPrestarZoo(b *testing.B) {

@@ -8,25 +8,28 @@ import (
 
 // satScratch bundles the reusable per-run storage of the saturation
 // worklists: the queue, the ε-predecessor lists and the early-accept
-// product-reachability marks. Runs recycle it through a sync.Pool so batch
-// verification stops paying per-run GC for bookkeeping that never escapes
-// the run. Weight vectors and witness records are deliberately NOT pooled:
-// they outlive the run inside the result automaton.
+// probe's product nodes and marks. Runs recycle it through a sync.Pool so
+// batch verification stops paying per-run GC for bookkeeping that never
+// escapes the run. Weight vectors and witness records are deliberately NOT
+// pooled: they outlive the run inside the result automaton.
 type satScratch struct {
 	queue   []edgeRef
 	epsInto [][]State
 
-	// Early-accept product-BFS scratch: visited marks over
-	// (automaton state × spec state), generation-stamped so successive
-	// checks skip the O(product) clear.
+	// Early-accept probe scratch: the product nodes (automaton state ×
+	// spec state) reached so far, and their marks, generation-stamped per
+	// run so a new run skips the O(product) clear.
 	prodMark []uint32
 	prodGen  uint32
 	prodBuf  []prodNode
 }
 
+// prodNode is a reached product node with its cursor: next counts the
+// out-edges of s the probe has already followed from this node.
 type prodNode struct {
-	s State
-	n int // spec state
+	s    State
+	n    int32 // spec state
+	next int32
 }
 
 var scratchPool sync.Pool
@@ -71,45 +74,94 @@ func (sc *satScratch) nextProdGen() uint32 {
 	return sc.prodGen
 }
 
-// acceptReachable reports whether the automaton under saturation already
-// accepts some configuration ⟨p, w⟩ with p ∈ starts and w ∈ L(spec) — the
-// emptiness question FindAccepting answers, minus the minimisation. The
-// traversal mirrors FindAccepting edge for edge: ε-transitions are skipped
-// (sound at any point, since FindAccepting skips them too) and a virtual
-// set-edge pairs with a spec arc iff the two sets intersect, exactly when
-// FindAccepting's Inter(...).First() succeeds. A positive answer therefore
+// earlyProbe answers, during one unweighted post* run, whether the
+// automaton under saturation already accepts some configuration ⟨p, w⟩
+// with p among the query's final states and w ∈ L(spec) — the emptiness
+// question FindAccepting answers, minus the minimisation. It walks the
+// product of automaton and spec as FindAccepting does: ε-edges are skipped
+// (sound at any point, since FindAccepting skips them too), a virtual set
+// edge pairs with a spec arc iff the two sets intersect, exactly when
+// FindAccepting's Inter(...).First() succeeds, and a concrete edge pairs
+// with an arc iff the arc admits its symbol. A positive answer therefore
 // guarantees FindAccepting finds an accepting configuration on the same
 // partially saturated automaton.
-func acceptReachable(a *Auto, starts []State, specStarts []int, spec *nfa.NFA, sc *satScratch) bool {
-	ns := spec.NumStates()
-	for len(sc.prodMark) < a.numStates*ns {
-		sc.prodMark = append(sc.prodMark, 0)
-	}
-	gen := sc.nextProdGen()
-	stack := sc.prodBuf[:0]
-	visit := func(s State, n int) {
-		i := int(s)*ns + n
-		if sc.prodMark[i] != gen {
-			sc.prodMark[i] = gen
-			stack = append(stack, prodNode{s, n})
-		}
-	}
+//
+// The walk is incremental. An unweighted saturation only appends
+// out-edges, never removing or reordering them, so a product node reached
+// at one probe stays reached. The probe keeps the nodes it has reached,
+// each with a cursor over its state's out-edges, and each call follows
+// only the edges appended since the previous one: over a whole run every
+// (edge, spec arc) pair is tested once per spec state that reaches the
+// edge, however many times the run probes.
+type earlyProbe struct {
+	spec     *nfa.NFA
+	ns       int // spec states
+	gen      uint32
+	sc       *satScratch
+	accepted bool // an accepting node was reached; it stays reached
+
+	// followed counts the out-edges the walk has stepped over, ε-edges
+	// included; tests read it to check the walk never revisits an edge.
+	followed int64
+}
+
+// init starts the walk at starts × ε-closure(spec start); the first
+// reachable call explores from there.
+func (pr *earlyProbe) init(a *Auto, starts []State, spec *nfa.NFA, sc *satScratch) {
+	*pr = earlyProbe{spec: spec, ns: spec.NumStates(), gen: sc.nextProdGen(), sc: sc}
+	pr.grow(a)
+	specStarts := spec.EpsClosure(spec.Start())
 	for _, p := range starts {
 		for _, n0 := range specStarts {
-			visit(p, n0)
+			pr.visit(a, p, n0)
 		}
 	}
-	for len(stack) > 0 {
-		nd := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if a.accept[nd.s] && spec.Accepting(nd.n) {
-			sc.prodBuf = stack
-			return true
-		}
-		arcs := spec.Arcs(nd.n)
+}
+
+// grow extends the mark array over the states the run has added (mid and
+// chain states) since the last call.
+func (pr *earlyProbe) grow(a *Auto) {
+	sc := pr.sc
+	if n := a.numStates * pr.ns; n > len(sc.prodMark) {
+		sc.prodMark = append(sc.prodMark, make([]uint32, n-len(sc.prodMark))...)
+	}
+}
+
+// visit adds node (s, n) unless it was reached before.
+func (pr *earlyProbe) visit(a *Auto, s State, n int) {
+	sc := pr.sc
+	i := int(s)*pr.ns + n
+	if sc.prodMark[i] == pr.gen {
+		return
+	}
+	sc.prodMark[i] = pr.gen
+	sc.prodBuf = append(sc.prodBuf, prodNode{s: s, n: int32(n)})
+	if a.accept[s] && pr.spec.Accepting(n) {
+		pr.accepted = true
+	}
+}
+
+// reachable reports whether an accepting product node is reachable in the
+// automaton as it stands, following only the edges appended since the
+// previous call. Nodes the walk reaches are appended to the node list and
+// caught up in the same pass.
+func (pr *earlyProbe) reachable(a *Auto) bool {
+	if pr.accepted {
+		return true
+	}
+	pr.grow(a)
+	nodes := &pr.sc.prodBuf
+	for i := 0; i < len(*nodes); i++ {
+		nd := (*nodes)[i]
 		edges := a.states[nd.s].edges
-		for i := range edges {
-			e := &edges[i]
+		if int(nd.next) == len(edges) {
+			continue
+		}
+		(*nodes)[i].next = int32(len(edges))
+		pr.followed += int64(len(edges) - int(nd.next))
+		arcs := pr.spec.Arcs(int(nd.n))
+		for j := int(nd.next); j < len(edges); j++ {
+			e := &edges[j]
 			if e.Sym == Eps {
 				continue
 			}
@@ -122,11 +174,13 @@ func acceptReachable(a *Auto, starts []State, specStarts []int, spec *nfa.NFA, s
 				} else if !arc.Set.Has(nfa.Sym(e.Sym)) {
 					continue
 				}
-				visit(e.To, arc.To)
+				pr.visit(a, e.To, arc.To)
+			}
+			if pr.accepted {
+				return true
 			}
 		}
 	}
-	sc.prodBuf = stack
 	return false
 }
 

@@ -103,8 +103,8 @@ type postRun struct {
 	// state, with lazy growth for the mid states added during the run.
 	epsInto [][]State
 
-	earlyOK    bool
-	specStarts []int
+	earlyOK bool
+	probe   earlyProbe
 
 	work      int64
 	nextCheck int64
@@ -130,6 +130,29 @@ type postRun struct {
 // so a PDS saturated again reads the latest run's rules. A saturation
 // therefore needs its own copy of an on-the-fly PDS.
 func PoststarOpts(p *PDS, init *Auto, o SatOptions) (*Result, error) {
+	r, err := newPostRun(p, init, o)
+	if err != nil {
+		return nil, err
+	}
+	defer r.close()
+	if r.earlyOK && r.probe.reachable(r.a) {
+		r.tally.earlyAccepts = 1
+		return r.finish(true), nil
+	}
+	for r.head < len(r.queue) {
+		if res, err, done := r.beat(); done {
+			return res, err
+		}
+		r.process(r.pop())
+	}
+	r.tally.pops = r.work
+	return r.finish(false), nil
+}
+
+// newPostRun validates init and prepares a run: scratch, rule store, the
+// seeded worklist and, when enabled, the early-accept probe. The caller
+// must close the run.
+func newPostRun(p *PDS, init *Auto, o SatOptions) (*postRun, error) {
 	if err := init.Validate(); err != nil {
 		return nil, err
 	}
@@ -139,16 +162,6 @@ func PoststarOpts(p *PDS, init *Auto, o SatOptions) (*Result, error) {
 		r.lazy = &lazyRules{gen: p.Gen}
 	}
 	r.queue, r.head = r.sc.queue[:0], 0
-	defer func() {
-		r.sc.queue = r.queue
-		putScratch(r.sc)
-		r.tally.probes += r.a.takeProbes()
-		r.tally.flushPost()
-		if r.lazy != nil {
-			p.Rules = r.rules
-			p.Gen.Done(len(r.rules))
-		}
-	}()
 	r.a.NormalizeWeights(r.dim)
 	r.mids = map[[2]uint32]State{}
 
@@ -162,20 +175,22 @@ func PoststarOpts(p *PDS, init *Auto, o SatOptions) (*Result, error) {
 
 	r.earlyOK = o.EarlyAccept && r.dim == 0 && o.FinalSpec != nil && len(o.FinalStates) > 0
 	if r.earlyOK {
-		r.specStarts = o.FinalSpec.EpsClosure(o.FinalSpec.Start())
-		if acceptReachable(r.a, o.FinalStates, r.specStarts, o.FinalSpec, r.sc) {
-			r.tally.earlyAccepts = 1
-			return r.finish(true), nil
-		}
+		r.probe.init(r.a, o.FinalStates, o.FinalSpec, r.sc)
 	}
-	for r.head < len(r.queue) {
-		if res, err, done := r.beat(); done {
-			return res, err
-		}
-		r.process(r.pop())
+	return r, nil
+}
+
+// close ends a run on every exit path: it recycles the scratch, flushes the
+// tallies and, on the fly, hands the run's rules back to the PDS.
+func (r *postRun) close() {
+	r.sc.queue = r.queue
+	putScratch(r.sc)
+	r.tally.probes += r.a.takeProbes()
+	r.tally.flushPost()
+	if r.lazy != nil {
+		r.p.Rules = r.rules
+		r.p.Gen.Done(len(r.rules))
 	}
-	r.tally.pops = r.work
-	return r.finish(false), nil
 }
 
 // beat is the per-pop cooperative checkpoint: budget accounting, the
@@ -202,7 +217,7 @@ func (r *postRun) beat() (*Result, error, bool) {
 			default:
 			}
 		}
-		if r.earlyOK && acceptReachable(r.a, r.o.FinalStates, r.specStarts, r.o.FinalSpec, r.sc) {
+		if r.earlyOK && r.probe.reachable(r.a) {
 			r.tally.pops = r.work
 			r.tally.earlyAccepts = 1
 			return r.finish(true), nil, true

@@ -64,18 +64,43 @@ func Parse(text string, net *network.Network) (*Query, error) {
 	// H by construction): ⟨. ip⟩, for instance, must not admit a plain
 	// MPLS label directly on top of an IP label.
 	valid := ValidHeaderNFA(net.Labels)
-	q.PreNFA = shrink(nfa.Product(rex.Compile(q.HeadPre, net.Labels.Len()), valid).EpsFree())
-	q.PostNFA = shrink(nfa.Product(rex.Compile(q.HeadPost, net.Labels.Len()), valid).EpsFree())
-	q.PathNFA = shrink(rex.Compile(q.Path, net.Topo.NumLinks()).EpsFree())
+	if q.PreNFA, err = compile(q.HeadPre, net.Labels.Len(), valid); err != nil {
+		return nil, fmt.Errorf("query %q: initial header expression: %w", text, err)
+	}
+	if q.PostNFA, err = compile(q.HeadPost, net.Labels.Len(), valid); err != nil {
+		return nil, fmt.Errorf("query %q: final header expression: %w", text, err)
+	}
+	if q.PathNFA, err = compile(q.Path, net.Topo.NumLinks(), nil); err != nil {
+		return nil, fmt.Errorf("query %q: path expression: %w", text, err)
+	}
 	return q, nil
+}
+
+// compile builds the ε-free automaton of n over a universe of u symbols,
+// intersected with within unless that is nil, and shrinks it. It fails
+// with nfa.ErrTooManyStates when any step, or the result, would pass
+// nfa.MaxStates states.
+func compile(n rex.Node, u int, within *nfa.NFA) (*nfa.NFA, error) {
+	a, err := rex.Compile(n, u)
+	if err != nil {
+		return nil, err
+	}
+	if within != nil {
+		a = nfa.Product(a, within)
+	}
+	if a = shrink(a.EpsFree()); a.NumStates() > nfa.MaxStates {
+		return nil, nfa.ErrTooManyStates
+	}
+	return a, nil
 }
 
 // shrink replaces an automaton by its minimal DFA when that is strictly
 // smaller. The path automaton's state count multiplies directly into the
 // pushdown system's control-state count, so this is a win-only heuristic.
+// An automaton whose subset construction would pass nfa.MaxStates stays
+// as it is: the language is the same either way.
 func shrink(a *nfa.NFA) *nfa.NFA {
-	m := a.Minimize()
-	if m.NumStates() < a.NumStates() {
+	if m, err := a.Minimize(); err == nil && m.NumStates() < a.NumStates() {
 		return m
 	}
 	return a
@@ -201,6 +226,9 @@ func (p *parser) parseInt() (int, error) {
 	}
 	if p.pos == start {
 		return 0, p.errf("expected the failure bound k")
+	}
+	if p.pos-start > 9 {
+		return 0, p.errf("number %s has more than 9 digits", p.s[start:p.pos])
 	}
 	n := 0
 	for _, c := range p.s[start:p.pos] {

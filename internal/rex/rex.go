@@ -111,17 +111,29 @@ func group(n Node) string {
 
 // Compile translates a regular expression into an NFA over the given symbol
 // universe using Thompson's construction; Not subtrees are compiled by
-// determinisation and complementation, then spliced in.
-func Compile(n Node, universe int) *nfa.NFA {
+// determinisation and complementation, then spliced in. Compilation stops
+// with nfa.ErrTooManyStates once the automaton would have more than
+// nfa.MaxStates states, so a bounded repetition cannot ask for more.
+func Compile(n Node, universe int) (*nfa.NFA, error) {
 	a := nfa.New(universe)
 	fin := a.AddState()
-	compileInto(n, a, a.Start(), fin, universe)
+	if err := compileInto(n, a, a.Start(), fin, universe); err != nil {
+		return nil, err
+	}
 	a.SetAccept(fin, true)
-	return a
+	return a, nil
+}
+
+// addState adds a state to a unless a already has nfa.MaxStates.
+func addState(a *nfa.NFA) (nfa.State, error) {
+	if a.NumStates() >= nfa.MaxStates {
+		return 0, nfa.ErrTooManyStates
+	}
+	return a.AddState(), nil
 }
 
 // compileInto builds n between states from and to of a.
-func compileInto(n Node, a *nfa.NFA, from, to nfa.State, universe int) {
+func compileInto(n Node, a *nfa.NFA, from, to nfa.State, universe int) error {
 	switch x := n.(type) {
 	case Empty:
 		// no transition: dead
@@ -130,68 +142,103 @@ func compileInto(n Node, a *nfa.NFA, from, to nfa.State, universe int) {
 	case Atom:
 		a.AddArc(from, x.Set, to)
 	case Concat:
-		if len(x.Parts) == 0 {
-			a.AddEps(from, to)
-			return
-		}
-		cur := from
-		for i, p := range x.Parts {
-			next := to
-			if i < len(x.Parts)-1 {
-				next = a.AddState()
-			}
-			compileInto(p, a, cur, next, universe)
-			cur = next
-		}
+		return compileSeq(len(x.Parts), func(i int) Node { return x.Parts[i] }, a, from, to, universe)
 	case Union:
-		if len(x.Parts) == 0 {
-			return // empty union = ∅
-		}
+		// An empty union is ∅: no transition.
 		for _, p := range x.Parts {
-			compileInto(p, a, from, to, universe)
+			if err := compileInto(p, a, from, to, universe); err != nil {
+				return err
+			}
 		}
 	case Star:
-		mid := a.AddState()
+		mid, err := addState(a)
+		if err != nil {
+			return err
+		}
 		a.AddEps(from, mid)
 		a.AddEps(mid, to)
-		inner := a.AddState()
+		inner, err := addState(a)
+		if err != nil {
+			return err
+		}
 		a.AddEps(mid, inner)
-		compileInto(x.X, a, inner, mid, universe)
+		return compileInto(x.X, a, inner, mid, universe)
 	case Plus:
-		compileInto(Concat{Parts: []Node{x.X, Star{X: x.X}}}, a, from, to, universe)
+		return compileInto(Concat{Parts: []Node{x.X, Star{X: x.X}}}, a, from, to, universe)
 	case Opt:
 		a.AddEps(from, to)
-		compileInto(x.X, a, from, to, universe)
+		return compileInto(x.X, a, from, to, universe)
 	case Repeat:
-		var parts []Node
-		for i := 0; i < x.Min; i++ {
-			parts = append(parts, x.X)
-		}
+		// Min copies of X, then X* or Max−Min copies of X?, in sequence.
+		// The parts are made as they are compiled, so a count far past
+		// the state bound costs no more than one at it.
+		parts := x.Min
 		if x.Max < 0 {
-			parts = append(parts, Star{X: x.X})
-		} else {
-			for i := x.Min; i < x.Max; i++ {
-				parts = append(parts, Opt{X: x.X})
-			}
+			parts++
+		} else if x.Max > x.Min {
+			parts = x.Max
 		}
-		compileInto(Concat{Parts: parts}, a, from, to, universe)
+		return compileSeq(parts, func(i int) Node {
+			switch {
+			case i < x.Min:
+				return x.X
+			case x.Max < 0:
+				return Star{X: x.X}
+			default:
+				return Opt{X: x.X}
+			}
+		}, a, from, to, universe)
 	case Not:
-		sub := Compile(x.X, universe).Complement()
-		splice(sub, a, from, to)
+		sub, err := Compile(x.X, universe)
+		if err != nil {
+			return err
+		}
+		if sub, err = sub.Complement(); err != nil {
+			return err
+		}
+		return splice(sub, a, from, to)
 	default:
 		panic(fmt.Sprintf("rex: unknown node type %T", n))
 	}
+	return nil
+}
+
+// compileSeq builds the concatenation of n parts between from and to,
+// with a fresh state between consecutive parts; no parts is ε.
+func compileSeq(n int, part func(int) Node, a *nfa.NFA, from, to nfa.State, universe int) error {
+	if n <= 0 {
+		a.AddEps(from, to)
+		return nil
+	}
+	cur := from
+	for i := 0; i < n; i++ {
+		next := to
+		if i < n-1 {
+			var err error
+			if next, err = addState(a); err != nil {
+				return err
+			}
+		}
+		if err := compileInto(part(i), a, cur, next, universe); err != nil {
+			return err
+		}
+		cur = next
+	}
+	return nil
 }
 
 // splice copies automaton sub into a, identifying sub's start with from and
 // routing acceptance to to via epsilon transitions.
-func splice(sub *nfa.NFA, a *nfa.NFA, from, to nfa.State) {
+func splice(sub *nfa.NFA, a *nfa.NFA, from, to nfa.State) error {
 	m := make([]nfa.State, sub.NumStates())
 	for s := 0; s < sub.NumStates(); s++ {
 		if s == sub.Start() {
 			m[s] = from
-		} else {
-			m[s] = a.AddState()
+			continue
+		}
+		var err error
+		if m[s], err = addState(a); err != nil {
+			return err
 		}
 	}
 	for s := 0; s < sub.NumStates(); s++ {
@@ -202,6 +249,7 @@ func splice(sub *nfa.NFA, a *nfa.NFA, from, to nfa.State) {
 			a.AddEps(m[s], to)
 		}
 	}
+	return nil
 }
 
 // AnyAtom returns an atom matching every symbol of the universe (the "."

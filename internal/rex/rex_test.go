@@ -1,6 +1,7 @@
 package rex
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -12,9 +13,18 @@ const U = 3
 
 func atom(syms ...nfa.Sym) Atom { return Atom{Set: nfa.SetOf(U, syms...), Name: "a"} }
 
+func compile(t *testing.T, n Node) *nfa.NFA {
+	t.Helper()
+	a, err := Compile(n, U)
+	if err != nil {
+		t.Fatalf("Compile(%s): %v", n, err)
+	}
+	return a
+}
+
 func accepts(t *testing.T, n Node, w []nfa.Sym) bool {
 	t.Helper()
-	return Compile(n, U).Accepts(w)
+	return compile(t, n).Accepts(w)
 }
 
 func TestAtom(t *testing.T) {
@@ -74,7 +84,7 @@ func TestStarPlusOpt(t *testing.T) {
 		{opt, []nfa.Sym{0}, true},
 		{opt, []nfa.Sym{0, 0}, false},
 	} {
-		if got := Compile(c.n, U).Accepts(c.w); got != c.want {
+		if got := accepts(t, c.n, c.w); got != c.want {
 			t.Errorf("%s on %v = %v, want %v", c.n, c.w, got, c.want)
 		}
 	}
@@ -174,8 +184,8 @@ func TestStrings(t *testing.T) {
 // Property: Star idempotence (w ∈ L((x*)*) ⇔ w ∈ L(x*)) on random words.
 func TestStarIdempotentProperty(t *testing.T) {
 	inner := Union{Parts: []Node{atom(0), Concat{Parts: []Node{atom(1), atom(2)}}}}
-	a1 := Compile(Star{X: inner}, U)
-	a2 := Compile(Star{X: Star{X: inner}}, U)
+	a1 := compile(t, Star{X: inner})
+	a2 := compile(t, Star{X: Star{X: inner}})
 	f := func(raw []uint8) bool {
 		w := make([]nfa.Sym, len(raw))
 		for i, r := range raw {
@@ -191,8 +201,8 @@ func TestStarIdempotentProperty(t *testing.T) {
 // Property: complement really is language complement on random words.
 func TestNotIsComplementProperty(t *testing.T) {
 	inner := Concat{Parts: []Node{atom(0), Star{X: atom(1)}}}
-	pos := Compile(inner, U)
-	neg := Compile(Not{X: inner}, U)
+	pos := compile(t, inner)
+	neg := compile(t, Not{X: inner})
 	f := func(raw []uint8) bool {
 		w := make([]nfa.Sym, len(raw))
 		for i, r := range raw {
@@ -225,12 +235,35 @@ func TestRepeat(t *testing.T) {
 		{r0, nil, true},
 		{r0, []nfa.Sym{0}, false},
 	} {
-		if got := Compile(c.n, U).Accepts(c.w); got != c.want {
+		if got := accepts(t, c.n, c.w); got != c.want {
 			t.Errorf("%s on %v = %v, want %v", c.n, c.w, got, c.want)
 		}
 	}
 	if r12.String() != "a{1,2}" || r2u.String() != "a{2,}" ||
 		(Repeat{X: atom(0), Min: 3, Max: 3}).String() != "a{3}" {
 		t.Errorf("Repeat String: %s %s", r12, r2u)
+	}
+}
+
+// TestCompileStopsAtMaxStates: a bounded repetition compiles to one state
+// per copy, so X{n} over an atom needs n+1 states (start, final and the
+// n−1 states between copies). Compile builds it up to nfa.MaxStates and
+// refuses one copy more, nested repetitions included.
+func TestCompileStopsAtMaxStates(t *testing.T) {
+	n := nfa.MaxStates - 1
+	a := compile(t, Repeat{X: atom(0), Min: n, Max: n})
+	if a.NumStates() != nfa.MaxStates {
+		t.Fatalf("a{%d} has %d states, want %d", n, a.NumStates(), nfa.MaxStates)
+	}
+	for _, c := range []Node{
+		Repeat{X: atom(0), Min: n + 1, Max: n + 1},
+		Repeat{X: atom(0), Min: 0, Max: n + 1},
+		Repeat{X: Repeat{X: atom(0), Min: 30, Max: 30}, Min: 30, Max: 30},
+		Concat{Parts: []Node{atom(1), Repeat{X: atom(0), Min: n, Max: -1}}},
+		Not{X: Repeat{X: atom(0), Min: n + 1, Max: n + 1}},
+	} {
+		if _, err := Compile(c, U); !errors.Is(err, nfa.ErrTooManyStates) {
+			t.Errorf("Compile(%s) = %v, want nfa.ErrTooManyStates", c, err)
+		}
 	}
 }
