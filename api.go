@@ -99,20 +99,20 @@ type BatchOptions = batch.Options
 type BatchResult = batch.Result
 
 // BatchRunner verifies batches against one network while keeping parsed
-// queries and translated pushdown systems cached between calls; it is safe
-// for concurrent use. Build one with NewBatchRunner when issuing repeated
-// batches (an interactive session or a server); one-shot callers can use
+// queries between calls; every run builds its own pushdown system. It is
+// safe for concurrent use. Build one with NewBatchRunner when issuing
+// repeated batches of the same queries; one-shot callers can use
 // VerifyBatch directly.
 type BatchRunner = batch.Runner
 
-// NewBatchRunner returns a reusable batch runner bound to the network.
+// NewBatchRunner returns a reusable batch runner bound to the network. It
+// keeps each distinct query text it has parsed for its whole life.
 func NewBatchRunner(net *Network) *BatchRunner {
 	return batch.NewRunner(net)
 }
 
 // VerifyBatch verifies many queries against one network concurrently on a
-// bounded worker pool, building each pushdown system once and sharing it
-// read-only across workers. Results are deterministic: same order as the
+// bounded worker pool. Results are deterministic: same order as the
 // input and identical verdicts/witnesses to serial Verify runs regardless
 // of the worker count. Cancelling ctx stops the batch; unfinished queries
 // report the context's error in their Result.

@@ -1,12 +1,12 @@
 // Package batch runs many queries against one network concurrently: the
 // what-if workflow of the paper's §5 asks dozens of queries about a single
-// network snapshot, and those runs share almost all of their work. A
-// Runner owns a per-network translation cache (internal/translate.Cache)
-// so each pushdown system is built once and shared read-only across a
-// bounded worker pool; per-query deadlines and batch-wide cancellation are
-// threaded through context.Context; results come back in input order, and
-// every verdict and witness is identical to what a serial run of
-// engine.Verify would produce (translation and witness search are
+// network snapshot. A Runner compiles each distinct query text once and
+// verifies the batch on a bounded worker pool; each run builds its own
+// pushdown system, unless the runner belongs to a scenario session, whose
+// translation cache it then shares. Per-query deadlines and batch-wide
+// cancellation are threaded through context.Context; results come back in
+// input order, and every verdict and witness is identical to what a serial
+// run of engine.Verify would produce (translation and witness search are
 // deterministic — see DESIGN.md, "Concurrency model").
 package batch
 
@@ -48,7 +48,8 @@ type Options struct {
 	// without affecting the rest of the batch.
 	Timeout time.Duration
 	// Engine is the per-query engine configuration. Its Cache field is
-	// overridden with the runner's shared translation cache.
+	// overridden with the runner's translation cache (nil unless the runner
+	// belongs to a scenario session).
 	Engine engine.Options
 }
 
@@ -74,14 +75,13 @@ type Result struct {
 	Elapsed time.Duration
 }
 
-// Runner verifies batches of queries against one network. It holds the
-// network's compiled state — parsed queries and translated pushdown
-// systems — so repeated batches (an interactive what-if session, the HTTP
-// API, the experiment sweeps) amortise translation across runs. A Runner
-// is safe for concurrent use; overlapping Verify calls share the caches.
+// Runner verifies batches of queries against one network. It keeps the
+// compiled queries, so repeated batches parse each text once; a scenario
+// session's runner also carries the session's translation cache. A Runner
+// is safe for concurrent use; overlapping Verify calls share its state.
 type Runner struct {
 	net   *network.Network
-	cache translate.Getter
+	cache *translate.SessionCache
 
 	mu     sync.Mutex
 	parsed map[string]*parseEntry
@@ -93,17 +93,17 @@ type parseEntry struct {
 	err  error
 }
 
-// NewRunner returns a runner bound to the network with a fresh
-// translation cache.
+// NewRunner returns a runner bound to the network; every run builds its
+// own pushdown system.
 func NewRunner(net *network.Network) *Runner {
-	return NewRunnerWithCache(net, translate.NewCache(net))
+	return NewRunnerWithCache(net, nil)
 }
 
-// NewRunnerWithCache returns a runner using a caller-supplied translation
-// cache — a scenario session passes its SessionCache here so batch runs
-// share the session's incrementally maintained systems. A run on a network
-// the cache does not serve builds from scratch.
-func NewRunnerWithCache(net *network.Network, cache translate.Getter) *Runner {
+// NewRunnerWithCache returns a runner using a scenario session's
+// translation cache, so batch runs share the session's incrementally
+// maintained systems. A run on a network the cache does not serve builds
+// from scratch.
+func NewRunnerWithCache(net *network.Network, cache *translate.SessionCache) *Runner {
 	return &Runner{
 		net:    net,
 		cache:  cache,
@@ -111,11 +111,8 @@ func NewRunnerWithCache(net *network.Network, cache translate.Getter) *Runner {
 	}
 }
 
-// CacheStats reports the translation cache counters.
-func (r *Runner) CacheStats() translate.CacheStats { return r.cache.Stats() }
-
 // parse memoizes query compilation by text. Identical texts share one
-// compiled query, which also makes them share one translation cache entry
+// compiled query, which also makes them share one session cache entry
 // (the cache keys on compiled-query identity).
 func (r *Runner) parse(text string) (*query.Query, error) {
 	r.mu.Lock()
@@ -143,8 +140,8 @@ func (r *Runner) Verify(ctx context.Context, queries []string, opts Options) []R
 // response rendering, so the run and the rendering agree even when a
 // concurrent delta replaces the overlay mid-request. The network must
 // share the runner's topology and label table, because queries are
-// compiled against the runner's network; the translation cache builds for
-// the network it is asked for, or the run builds from scratch.
+// compiled against the runner's network; a session cache builds for the
+// network it is asked for, or the run builds from scratch.
 func (r *Runner) VerifyOn(ctx context.Context, net *network.Network, queries []string, opts Options) []Result {
 	workers := opts.Workers
 	if workers <= 0 {
@@ -220,8 +217,8 @@ func (r *Runner) one(ctx context.Context, net *network.Network, i int, text stri
 }
 
 // Verify is the one-shot entry: it builds a throwaway runner and runs the
-// batch. Callers issuing repeated batches should keep a Runner instead so
-// translations persist between calls.
+// batch, so nothing outlives the call. Callers issuing repeated batches
+// can keep a Runner instead, so each query text is parsed once.
 func Verify(ctx context.Context, net *network.Network, queries []string, opts Options) []Result {
 	return NewRunner(net).Verify(ctx, queries, opts)
 }

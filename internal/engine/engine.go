@@ -123,15 +123,13 @@ type Options struct {
 	NoSlice bool
 	// Saturate overrides the saturation backend (nil = pds.PoststarOpts).
 	Saturate Saturator
-	// Cache, when non-nil and serving the verified network, memoizes
-	// translated systems across runs: the pushdown system is built once per
-	// (query, direction, spec, reductions) and shared read-only, with a
-	// fresh initial automaton cloned per run. Used by the batch runner; any
-	// long-lived caller verifying many queries against one network can set
-	// it. Accepts any translate.Getter — translate.Cache for immutable
-	// networks, translate.SessionCache for scenario overlays. Runs with a
-	// Dist override bypass the cache (functions are not keyable).
-	Cache translate.Getter
+	// Cache, when non-nil and serving the verified network, is a scenario
+	// session's translation cache: the session's overlays share eager
+	// systems assembled from its rule blocks, with a fresh initial
+	// automaton cloned per run. Every other run builds its own system.
+	// Runs with a Dist override bypass the cache (functions are not
+	// keyable).
+	Cache *translate.SessionCache
 }
 
 // Stats reports sizes and timings of a run. OverRules, OverRulesPre and
@@ -322,7 +320,7 @@ func verifyCtx(ctx context.Context, net *network.Network, q *query.Query, opts O
 			return res, err
 		}
 		tb := time.Now()
-		_, overInit = build(translate.Over)
+		overInit = over.InitAuto()
 		res.Stats.BuildTime += time.Since(tb)
 		t := time.Now()
 		overRes, err = sat(over.PDS, overInit, over.Dim, opts.Budget)

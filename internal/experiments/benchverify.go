@@ -41,8 +41,8 @@ type BenchVerifyConfig struct {
 	// and "sweep-zoo-16" (a depth-2 resilience sweep of a 16-router zoo).
 	Network string
 	// Repeat sweeps a batch workload's query set this many times (default
-	// 3); repeats after the first run entirely from the warm translation
-	// cache. The session workloads fix their own passes.
+	// 3) on one runner, which parses each query once; every run builds its
+	// own pushdown system. The session workloads fix their own passes.
 	Repeat int
 	// Seed drives the generated networks and query sets.
 	Seed int64
@@ -96,7 +96,8 @@ type BenchLatency struct {
 }
 
 // BenchCache reports translation-cache effectiveness over the benchmark:
-// the batch runners' caches plus the scenario sessions' overlay caches.
+// the scenario sessions' overlay caches, the only translation caches. The
+// batch rungs build per run and read 0.
 type BenchCache struct {
 	Gets    int64   `json:"gets"`
 	Hits    int64   `json:"hits"`
@@ -272,8 +273,8 @@ func BenchVerify(cfg BenchVerifyConfig) (*BenchVerifyReport, error) {
 	}
 	delta := func(prefix string) int64 { return counterDelta(pre, post, prefix) }
 	rep.Cache = BenchCache{
-		Hits:   delta("translate_cache_hits_total") + delta("scenario_overlay_cache_hits_total"),
-		Misses: delta("translate_cache_misses_total") + delta("scenario_overlay_cache_misses_total"),
+		Hits:   delta("scenario_overlay_cache_hits_total"),
+		Misses: delta("scenario_overlay_cache_misses_total"),
 	}
 	rep.Cache.Gets = rep.Cache.Hits + rep.Cache.Misses
 	if rep.Cache.Gets > 0 {
@@ -403,9 +404,9 @@ type LadderRung struct {
 // routers) and the >250k-rule NORDUnet service configuration. Two session
 // rungs follow: a what-if scenario session and a depth-2 resilience sweep.
 // Each rung writes its own BENCH_verify_<name>.json so regressions localise
-// to a workload. The paper-scale rungs sweep once (the translation cache
-// never warms twice at that size within a sane CI budget); the small batch
-// rungs keep Repeat 3 so the warm-cache path stays covered.
+// to a workload. The paper-scale rungs sweep once, to stay within a sane
+// CI budget; the small batch rungs repeat their sweep to steady the
+// latency figures.
 func BenchLadder() []LadderRung {
 	return []LadderRung{
 		{Name: "running-example", Cfg: BenchVerifyConfig{Network: "running-example", Repeat: 3, Seed: 1}},

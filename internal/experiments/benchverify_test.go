@@ -12,7 +12,7 @@ import (
 
 // TestBenchVerifyRunningExample runs the benchmark on the running
 // example and checks the report end to end: internal consistency
-// (via the validator), warm-cache behaviour and non-zero saturation work.
+// (via the validator), per-run translation and non-zero saturation work.
 func TestBenchVerifyRunningExample(t *testing.T) {
 	rep, err := BenchVerify(BenchVerifyConfig{Repeat: 2, Seed: 1})
 	if err != nil {
@@ -31,9 +31,17 @@ func TestBenchVerifyRunningExample(t *testing.T) {
 	if rep.Errors != 0 {
 		t.Fatalf("errors = %d, want 0", rep.Errors)
 	}
-	// The second sweep runs entirely from the warm cache.
-	if rep.Cache.Hits == 0 {
-		t.Errorf("cache hits = 0 over %d runs of %d queries", rep.Runs, rep.Queries)
+	// A batch rung has no translation cache: every run builds its own
+	// system, so two sweeps emit twice the rules of one.
+	if rep.Cache != (BenchCache{}) {
+		t.Errorf("batch rung cache = %+v, want all zero", rep.Cache)
+	}
+	one, err := BenchVerify(BenchVerifyConfig{Repeat: 1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e1, e2 := one.Translation.RulesEmitted, rep.Translation.RulesEmitted; e1 == 0 || e2 != 2*e1 {
+		t.Errorf("rules emitted: %d over one sweep, %d over two; want twice a positive count", e1, e2)
 	}
 	if rep.Saturation.WorklistPops == 0 || rep.Saturation.TransInserted == 0 {
 		t.Errorf("saturation counters empty: %+v", rep.Saturation)

@@ -232,9 +232,8 @@ func Figure4(cfg Figure4Config) *Figure4Result {
 		for j, q := range qs {
 			texts[j] = q.Text
 		}
-		// One runner per network: the three engine sweeps reuse each
-		// other's translations (the cache keys on query, direction and
-		// weight spec, not on the saturation backend).
+		// One runner per network: the three engine sweeps share its
+		// parsed queries; each run builds its own pushdown system.
 		runner := batch.NewRunner(s.Net)
 		for k := EngineKind(0); k < NumEngines; k++ {
 			rs := runner.Verify(context.Background(), texts, batch.Options{

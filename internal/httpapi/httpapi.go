@@ -82,7 +82,6 @@ import (
 type Server struct {
 	mu       sync.RWMutex
 	networks map[string]*network.Network
-	runners  map[string]*batch.Runner
 	sessions map[string]*sessionEntry
 	nextSess int
 	// MaxBudget caps per-request saturation work (0 = unlimited); requests
@@ -115,7 +114,6 @@ type sessionEntry struct {
 func NewServer() *Server {
 	return &Server{
 		networks: make(map[string]*network.Network),
-		runners:  make(map[string]*batch.Runner),
 		sessions: make(map[string]*sessionEntry),
 		nextSess: 1,
 	}
@@ -126,7 +124,6 @@ func (s *Server) Register(net *network.Network) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.networks[net.Name] = net
-	s.runners[net.Name] = batch.NewRunner(net)
 }
 
 // Handler returns the HTTP handler with all routes mounted.
@@ -166,8 +163,8 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/api/verify-batch", gone("/api/v1/verify-batch"))
 
 	// Prometheus text exposition of the process-wide metrics registry:
-	// saturation counters, translation-cache effectiveness, batch latency
-	// histograms, per-phase engine timings, scenario session gauges.
+	// saturation counters, translation counters, batch latency histograms,
+	// per-phase engine timings, scenario session gauges.
 	mux.Handle("GET /metrics", obs.Handler(obs.Default))
 
 	// The outermost layer turns the mux's own plain-text 404/405 pages into
@@ -294,7 +291,7 @@ type LinkJSON struct {
 }
 
 func (s *Server) handleTopology(w http.ResponseWriter, r *http.Request) {
-	net, _ := s.lookup(r.PathValue("name"))
+	net := s.lookup(r.PathValue("name"))
 	if net == nil {
 		writeErrorDetails(w, http.StatusNotFound, "not-found", "unknown network",
 			map[string]string{"network": r.PathValue("name")})
@@ -379,7 +376,7 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	net, runner := s.lookup(req.Network)
+	net := s.lookup(req.Network)
 	if net == nil {
 		writeErrorDetails(w, http.StatusNotFound, "not-found", "unknown network "+req.Network,
 			map[string]string{"network": req.Network})
@@ -393,10 +390,9 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	// Run through the network's batch runner: the translated pushdown
-	// system lands in (or comes from) the shared cache, and a client
-	// disconnect cancels the saturation via the request context.
-	br := runner.Verify(r.Context(), []string{req.Query}, batch.Options{
+	// A one-query batch: it keeps nothing once the request ends, and a
+	// client disconnect cancels the saturation via the request context.
+	br := batch.Verify(r.Context(), net, []string{req.Query}, batch.Options{
 		Workers: 1, Engine: opts,
 	})[0]
 	if br.Err != nil {
@@ -437,7 +433,7 @@ func (s *Server) handleVerifyBatch(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	net, runner := s.lookup(req.Network)
+	net := s.lookup(req.Network)
 	if net == nil {
 		writeErrorDetails(w, http.StatusNotFound, "not-found", "unknown network "+req.Network,
 			map[string]string{"network": req.Network})
@@ -452,7 +448,7 @@ func (s *Server) handleVerifyBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	results := runner.Verify(r.Context(), req.Queries, batch.Options{
+	results := batch.Verify(r.Context(), net, req.Queries, batch.Options{
 		Workers: s.clampWorkers(req.Workers),
 		Timeout: time.Duration(req.TimeoutMS) * time.Millisecond,
 		Engine:  opts,
@@ -497,7 +493,7 @@ type SweepStreamEvent struct {
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	net, _ := s.lookup(r.PathValue("name"))
+	net := s.lookup(r.PathValue("name"))
 	if net == nil {
 		writeErrorDetails(w, http.StatusNotFound, "not-found", "unknown network "+r.PathValue("name"),
 			map[string]string{"network": r.PathValue("name")})
@@ -632,7 +628,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	net, _ := s.lookup(req.Network)
+	net := s.lookup(req.Network)
 	if net == nil {
 		writeErrorDetails(w, http.StatusNotFound, "not-found", "unknown network "+req.Network,
 			map[string]string{"network": req.Network})
@@ -904,10 +900,10 @@ func errStatus(err error) int {
 	}
 }
 
-func (s *Server) lookup(name string) (*network.Network, *batch.Runner) {
+func (s *Server) lookup(name string) *network.Network {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.networks[name], s.runners[name]
+	return s.networks[name]
 }
 
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {

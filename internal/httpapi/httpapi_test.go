@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -315,18 +316,10 @@ func TestVerifyBatchBudgetCode(t *testing.T) {
 	}
 }
 
-// TestMetricsEndpoint drives a batch through the API and checks that
-// GET /metrics exposes non-zero saturation, cache and latency metrics in
-// Prometheus text format.
-func TestMetricsEndpoint(t *testing.T) {
-	ts := newTestServer(t)
-	postBatch(t, ts, httpapi.VerifyBatchRequest{
-		Network: "running-example",
-		Queries: []string{
-			"<ip> [.#v0] .* [v3#.] <ip> 0",
-			"<ip> [.#v0] .* [v3#.] <ip> 0", // repeat → cache hit
-		},
-	})
+// getMetrics returns the GET /metrics body, checking its status and
+// content type.
+func getMetrics(t *testing.T, ts *httptest.Server) string {
+	t.Helper()
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -342,7 +335,19 @@ func TestMetricsEndpoint(t *testing.T) {
 	if _, err := buf.ReadFrom(resp.Body); err != nil {
 		t.Fatal(err)
 	}
-	body := buf.String()
+	return buf.String()
+}
+
+// TestMetricsEndpoint drives a batch through the API and checks that
+// GET /metrics exposes non-zero saturation, translation and latency
+// metrics in Prometheus text format.
+func TestMetricsEndpoint(t *testing.T) {
+	ts := newTestServer(t)
+	postBatch(t, ts, httpapi.VerifyBatchRequest{
+		Network: "running-example",
+		Queries: []string{"<ip> [.#v0] .* [v3#.] <ip> 0"},
+	})
+	body := getMetrics(t, ts)
 	for _, want := range []string{
 		"pds_worklist_pops_total{alg=\"poststar\"}",
 		"pds_early_accept_total",
@@ -353,7 +358,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"translate_rules_emitted_total",
 		"translate_rules_kept_total",
 		"engine_early_accept_fallback_total",
-		"translate_cache_gets_total{network=\"running-example\"}",
 		"batch_query_seconds_count",
 		"engine_phase_seconds_bucket{phase=\"build\",le=",
 	} {
@@ -362,7 +366,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 	}
 	// The registry is process-global and other tests contribute, but this
-	// batch alone guarantees non-zero pops and cache gets.
+	// batch alone guarantees non-zero pops.
 	if strings.Contains(body, "pds_worklist_pops_total{alg=\"poststar\"} 0\n") {
 		t.Error("poststar pops counter is zero after a batch")
 	}
@@ -370,6 +374,43 @@ func TestMetricsEndpoint(t *testing.T) {
 	// rules.
 	if strings.Contains(body, "engine_rules_generated_total{approx=\"over\"} 0\n") {
 		t.Error("over generated-rules counter is zero after a batch")
+	}
+}
+
+// TestRegisteredNetworkKeepsNoQueryState posts the same noReductions
+// verify twice: a registered network keeps no translated system between
+// requests, so the second request emits exactly the rules the first did.
+func TestRegisteredNetworkKeepsNoQueryState(t *testing.T) {
+	ts := newTestServer(t)
+	emitted := func() int64 {
+		t.Helper()
+		for _, line := range strings.Split(getMetrics(t, ts), "\n") {
+			if v, ok := strings.CutPrefix(line, "translate_rules_emitted_total "); ok {
+				n, err := strconv.ParseInt(v, 10, 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return n
+			}
+		}
+		t.Fatal("metrics output has no translate_rules_emitted_total")
+		return 0
+	}
+	req := httpapi.VerifyRequest{
+		Network:      "running-example",
+		Query:        "<ip> [.#v0] .* [v3#.] <ip> 0",
+		NoReductions: true,
+	}
+	var grew [2]int64
+	for i := range grew {
+		before := emitted()
+		if resp, out := postVerify(t, ts, req); resp.StatusCode != http.StatusOK || out.Verdict != "satisfied" {
+			t.Fatalf("request %d: status %d, result %+v", i, resp.StatusCode, out)
+		}
+		grew[i] = emitted() - before
+	}
+	if grew[0] <= 0 || grew[1] != grew[0] {
+		t.Fatalf("translate_rules_emitted_total grew by %d then %d, want the same positive amount", grew[0], grew[1])
 	}
 }
 
@@ -483,7 +524,8 @@ func TestRequestBodyCap(t *testing.T) {
 }
 
 // TestConcurrentBatch fires overlapping batch requests (and a worker cap)
-// at one server; under -race this stresses the per-network runner sharing.
+// at one server; under -race this stresses what requests on one registered
+// network share.
 func TestConcurrentBatch(t *testing.T) {
 	s := httpapi.NewServer()
 	s.Register(gen.RunningExample().Network)

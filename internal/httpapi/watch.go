@@ -174,7 +174,7 @@ func (s *Server) handleWatchEvents(w http.ResponseWriter, r *http.Request) {
 // OnFlush pass through. The returned ingester is ready for Run; the
 // session id is returned for logging.
 func (s *Server) AttachLiveFeed(netName string, opts live.Options) (*live.Ingester, string, error) {
-	net, _ := s.lookup(netName)
+	net := s.lookup(netName)
 	if net == nil {
 		return nil, "", fmt.Errorf("unknown network %q", netName)
 	}

@@ -17,6 +17,18 @@ const MaxStates = 512
 // ErrTooManyStates reports an automaton that would exceed MaxStates.
 var ErrTooManyStates = fmt.Errorf("automaton exceeds the %d-state bound", MaxStates)
 
+// MaxArcs bounds the arcs of the ε-free automata compiled from query text:
+// EpsFree and Product stop once their result would have more. Within
+// MaxStates, ε-elimination alone can ask for quadratically many arcs
+// (`(x?){n}` gives each state the arcs of every later one), and every
+// later step (Product, Minterms, subset construction and, for header
+// expressions, the per-arc set work over the whole label table) pays per
+// arc. The generator and Table 1 query families keep at most ten.
+const MaxArcs = 512
+
+// ErrTooManyArcs reports an automaton that would exceed MaxArcs.
+var ErrTooManyArcs = fmt.Errorf("automaton exceeds the %d-arc bound", MaxArcs)
+
 // Minterms computes the atomic partition of the universe induced by the
 // distinct arc sets of the automaton: the coarsest partition such that each
 // arc set is a union of blocks. Subset construction can then treat every
@@ -141,10 +153,19 @@ func (a *NFA) Complement() (*NFA, error) {
 
 // Product returns an automaton for the intersection of two languages over
 // the same universe, built as the synchronous product of the epsilon-free
-// forms.
-func Product(a, b *NFA) *NFA {
-	af, bf := a.EpsFree(), b.EpsFree()
+// forms. It fails with ErrTooManyArcs when either form or the product
+// would have more than MaxArcs arcs.
+func Product(a, b *NFA) (*NFA, error) {
+	af, err := a.EpsFree()
+	if err != nil {
+		return nil, err
+	}
+	bf, err := b.EpsFree()
+	if err != nil {
+		return nil, err
+	}
 	out := New(a.universe)
+	arcs := 0
 	type pair struct{ x, y State }
 	idx := map[pair]State{}
 	get := func(p pair) State {
@@ -175,6 +196,9 @@ func Product(a, b *NFA) *NFA {
 				if inter.IsEmpty() {
 					continue
 				}
+				if arcs++; arcs > MaxArcs {
+					return nil, ErrTooManyArcs
+				}
 				np := pair{ax.To, bx.To}
 				ns := get(np)
 				out.AddArc(ps, inter, ns)
@@ -185,5 +209,5 @@ func Product(a, b *NFA) *NFA {
 			}
 		}
 	}
-	return out
+	return out, nil
 }

@@ -169,11 +169,22 @@ func (a *NFA) Empty() bool {
 	return true
 }
 
+// NumArcs returns the number of symbol transitions.
+func (a *NFA) NumArcs() int {
+	n := 0
+	for _, arcs := range a.arcs {
+		n += len(arcs)
+	}
+	return n
+}
+
 // EpsFree returns an equivalent automaton without epsilon transitions.
 // State indices are preserved (plus no new states are added): each state
 // gains the arcs of its epsilon closure, and becomes accepting if its
-// closure contains an accepting state.
-func (a *NFA) EpsFree() *NFA {
+// closure contains an accepting state. A state's closure can hold every
+// other state, so the result can have quadratically many arcs; EpsFree
+// stops with ErrTooManyArcs once it would have more than MaxArcs.
+func (a *NFA) EpsFree() (*NFA, error) {
 	out := &NFA{
 		universe: a.universe,
 		arcs:     make([][]Arc, len(a.arcs)),
@@ -181,16 +192,19 @@ func (a *NFA) EpsFree() *NFA {
 		start:    a.start,
 		accept:   make([]bool, len(a.accept)),
 	}
+	n := 0
 	for s := range a.arcs {
-		cl := a.EpsClosure(s)
-		for _, c := range cl {
+		for _, c := range a.EpsClosure(s) {
 			if a.accept[c] {
 				out.accept[s] = true
 			}
 			out.arcs[s] = append(out.arcs[s], a.arcs[c]...)
+			if n += len(a.arcs[c]); n > MaxArcs {
+				return nil, ErrTooManyArcs
+			}
 		}
 	}
-	return out
+	return out, nil
 }
 
 func sortStates(s []State) {

@@ -154,7 +154,7 @@ func TestEpsClosureAndEpsFree(t *testing.T) {
 	if len(cl) != 3 {
 		t.Fatalf("closure = %v", cl)
 	}
-	f := a.EpsFree()
+	f := epsFree(t, a)
 	if !f.Accepting(f.Start()) {
 		t.Error("EpsFree lost acceptance via closure")
 	}
@@ -257,7 +257,7 @@ func TestProduct(t *testing.T) {
 	l2.AddArc(l2.Start(), FullSet(2), m)
 	l2.AddArc(m, FullSet(2), fin)
 	l2.SetAccept(fin, true)
-	p := Product(l1, l2)
+	p := product(t, l1, l2)
 	if !p.Accepts([]Sym{0, 1}) {
 		t.Error("product rejects ab")
 	}
@@ -277,7 +277,7 @@ func TestProductEmptyIntersection(t *testing.T) {
 	fb := onlyB.AddState()
 	onlyB.AddArc(onlyB.Start(), SetOf(2, 1), fb)
 	onlyB.SetAccept(fb, true)
-	if p := Product(onlyA, onlyB); !p.Empty() {
+	if p := product(t, onlyA, onlyB); !p.Empty() {
 		t.Error("intersection of {a} and {b} not empty")
 	}
 }
@@ -335,7 +335,7 @@ func TestMinimizeReducesRedundantStates(t *testing.T) {
 // Property: minimization is idempotent and preserves the language on random
 // words.
 func TestMinimizeProperty(t *testing.T) {
-	inner := Product(complement(t, buildAB()), complement(t, determinize(t, buildAB())))
+	inner := product(t, complement(t, buildAB()), complement(t, determinize(t, buildAB())))
 	m1 := minimize(t, inner)
 	m2 := minimize(t, m1)
 	if m2.NumStates() != m1.NumStates() {
@@ -353,6 +353,24 @@ func TestMinimizeProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+func epsFree(t *testing.T, a *NFA) *NFA {
+	t.Helper()
+	f, err := a.EpsFree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+func product(t *testing.T, a, b *NFA) *NFA {
+	t.Helper()
+	p, err := Product(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 func determinize(t *testing.T, a *NFA) *NFA {
@@ -425,5 +443,76 @@ func TestDeterminizeStopsAtMaxStates(t *testing.T) {
 	}
 	if _, err := a.Complement(); !errors.Is(err, ErrTooManyStates) {
 		t.Fatalf("Complement(k=10) = %v, want ErrTooManyStates", err)
+	}
+}
+
+// optionalChain is (0?){n}: states 0..n in a line, each with an arc and an
+// ε-move to the next. State i's ε-closure reaches every later state, so
+// its ε-free form has n(n+1)/2 arcs.
+func optionalChain(n int) *NFA {
+	a := New(1)
+	cur := a.Start()
+	for i := 0; i < n; i++ {
+		next := a.AddState()
+		a.AddArc(cur, FullSet(1), next)
+		a.AddEps(cur, next)
+		cur = next
+	}
+	a.SetAccept(cur, true)
+	return a
+}
+
+// TestEpsFreeStopsAtMaxArcs: (0?){31} has 496 ε-free arcs and (0?){32}
+// 528, one side of MaxArcs each.
+func TestEpsFreeStopsAtMaxArcs(t *testing.T) {
+	if MaxArcs != 512 {
+		t.Fatalf("MaxArcs = %d; retune the chain lengths below to sit at the bound", MaxArcs)
+	}
+	f := epsFree(t, optionalChain(31))
+	if f.NumArcs() != 31*32/2 {
+		t.Fatalf("(0?){31}: %d ε-free arcs, want %d", f.NumArcs(), 31*32/2)
+	}
+	if !f.Accepts(nil) || !f.Accepts(make([]Sym, 31)) || f.Accepts(make([]Sym, 32)) {
+		t.Error("(0?){31}: EpsFree changed the language")
+	}
+	if _, err := optionalChain(32).EpsFree(); !errors.Is(err, ErrTooManyArcs) {
+		t.Fatalf("(0?){32}: EpsFree = %v, want ErrTooManyArcs", err)
+	}
+	if _, err := Product(optionalChain(32), optionalChain(1)); !errors.Is(err, ErrTooManyArcs) {
+		t.Fatalf("Product of (0?){32}: %v, want ErrTooManyArcs", err)
+	}
+}
+
+// TestProductStopsAtMaxArcs intersects a line of n arcs with a two-state
+// automaton whose every state has two full arcs: the product has 4n−2
+// arcs, 510 for n = 128 and 514 for n = 129.
+func TestProductStopsAtMaxArcs(t *testing.T) {
+	line := func(n int) *NFA {
+		a := New(1)
+		cur := a.Start()
+		for i := 0; i < n; i++ {
+			next := a.AddState()
+			a.AddArc(cur, FullSet(1), next)
+			cur = next
+		}
+		a.SetAccept(cur, true)
+		return a
+	}
+	two := New(1)
+	s1 := two.AddState()
+	for _, from := range []State{two.Start(), s1} {
+		two.AddArc(from, FullSet(1), two.Start())
+		two.AddArc(from, FullSet(1), s1)
+	}
+	two.SetAccept(s1, true)
+	p := product(t, line(128), two)
+	if p.NumArcs() != 4*128-2 {
+		t.Fatalf("product of 128 arcs: %d arcs, want %d", p.NumArcs(), 4*128-2)
+	}
+	if !p.Accepts(make([]Sym, 128)) || p.Accepts(make([]Sym, 127)) {
+		t.Error("product language changed")
+	}
+	if _, err := Product(line(129), two); !errors.Is(err, ErrTooManyArcs) {
+		t.Fatalf("product of 129 arcs: %v, want ErrTooManyArcs", err)
 	}
 }

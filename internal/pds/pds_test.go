@@ -478,6 +478,35 @@ func TestWeightedPushPop(t *testing.T) {
 	}
 }
 
+// TestProbesCountSaturationOnly pins pds_index_probes_total to the
+// saturation's own chain walks: saturating an initial automaton and its
+// Clone adds the same count, although only the original's construction
+// walked chains.
+func TestProbesCountSaturationOnly(t *testing.T) {
+	p := anbn()
+	const bot = 2
+	init := NewAuto(p)
+	for i := 0; i < 3; i++ {
+		s := init.AddState()
+		init.AddEdge(0, bot, s)
+		init.SetAccept(s, true)
+	}
+	if init.probes == 0 {
+		t.Fatal("building the initial automaton walked no chain")
+	}
+	clone := init.Clone()
+	saturate := func(a *Auto) int64 {
+		p0 := postProbes.Value()
+		if _, err := PoststarOpts(p, a, SatOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		return postProbes.Value() - p0
+	}
+	if fromClone, fromInit := saturate(clone), saturate(init); fromClone != fromInit || fromInit == 0 {
+		t.Fatalf("probes: clone %d, original %d; want equal and positive", fromClone, fromInit)
+	}
+}
+
 func TestStatsAndString(t *testing.T) {
 	p := anbn()
 	st := p.Stats()

@@ -156,6 +156,9 @@ func newPostRun(p *PDS, init *Auto, o SatOptions) (*postRun, error) {
 	if err := init.Validate(); err != nil {
 		return nil, err
 	}
+	// The tally counts saturation only: building init walked chains too,
+	// and a Clone of it starts at zero, so drop what construction left.
+	init.takeProbes()
 	r := &postRun{p: p, rules: p.Rules, a: init, o: o, dim: o.Dim, sc: getScratch(), nextCheck: firstCheck}
 	if p.Gen != nil {
 		r.rules = nil

@@ -11,11 +11,12 @@ import (
 
 // FuzzQueryParse parses arbitrary query text against the running example.
 // Parse must never panic, and every query it accepts must have initial
-// header, final header and path automata within nfa.MaxStates. The seeds
-// are the Table 1 and generator query shapes on the running example's
-// routers, and the two shapes whose automata grow past the bound: a long
-// bounded repetition and a path whose subset construction doubles with
-// every dot.
+// header, final header and path automata within nfa.MaxStates states and
+// nfa.MaxArcs arcs. The seeds are the Table 1 and generator query shapes
+// on the running example's routers, and the shapes whose automata grow
+// past a bound: a long bounded repetition, a path whose subset
+// construction doubles with every dot, and repeated optional parts, whose
+// ε-free arcs grow with the square of the count.
 func FuzzQueryParse(f *testing.F) {
 	net := gen.RunningExample().Network
 	for i := 0; i <= 4; i++ {
@@ -39,6 +40,9 @@ func FuzzQueryParse(f *testing.F) {
 		"<ip> [.#v0] (.{30}){30} <ip> 0",
 		fmt.Sprintf("<ip> .* [.#v2] %s <ip> 0", dots(12)),
 		fmt.Sprintf("<ip> ^(.* [.#v2] %s) <ip> 0", dots(12)),
+		"<ip> [.#v0] ((.|[v0#v1]|[v1#v2]|[v2#v3]|[.#v2])?){510} <ip> 0",
+		"<ip> [.#v0] (.?){510} <ip> 0",
+		"<(mpls?){500} smpls ip> .* <ip> 0",
 	} {
 		f.Add(s)
 	}
@@ -50,6 +54,9 @@ func FuzzQueryParse(f *testing.F) {
 		for _, a := range []*nfa.NFA{q.PreNFA, q.PostNFA, q.PathNFA} {
 			if a.NumStates() > nfa.MaxStates {
 				t.Fatalf("Parse(%q) kept an automaton of %d states, over the %d-state bound", text, a.NumStates(), nfa.MaxStates)
+			}
+			if a.NumArcs() > nfa.MaxArcs {
+				t.Fatalf("Parse(%q) kept an automaton of %d arcs, over the %d-arc bound", text, a.NumArcs(), nfa.MaxArcs)
 			}
 		}
 	})

@@ -79,28 +79,35 @@ func Parse(text string, net *network.Network) (*Query, error) {
 // compile builds the ε-free automaton of n over a universe of u symbols,
 // intersected with within unless that is nil, and shrinks it. It fails
 // with nfa.ErrTooManyStates when any step, or the result, would pass
-// nfa.MaxStates states.
+// nfa.MaxStates states, and with nfa.ErrTooManyArcs when the ε-free
+// automaton or the intersection would pass nfa.MaxArcs arcs.
 func compile(n rex.Node, u int, within *nfa.NFA) (*nfa.NFA, error) {
 	a, err := rex.Compile(n, u)
 	if err != nil {
 		return nil, err
 	}
 	if within != nil {
-		a = nfa.Product(a, within)
+		a, err = nfa.Product(a, within)
+	} else {
+		a, err = a.EpsFree()
 	}
-	if a = shrink(a.EpsFree()); a.NumStates() > nfa.MaxStates {
+	if err != nil {
+		return nil, err
+	}
+	if a = shrink(a); a.NumStates() > nfa.MaxStates {
 		return nil, nfa.ErrTooManyStates
 	}
 	return a, nil
 }
 
-// shrink replaces an automaton by its minimal DFA when that is strictly
-// smaller. The path automaton's state count multiplies directly into the
-// pushdown system's control-state count, so this is a win-only heuristic.
-// An automaton whose subset construction would pass nfa.MaxStates stays
-// as it is: the language is the same either way.
+// shrink replaces an ε-free automaton by its minimal DFA when that has
+// strictly fewer states and stays within nfa.MaxArcs arcs. The path
+// automaton's state count multiplies directly into the pushdown system's
+// control-state count, so this is a win-only heuristic. An automaton whose
+// subset construction would pass nfa.MaxStates stays as it is: the
+// language is the same either way.
 func shrink(a *nfa.NFA) *nfa.NFA {
-	if m, err := a.Minimize(); err == nil && m.NumStates() < a.NumStates() {
+	if m, err := a.Minimize(); err == nil && m.NumStates() < a.NumStates() && m.NumArcs() <= nfa.MaxArcs {
 		return m
 	}
 	return a

@@ -12,8 +12,8 @@ import (
 )
 
 // TestBuildDeterministic builds the same system repeatedly and demands
-// byte-identical rule sequences: cached (built-once) and uncached
-// (built-per-run) verifications must make identical tie-breaks among
+// byte-identical rule sequences: session-cached (built-once) and
+// built-per-run verifications must make identical tie-breaks among
 // equally minimal witnesses.
 func TestBuildDeterministic(t *testing.T) {
 	s := gen.Zoo(gen.ZooOpts{Routers: 30, Seed: 7, Protection: true})
@@ -37,11 +37,11 @@ func TestBuildDeterministic(t *testing.T) {
 	}
 }
 
-// TestSharedSystemConcurrentSaturation saturates one translated system from
-// several goroutines at once, each with its own initial automaton. This is
-// the sharing pattern of the batch runner's translation cache; it is a race
-// regression test for the formerly lazy rule indexes of pds.PDS (run it
-// under -race).
+// TestSharedSystemConcurrentSaturation saturates one eager translated
+// system from several goroutines at once, each with its own initial
+// automaton. This is how a scenario session's SessionCache shares a system
+// among the concurrent runs of a batch; it is a race regression test for
+// the formerly lazy rule indexes of pds.PDS (run it under -race).
 func TestSharedSystemConcurrentSaturation(t *testing.T) {
 	net := gen.RunningExample().Network
 	q, err := query.Parse("<smpls? ip> [.#v0] . . . .* [v3#.] <smpls? ip> 1", net)

@@ -1,6 +1,7 @@
 package translate
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -9,24 +10,7 @@ import (
 	"aalwines/internal/pds"
 	"aalwines/internal/query"
 	"aalwines/internal/routing"
-)
-
-// Getter abstracts a translation cache for the engine: anything that can
-// hand out a (shared, read-only) System plus a private initial automaton
-// for a compiled query on a network. Cache implements it for one
-// immutable network, SessionCache for the overlays of a scenario session.
-type Getter interface {
-	// Get returns the translated system of (net, q, opts) and a fresh
-	// initial automaton, or ok false when the cache does not serve net;
-	// the engine then builds from scratch.
-	Get(net *network.Network, q *query.Query, opts Options) (sys *System, init *pds.Auto, ok bool)
-	// Stats reports cache effectiveness counters.
-	Stats() CacheStats
-}
-
-var (
-	_ Getter = (*Cache)(nil)
-	_ Getter = (*SessionCache)(nil)
+	"aalwines/internal/weight"
 )
 
 // ruleBlock is the relocatable form of the rules one routing-table key
@@ -187,13 +171,15 @@ var (
 
 // SessionCache memoizes translated systems for the overlays of a scenario
 // session: networks that share the base's topology and label table and
-// differ in routing content. Entries are keyed like Cache's — by compiled
-// query identity, direction, weight spec and reduction flag. Each entry
-// keeps the System it last assembled, keyed by the overlay it was built
-// for, and a BlockStore of per-routing-key rule blocks. A Get for that
-// same overlay is a pure hit; a Get for any other overlay reassembles the
-// system with BuildIncremental, which re-emits only the keys whose groups
-// match no retained block and splices every other block from the store.
+// differ in routing content. It is the only translation cache: one-shot
+// and batch runs build their systems per run. Entries are keyed by
+// compiled query identity, direction, weight spec and reduction flag
+// (cacheKey). Each entry keeps the System it last assembled, keyed by the
+// overlay it was built for, and a BlockStore of per-routing-key rule
+// blocks. A Get for that same overlay is a pure hit; a Get for any other
+// overlay reassembles the system with BuildIncremental, which re-emits
+// only the keys whose groups match no retained block and splices every
+// other block from the store.
 type SessionCache struct {
 	base *network.Network
 
@@ -202,6 +188,25 @@ type SessionCache struct {
 
 	gets, hits                  atomic.Int64
 	blocksReused, blocksRebuilt atomic.Int64
+}
+
+// cacheKey identifies a SessionCache entry: the compiled query by pointer
+// identity, the direction, the weight spec and the reduction flag. Callers
+// that want textual deduplication (the batch runner does) parse each
+// distinct query text once and reuse the *query.Query. The failure bound k
+// is part of the compiled query, so it needs no separate key component.
+type cacheKey struct {
+	q            *query.Query
+	mode         Mode
+	spec         string // rendering of the weight spec; "" = unweighted
+	noReductions bool
+}
+
+func specString(s weight.Spec) string {
+	if s == nil {
+		return ""
+	}
+	return fmt.Sprintf("%v", s)
 }
 
 type sessionEntry struct {
@@ -232,7 +237,7 @@ func (c *SessionCache) Get(net *network.Network, q *query.Query, opts Options) (
 	// reuse, so session builds are always eager (DESIGN.md §11).
 	opts.Slice = false
 	if opts.Dist != nil {
-		// Functions have no identity; build fresh without caching, like Cache.
+		// Functions have no identity; build fresh without caching.
 		mOverlayMisses.Inc()
 		sys := Build(net, q, opts)
 		return sys, sys.InitAuto(), true
@@ -265,6 +270,15 @@ func (c *SessionCache) Get(net *network.Network, q *query.Query, opts Options) (
 	// record shared with the pristine automaton.
 	e.init.NormalizeWeights(sys.Dim)
 	return e.sys, e.init.Clone(), true
+}
+
+// CacheStats summarises cache effectiveness. Hits = Gets - Misses; a get
+// that blocked on another goroutine's in-flight build counts as a hit.
+type CacheStats struct {
+	Entries int
+	Gets    int64
+	Misses  int64
+	Hits    int64
 }
 
 // Stats reports assembled-system cache effectiveness (a miss is a Get that

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 
 	"aalwines/internal/gen"
@@ -149,34 +148,6 @@ func TestSliceEffectiveness(t *testing.T) {
 	}
 }
 
-// TestSliceCacheKeyed checks that a Cache keeps on-the-fly and eager
-// systems in separate entries, shares an eager System as is and hands out
-// a private copy of an on-the-fly one over the same generator.
-func TestSliceCacheKeyed(t *testing.T) {
-	re := gen.RunningExample()
-	q := mustParse(t, "<ip> [.#v0] .* [v3#.] <ip> 0", re.Network)
-	c := translate.NewCache(re.Network)
-	lazy1, _, _ := c.Get(re.Network, q, translate.Options{Slice: true})
-	lazy2, _, _ := c.Get(re.Network, q, translate.Options{Slice: true})
-	eager1, _, _ := c.Get(re.Network, q, translate.Options{})
-	eager2, _, _ := c.Get(re.Network, q, translate.Options{})
-	if lazy1.PDS.Gen == nil || eager1.PDS.Gen != nil {
-		t.Fatal("cache conflated on-the-fly and eager builds")
-	}
-	if lazy1 == lazy2 || lazy1.PDS == lazy2.PDS {
-		t.Fatal("on-the-fly gets share one rule store")
-	}
-	if !reflect.DeepEqual(lazy1.PDS.Gen, lazy2.PDS.Gen) {
-		t.Fatal("on-the-fly gets do not share the generator")
-	}
-	if eager1 != eager2 {
-		t.Fatal("eager gets did not share the built system")
-	}
-	if st := c.Stats(); st.Entries != 2 || st.Gets != 4 || st.Misses != 2 {
-		t.Fatalf("cache stats %+v, want 2 entries, 4 gets, 2 misses", st)
-	}
-}
-
 // TestSessionCacheIgnoresSlice pins the incremental fallback rule: a
 // SessionCache serves scenario overlays through per-key block reuse, which
 // only the eager product has — so it always builds eagerly, even when
@@ -219,32 +190,15 @@ func decodeWitness(t *testing.T, sys *translate.System, init *pds.Auto) network.
 }
 
 // TestOnTheFlyResaturation saturates one on-the-fly System twice, the
-// second time from another build's initial automaton, as the engine and
-// the benchmark's re-drive do on an early-accept fallback: each run keeps
-// its own rule store, and decoding reads the latest one. Beside it,
-// goroutines saturate copies of one cached on-the-fly entry; run under
-// -race, this checks that the shared generator stays read-only.
+// second time from another build's initial automaton, as the benchmark's
+// re-drive does on an early-accept fallback: each run keeps its own rule
+// store, and decoding reads the latest one.
 func TestOnTheFlyResaturation(t *testing.T) {
 	net := gen.RunningExample().Network
 	text := "<smpls? ip> [.#v0] . . . .* [v3#.] <smpls? ip> 1"
 	q := mustParse(t, text, net)
 	eager := translate.Build(net, q, translate.Options{})
 	want := decodeWitness(t, eager, eager.InitAuto()).Format(net)
-
-	c := translate.NewCache(net)
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 3; i++ {
-				sys, init, _ := c.Get(net, q, translate.Options{Slice: true})
-				if got := decodeWitness(t, sys, init).Format(net); got != want {
-					t.Errorf("cached on-the-fly witness %s, eager %s", got, want)
-				}
-			}
-		}()
-	}
 
 	sys := translate.Build(net, q, translate.Options{Slice: true})
 	first, err := pds.PoststarOpts(sys.PDS, sys.InitAuto(), pds.SatOptions{
@@ -264,5 +218,4 @@ func TestOnTheFlyResaturation(t *testing.T) {
 	if other.Generated() != 0 {
 		t.Error("saturating sys generated rules into the other build")
 	}
-	wg.Wait()
 }

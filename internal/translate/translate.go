@@ -241,19 +241,6 @@ func (s *System) Generated() int {
 	return len(s.PDS.Rules)
 }
 
-// share returns the System one caller may saturate. An eager System is
-// immutable and shared as is. An on-the-fly one gets its own PDS header,
-// whose rule store each saturation replaces, over the shared generator.
-func (s *System) share() *System {
-	if s.PDS.Gen == nil {
-		return s
-	}
-	c := *s
-	p := *s.PDS
-	c.PDS = &p
-	return &c
-}
-
 // buildFinal computes the final control states and the final stack
 // specification Lang(c)·⊥.
 func (s *System) buildFinal() {
