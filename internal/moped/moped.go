@@ -42,7 +42,7 @@ func Poststar(p *pds.PDS, init *pds.Auto, dim int, budget int64) (*pds.Result, e
 	inQueue := map[string]bool{}
 	var queue []pds.Trans
 	push := func(t pds.Trans, wit *pds.Witness) {
-		if a.Insert(t, nil, wit) {
+		if a.Insert(t, wit) {
 			k := key(t)
 			if !inQueue[k] {
 				inQueue[k] = true
@@ -145,5 +145,5 @@ func Poststar(p *pds.PDS, init *pds.Auto, dim int, budget int64) (*pds.Result, e
 			}
 		}
 	}
-	return &pds.Result{PDS: p, Auto: a, Dim: 0, Mids: map[pds.State][2]uint32{}}, nil
+	return &pds.Result{PDS: p, Auto: a, Dim: 0}, nil
 }

@@ -41,7 +41,7 @@ func TestMopedAgreesWithDual(t *testing.T) {
 
 func TestMopedRejectsWeighted(t *testing.T) {
 	p := pds.New(1, 2)
-	a := pds.NewAuto(p)
+	a := pds.NewAuto(p, 0)
 	if _, err := moped.Poststar(p, a, 1, 0); err == nil {
 		t.Fatal("expected error for weighted system")
 	}

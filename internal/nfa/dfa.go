@@ -34,9 +34,17 @@ var ErrTooManyArcs = fmt.Errorf("automaton exceeds the %d-arc bound", MaxArcs)
 // arc set is a union of blocks. Subset construction can then treat every
 // block as a single alphabet symbol. The result always covers the whole
 // universe (symbols mentioned by no arc end up in a "rest" block).
+//
+// Each distinct arc set splits only the blocks it cuts: a block disjoint
+// from the set or contained in it stays as it is, so a header naming many
+// single labels does not clone two universe-sized sets per block and arc.
+// A cut block is replaced by its part inside the set, then its part
+// outside, which keeps the blocks and their order those of splitting every
+// block.
 func (a *NFA) Minterms() []*Set {
 	blocks := []*Set{FullSet(a.universe)}
 	seen := map[string]bool{}
+	var next []*Set
 	for s := range a.arcs {
 		for _, arc := range a.arcs[s] {
 			k := arc.Set.Key()
@@ -44,18 +52,15 @@ func (a *NFA) Minterms() []*Set {
 				continue
 			}
 			seen[k] = true
-			var next []*Set
+			next = next[:0]
 			for _, b := range blocks {
-				in := b.Inter(arc.Set)
-				out := b.Minus(arc.Set)
-				if !in.IsEmpty() {
-					next = append(next, in)
+				if !b.Intersects(arc.Set) || b.subsetOf(arc.Set) {
+					next = append(next, b)
+					continue
 				}
-				if !out.IsEmpty() {
-					next = append(next, out)
-				}
+				next = append(next, b.Inter(arc.Set), b.Minus(arc.Set))
 			}
-			blocks = next
+			blocks, next = next, blocks
 		}
 	}
 	return blocks

@@ -2,6 +2,8 @@ package nfa
 
 import (
 	"errors"
+	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -514,5 +516,121 @@ func TestProductStopsAtMaxArcs(t *testing.T) {
 	}
 	if _, err := Product(line(129), two); !errors.Is(err, ErrTooManyArcs) {
 		t.Fatalf("product of 129 arcs: %v, want ErrTooManyArcs", err)
+	}
+}
+
+// TestFirstInterMatchesInterFirst holds the allocation-free FirstInter to
+// Inter(...).First() on random sets over one universe, including the
+// sparse and disjoint cases the witness search meets.
+func TestFirstInterMatchesInterFirst(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		n := 1 + rng.Intn(300)
+		a, b := NewSet(n), NewSet(n)
+		for _, s := range []*Set{a, b} {
+			for k := rng.Intn(1 + rng.Intn(n)); k > 0; k-- {
+				s.Add(Sym(rng.Intn(n)))
+			}
+		}
+		want, wantOK := a.Inter(b).First()
+		got, ok := a.FirstInter(b)
+		if got != want || ok != wantOK {
+			t.Fatalf("FirstInter(%v, %v) = %d,%v; Inter.First = %d,%v", a.Members(), b.Members(), got, ok, want, wantOK)
+		}
+	}
+}
+
+// splitAllMinterms is the partition loop Minterms used before it split
+// only the blocks an arc set cuts: every block is intersected with and
+// subtracted from every distinct arc set. It is the oracle for the blocks
+// and their order.
+func splitAllMinterms(a *NFA) []*Set {
+	blocks := []*Set{FullSet(a.universe)}
+	seen := map[string]bool{}
+	for s := range a.arcs {
+		for _, arc := range a.arcs[s] {
+			k := arc.Set.Key()
+			if seen[k] {
+				continue
+			}
+			seen[k] = true
+			var next []*Set
+			for _, b := range blocks {
+				in := b.Inter(arc.Set)
+				out := b.Minus(arc.Set)
+				if !in.IsEmpty() {
+					next = append(next, in)
+				}
+				if !out.IsEmpty() {
+					next = append(next, out)
+				}
+			}
+			blocks = next
+		}
+	}
+	return blocks
+}
+
+// TestMintermsMatchesSplitAll compares Minterms with the split-every-block
+// oracle on random NFAs: the same blocks in the same order.
+func TestMintermsMatchesSplitAll(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for i := 0; i < 500; i++ {
+		n := 1 + rng.Intn(150)
+		a := New(n)
+		states := []State{a.Start()}
+		for k := rng.Intn(4); k > 0; k-- {
+			states = append(states, a.AddState())
+		}
+		for k := rng.Intn(12); k > 0; k-- {
+			set := NewSet(n)
+			switch rng.Intn(4) {
+			case 0: // one label
+				set.Add(Sym(rng.Intn(n)))
+			case 1: // everything
+				set = FullSet(n)
+			default:
+				for j := rng.Intn(n + 1); j > 0; j-- {
+					set.Add(Sym(rng.Intn(n)))
+				}
+			}
+			a.AddArc(states[rng.Intn(len(states))], set, states[rng.Intn(len(states))])
+		}
+		got, want := a.Minterms(), splitAllMinterms(a)
+		if len(got) != len(want) {
+			t.Fatalf("case %d: %d blocks, oracle %d", i, len(got), len(want))
+		}
+		for j := range got {
+			if !got[j].Equal(want[j]) {
+				t.Fatalf("case %d: block %d is %v, oracle %v", i, j, got[j].Members(), want[j].Members())
+			}
+		}
+	}
+}
+
+// TestMintermsSplitOnlyAllocs bounds the allocations of the header shape
+// that made query parsing quadratic: 500 single-label arcs over a
+// 202,257-label universe, the label table of the paper-scale network.
+// Splitting every block with every arc made 505,970 allocations; splitting
+// only the blocks an arc cuts makes about 3,000.
+func TestMintermsSplitOnlyAllocs(t *testing.T) {
+	const universe, arcs = 202257, 500
+	a := New(universe)
+	fin := a.AddState()
+	a.SetAccept(fin, true)
+	for i := 0; i < arcs; i++ {
+		a.AddArc(a.Start(), SetOf(universe, Sym(i*401)), fin)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	mts := a.Minterms()
+	runtime.ReadMemStats(&after)
+	if len(mts) != arcs+1 {
+		t.Fatalf("%d blocks, want %d", len(mts), arcs+1)
+	}
+	n := after.Mallocs - before.Mallocs
+	t.Logf("%d allocations, %d bytes", n, after.TotalAlloc-before.TotalAlloc)
+	if n > 10000 {
+		t.Errorf("Minterms made %d allocations for %d single-label arcs, want at most 10000", n, arcs)
 	}
 }

@@ -135,6 +135,34 @@ func (s *Set) Intersects(o *Set) bool {
 	return false
 }
 
+// FirstInter returns the smallest member of s ∩ o without allocating the
+// intersection; ok is false when the sets are disjoint. It equals
+// s.Inter(o).First() and serves the witness search, which needs one
+// concrete symbol per set edge.
+func (s *Set) FirstInter(o *Set) (Sym, bool) {
+	w := s.words
+	if len(o.words) < len(w) {
+		w = w[:len(o.words)]
+	}
+	for i := range w {
+		if x := w[i] & o.words[i]; x != 0 {
+			return Sym(i*64 + bits.TrailingZeros64(x)), true
+		}
+	}
+	return 0, false
+}
+
+// subsetOf reports whether every member of s is in o, a set over the same
+// universe.
+func (s *Set) subsetOf(o *Set) bool {
+	for i, w := range s.words {
+		if w&^o.words[i] != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // Minus returns s \ o as a new set.
 func (s *Set) Minus(o *Set) *Set {
 	out := s.Clone()

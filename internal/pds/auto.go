@@ -51,13 +51,14 @@ type Witness struct {
 	Weight  []uint64 // the weight this record establishes for T
 }
 
-// Edge is an outgoing P-automaton transition with its best weight and the
-// witness record that established it.
+// Edge is an outgoing P-automaton transition with the witness record that
+// established it. The record carries the edge's best weight: every insert
+// stores the weight it settles in the record it attaches, so the edge keeps
+// none of its own and stays 16 bytes.
 type Edge struct {
-	Sym    Sym
-	To     State
-	Weight []uint64
-	Wit    *Witness
+	Sym Sym
+	To  State
+	Wit *Witness
 }
 
 // edgeMeta is the per-edge bookkeeping the saturation worklists and the
@@ -131,10 +132,12 @@ type Auto struct {
 	// Bump arenas backing the per-state edge slices: growing a state's
 	// out-list re-slices a chunk instead of asking the allocator, so the
 	// thousands of short out-lists a saturation builds (one per mid
-	// state) cost a handful of chunk allocations total. Chunks are
-	// per-instance and never shared between clones.
+	// state) cost a handful of chunk allocations total. wits holds the
+	// witness records of the initial edges and of every edge saturation
+	// inserts. Arenas are per-instance and never shared between clones.
 	edgeChunk []Edge
 	metaChunk []edgeMeta
+	wits      witArena
 
 	// Generation-marked visited array and state buffers reused by
 	// AcceptsConfig/epsClosure; probes counts index candidate edges
@@ -146,8 +149,9 @@ type Auto struct {
 	probes  int64
 }
 
-// edgeChunkSize is the minimum bump-arena chunk length; 1024 edges ≈ 40
-// KiB. maxEdgeChunk caps the adaptive growth below (a few MiB per chunk).
+// edgeChunkSize is the minimum bump-arena chunk length; 1024 edges ≈ 24
+// KiB with their bookkeeping. maxEdgeChunk caps the adaptive growth below
+// (about 1.5 MiB per chunk).
 const (
 	edgeChunkSize = 1024
 	maxEdgeChunk  = 1 << 16
@@ -175,12 +179,12 @@ func (a *Auto) nextChunkLen(nc int) int {
 
 // growEdges gives s's out-list capacity for at least one more edge,
 // copying it into fresh arena space (geometric growth, so each edge is
-// copied O(1) times amortised).
+// copied O(1) times amortised). A list starts at one slot: nearly every
+// state saturation adds is a mid or chain state with a single out-edge
+// (DESIGN.md §8), and a larger first slot would leave most of the arena
+// unused.
 func (a *Auto) growEdges(se *stateEdges) {
-	nc := 2 * cap(se.edges)
-	if nc < 4 {
-		nc = 4
-	}
+	nc := max(2*cap(se.edges), 1)
 	if len(a.edgeChunk) < nc {
 		n := a.nextChunkLen(nc)
 		a.edgeChunk = make([]Edge, n)
@@ -195,15 +199,17 @@ func (a *Auto) growEdges(se *stateEdges) {
 }
 
 // NewAuto returns an automaton whose first n states mirror the PDS control
-// states, with no transitions and no accepting states.
-func NewAuto(p *PDS) *Auto {
+// states, with no transitions and no accepting states. The state table
+// reserves room for extra states beyond those, so a caller that knows how
+// many it adds (the initial automaton's own states) never regrows it.
+func NewAuto(p *PDS, extra int) *Auto {
 	n := p.NumStates
 	return &Auto{
 		PDSStates: n,
 		NumSyms:   p.NumSyms,
 		numStates: n,
-		accept:    make([]bool, n),
-		states:    make([]stateEdges, n),
+		accept:    make([]bool, n, n+extra),
+		states:    make([]stateEdges, n, n+extra),
 		setIdx:    make(map[string]Sym),
 	}
 }
@@ -261,18 +267,22 @@ func (a *Auto) NormalizeWeights(dim int) {
 	for s := range a.states {
 		edges := a.states[s].edges
 		for i := range edges {
-			if edges[i].Weight == nil {
-				edges[i].Weight = make([]uint64, dim)
-				if edges[i].Wit != nil {
-					edges[i].Wit.Weight = edges[i].Weight
-				}
+			if edges[i].Wit.Weight == nil {
+				edges[i].Wit.Weight = make([]uint64, dim)
 			}
 		}
 	}
 }
 
-// AddState appends a fresh non-accepting extra state.
+// AddState appends a fresh non-accepting extra state. The state table
+// doubles when full: append's gentler growth at saturation sizes copied
+// the table about five times over.
 func (a *Auto) AddState() State {
+	if len(a.states) == cap(a.states) {
+		n := 2*len(a.states) + 16
+		a.states = append(make([]stateEdges, 0, n), a.states...)
+		a.accept = append(make([]bool, 0, n), a.accept...)
+	}
 	a.numStates++
 	a.accept = append(a.accept, false)
 	a.states = append(a.states, stateEdges{})
@@ -342,9 +352,10 @@ func (a *Auto) Matches(edgeSym, c Sym) bool {
 	return edgeSym == c
 }
 
-// upsert adds the transition or improves its weight, returning the edge's
-// index within t.From's out-list and whether anything changed. On a change
-// the caller owns setting the edge's witness — saturation defers witness
+// upsert adds the transition or finds that weight w improves it, returning
+// the edge's index within t.From's out-list and whether anything changed.
+// On a change the caller must set the edge's witness to a record carrying
+// w, which is where the edge's weight lives — saturation defers witness
 // construction until it knows the insert succeeded, which is where most of
 // the old per-pop garbage came from. A nil weight means "unweighted": then
 // only novelty counts.
@@ -354,11 +365,9 @@ func (a *Auto) upsert(t Trans, w []uint64) (int32, bool) {
 	for j := *hp; j != -1; j = se.meta[j].next {
 		a.probes++
 		if se.edges[j].Sym == t.Sym && se.edges[j].To == t.To {
-			e := &se.edges[j]
-			if w == nil || !lexLess(w, e.Weight) {
+			if w == nil || !lexLess(w, se.edges[j].Wit.Weight) {
 				return j, false
 			}
-			e.Weight = w
 			return j, true
 		}
 	}
@@ -366,18 +375,18 @@ func (a *Auto) upsert(t Trans, w []uint64) (int32, bool) {
 	if len(se.edges) == cap(se.edges) {
 		a.growEdges(se)
 	}
-	se.edges = append(se.edges, Edge{Sym: t.Sym, To: t.To, Weight: w})
+	se.edges = append(se.edges, Edge{Sym: t.Sym, To: t.To})
 	se.meta = append(se.meta, edgeMeta{next: *hp})
 	*hp = i
 	a.numTrans++
 	return i, true
 }
 
-// Insert adds or updates a transition with the given weight and witness.
-// It reports whether the transition is new or its weight strictly improved
-// (lexicographically).
-func (a *Auto) Insert(t Trans, w []uint64, wit *Witness) bool {
-	i, changed := a.upsert(t, w)
+// Insert adds or updates a transition with the weight its witness record
+// carries (wit.Weight). It reports whether the transition is new or its
+// weight strictly improved (lexicographically).
+func (a *Auto) Insert(t Trans, wit *Witness) bool {
+	i, changed := a.upsert(t, wit.Weight)
 	if changed {
 		a.states[t.From].edges[i].Wit = wit
 	}
@@ -420,8 +429,7 @@ func (a *Auto) takeProbes() int64 {
 // symbol. Initial automata used as post* input must not have transitions
 // into PDS control states.
 func (a *Auto) AddEdge(from State, sym Sym, to State) {
-	t := Trans{from, sym, to}
-	a.Insert(t, nil, &Witness{Kind: WitInitial, Rule: -1, T: t})
+	a.addInitial(Trans{from, sym, to}, nil)
 }
 
 // AddSetEdge inserts an initial transition that admits every symbol in set.
@@ -435,8 +443,15 @@ func (a *Auto) AddSetEdge(from State, set *nfa.Set, to State, w []uint64) {
 // AddVirtualEdge inserts an initial transition over a virtual symbol that
 // VirtualSym returned, so a set added from many states is interned once.
 func (a *Auto) AddVirtualEdge(from State, sym Sym, to State, w []uint64) {
-	t := Trans{from, sym, to}
-	a.Insert(t, w, &Witness{Kind: WitInitial, Rule: -1, T: t, Weight: w})
+	a.addInitial(Trans{from, sym, to}, w)
+}
+
+// addInitial inserts an initial transition, taking its witness record from
+// the automaton's arena only when the transition is new or improved.
+func (a *Auto) addInitial(t Trans, w []uint64) {
+	if i, changed := a.upsert(t, w); changed {
+		a.states[t.From].edges[i].Wit = a.wits.new(Witness{Kind: WitInitial, Rule: -1, T: t, Weight: w})
+	}
 }
 
 // nextMark advances the scratch generation and grows the visited array to

@@ -27,7 +27,9 @@ type satCase struct {
 	init *pds.Auto
 }
 
-func buildCases(tb testing.TB, netName string) []satCase {
+// buildCases translates the network's benchmark queries: the eager,
+// reduced product, or with slice the on-the-fly one.
+func buildCases(tb testing.TB, netName string, slice bool) []satCase {
 	tb.Helper()
 	var s *gen.Synth
 	var texts []string
@@ -59,7 +61,7 @@ func buildCases(tb testing.TB, netName string) []satCase {
 		if err != nil {
 			tb.Fatalf("%q: %v", text, err)
 		}
-		sys := translate.Build(s.Net, q, translate.Options{Mode: translate.Over})
+		sys := translate.Build(s.Net, q, translate.Options{Mode: translate.Over, Slice: slice})
 		sys.PDS.Freeze()
 		init := sys.InitAuto()
 		init.NormalizeWeights(sys.Dim)
@@ -68,8 +70,8 @@ func buildCases(tb testing.TB, netName string) []satCase {
 	return cases
 }
 
-func benchPoststar(b *testing.B, netName string) {
-	cases := buildCases(b, netName)
+func benchPoststar(b *testing.B, netName string, slice bool) {
+	cases := buildCases(b, netName, slice)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -88,14 +90,21 @@ func benchPoststar(b *testing.B, netName string) {
 // BenchmarkPoststarZoo is the canonical hot-path benchmark: full post*
 // saturation of the over-approximation for a query set on the 84-router
 // Topology-Zoo-scale synthetic WAN.
-func BenchmarkPoststarZoo(b *testing.B) { benchPoststar(b, "zoo") }
+func BenchmarkPoststarZoo(b *testing.B) { benchPoststar(b, "zoo", false) }
 
 // BenchmarkPoststarRunningExample saturates the paper's Figure 1 network.
-func BenchmarkPoststarRunningExample(b *testing.B) { benchPoststar(b, "running-example") }
+func BenchmarkPoststarRunningExample(b *testing.B) { benchPoststar(b, "running-example", false) }
 
 // BenchmarkPoststarNordunet saturates Table 1 queries on the NORDUnet-scale
 // operator network.
-func BenchmarkPoststarNordunet(b *testing.B) { benchPoststar(b, "nordunet") }
+func BenchmarkPoststarNordunet(b *testing.B) { benchPoststar(b, "nordunet", false) }
+
+// BenchmarkPoststarOnTheFly saturates the same Table 1 queries through the
+// on-the-fly product, as one-shot verification runs them: post* generates
+// a head's rules when it first reaches the head, keeps them in its own
+// rule store and adds their chain states to the automaton. Run it with
+// -benchmem; bytes per op follow the stores DESIGN.md §8 sizes.
+func BenchmarkPoststarOnTheFly(b *testing.B) { benchPoststar(b, "nordunet", true) }
 
 // BenchmarkPoststarEarlyAccept saturates Table 1's last query, the
 // any-tunnel shape <smpls? ip> .* <. smpls ip> 0, on the NORDUnet-scale
@@ -130,7 +139,7 @@ func BenchmarkPoststarEarlyAccept(b *testing.B) {
 // BenchmarkPrestarZoo saturates pre* (the cross-validation direction) on
 // the same zoo-scale workload, seeding from the final-spec side.
 func BenchmarkPrestarZoo(b *testing.B) {
-	cases := buildCases(b, "zoo")
+	cases := buildCases(b, "zoo", false)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -225,8 +225,10 @@ func (wa *weightArena) add(a, b []uint64) []uint64 {
 	return out
 }
 
-// witArena bump-allocates witness records in chunks; like weightArena it is
-// per-run and never recycled, since the records live on in the result.
+// witArena bump-allocates witness records in chunks. Each automaton owns
+// one (Auto.wits), shared by its initial edges and every edge saturation
+// inserts; like weightArena it is never recycled, since the records live
+// on in the result.
 type witArena struct {
 	chunk []Witness
 }

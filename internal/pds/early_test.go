@@ -121,7 +121,7 @@ func TestEarlyProbeMatchesOracle(t *testing.T) {
 	// automaton and the spec accepts ε.
 	p := pds.New(1, 1)
 	p.AddRule(pds.Rule{FromState: 0, FromSym: 0, ToState: 0, Kind: pds.PopRule})
-	init := pds.NewAuto(p)
+	init := pds.NewAuto(p, 0)
 	s1 := init.AddState()
 	init.AddEdge(0, 0, s1)
 	init.SetAccept(0, true)

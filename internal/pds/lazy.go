@@ -16,8 +16,10 @@ type Generator interface {
 	// s below NumStates, in the order an eager build lists them, followed
 	// by every rule of the fresh chain states those rules lead to. Chain
 	// states come from newState; the rules of each chain state follow its
-	// creation in ascending head-symbol order.
-	Head(dst []Rule, s State, g Sym, newState func() State) []Rule
+	// creation in ascending head-symbol order. Head appends the weight
+	// vectors of weighted rules to wts, and the rules name them by their
+	// index there (Rule.W).
+	Head(dst []Rule, wts *Weights, s State, g Sym, newState func() State) []Rule
 	// Heads appends to dst, in ascending order, every symbol γ in set for
 	// which ⟨s,γ⟩ can head a rule.
 	Heads(dst []Sym, s State, set *nfa.Set) []Sym
@@ -43,6 +45,8 @@ type lazyRules struct {
 	chain []ruleSpan // by automaton state: a chain state's rules, or zero
 	syms  []Sym      // Heads scratch
 	buf   []Rule     // reorder scratch
+	// group's bucket offsets and fill cursors, reused across heads.
+	counts, next []int32
 }
 
 // control reports whether rules can be headed at s: a base control state
@@ -71,7 +75,7 @@ func (r *postRun) headRules(s State, g Sym) ruleSpan {
 	}
 	off := len(r.rules)
 	c0 := r.a.NumStates()
-	r.rules = lz.gen.Head(r.rules, s, g, r.a.AddState)
+	r.rules = lz.gen.Head(r.rules, &r.weights, s, g, r.a.AddState)
 	sp := r.group(off, s, State(c0), State(r.a.NumStates()))
 	*lz.heads.ref(headKey(s, g)) = int32(len(lz.spans))
 	lz.spans = append(lz.spans, sp)
@@ -85,8 +89,13 @@ func (r *postRun) headRules(s State, g Sym) ruleSpan {
 func (r *postRun) group(off int, s State, c0, c1 State) ruleSpan {
 	lz := r.lazy
 	rs := r.rules[off:]
-	for int(c1) > len(lz.chain) {
-		lz.chain = append(lz.chain, ruleSpan{})
+	if int(c1) > cap(lz.chain) {
+		// Double, as the state table does; the slots past len were never
+		// written, so they read as zero spans.
+		lz.chain = append(make([]ruleSpan, 0, max(2*cap(lz.chain), int(c1))), lz.chain...)
+	}
+	if int(c1) > len(lz.chain) {
+		lz.chain = lz.chain[:c1]
 	}
 	bucket := func(rl *Rule) int {
 		if rl.FromState == s {
@@ -95,7 +104,8 @@ func (r *postRun) group(off int, s State, c0, c1 State) ruleSpan {
 		return 1 + int(rl.FromState-c0)
 	}
 	// counts[b+1] is bucket b's size, prefix-summed into start offsets.
-	counts := make([]int32, int(c1-c0)+2)
+	lz.counts = append(lz.counts[:0], make([]int32, int(c1-c0)+2)...)
+	counts := lz.counts
 	sorted := true
 	prev := 0
 	for i := range rs {
@@ -111,7 +121,8 @@ func (r *postRun) group(off int, s State, c0, c1 State) ruleSpan {
 	}
 	if !sorted {
 		lz.buf = append(lz.buf[:0], rs...)
-		next := append([]int32(nil), counts[:len(counts)-1]...)
+		lz.next = append(lz.next[:0], counts[:len(counts)-1]...)
+		next := lz.next
 		for i := range lz.buf {
 			b := bucket(&lz.buf[i])
 			rs[next[b]] = lz.buf[i]

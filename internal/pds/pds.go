@@ -40,11 +40,13 @@ const (
 	PushRule
 )
 
-// Rule is a normalised pushdown rule. Weight is the rule's weight vector in
-// the lexicographic min-plus semiring (nil means the semiring one, i.e. no
-// cost) and is ignored by the unweighted algorithms. Tag is an opaque
-// reference for the translator: it identifies the network-level action the
-// rule encodes so witness rule sequences can be replayed into traces.
+// Rule is a normalised pushdown rule. Tag is an opaque reference for the
+// translator: it identifies the network-level action the rule encodes so
+// witness rule sequences can be replayed into traces. W names the rule's
+// weight vector in the lexicographic min-plus semiring by index into the
+// Weights table kept beside the rules; 0 is the semiring one (no cost).
+// The unweighted algorithms ignore it. A rule holds no pointers, so a
+// saturation's rule store costs the collector nothing to scan.
 type Rule struct {
 	FromState State
 	FromSym   Sym
@@ -52,8 +54,31 @@ type Rule struct {
 	Kind      RuleKind
 	Sym1      Sym // swap: the new top; push: the new top γ′
 	Sym2      Sym // push only: the symbol below the new top γ″
-	Weight    []uint64
 	Tag       int32
+	W         int32
+}
+
+// Weights is the table of weight vectors that weighted rules name by index
+// (Rule.W). The semiring one has no entry, so an unweighted system keeps an
+// empty table.
+type Weights [][]uint64
+
+// Add appends w and returns the index a rule names it by; nil, the semiring
+// one, is index 0 and adds nothing.
+func (t *Weights) Add(w []uint64) int32 {
+	if w == nil {
+		return 0
+	}
+	*t = append(*t, w)
+	return int32(len(*t))
+}
+
+// Of returns the weight vector r names, nil for the semiring one.
+func (t Weights) Of(r *Rule) []uint64 {
+	if r.W == 0 {
+		return nil
+	}
+	return t[r.W-1]
 }
 
 // String renders the rule for diagnostics.
@@ -81,6 +106,8 @@ type PDS struct {
 	// Rules lists the rules of an eager PDS. On the fly it holds the rules
 	// the latest post* run generated.
 	Rules []Rule
+	// Weights holds the weight vectors Rules name (Rule.W).
+	Weights Weights
 	// Gen, when set, makes the PDS on the fly.
 	Gen Generator
 
@@ -126,6 +153,9 @@ func (p *PDS) AddRule(r Rule) {
 	}
 	if int(r.FromSym) >= p.NumSyms {
 		panic(fmt.Sprintf("pds: rule %v references symbol outside [0,%d)", r, p.NumSyms))
+	}
+	if r.W < 0 || int(r.W) > len(p.Weights) {
+		panic(fmt.Sprintf("pds: rule %v names weight %d of %d", r, r.W, len(p.Weights)))
 	}
 	p.Rules = append(p.Rules, r)
 	p.stateOff, p.stateIdx = nil, nil

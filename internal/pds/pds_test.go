@@ -32,7 +32,7 @@ func anySpec(numSyms int) *nfa.NFA {
 
 // singleInit builds an initial P-automaton accepting exactly ⟨state, word⟩.
 func singleInit(p *PDS, state State, word []Sym) *Auto {
-	a := NewAuto(p)
+	a := NewAuto(p, 0)
 	cur := State(-1)
 	prev := state
 	for i, s := range word {
@@ -179,7 +179,7 @@ func TestFindAcceptingNoMatch(t *testing.T) {
 
 func TestPoststarRejectsBadInput(t *testing.T) {
 	p := New(2, 2)
-	a := NewAuto(p)
+	a := NewAuto(p, 0)
 	// Transition into control state 1: invalid for post*.
 	a.AddEdge(0, 0, 1)
 	if _, err := PoststarOpts(p, a, SatOptions{}); err == nil {
@@ -415,10 +415,11 @@ func TestWeightedMinimum(t *testing.T) {
 	// States: 0 (start), 1 (via cheap), 2 (via costly), 3 (goal).
 	// Symbols: 0 = x, 1 = ⊥.
 	p := New(4, 2)
-	p.AddRule(Rule{FromState: 0, FromSym: 0, ToState: 1, Kind: SwapRule, Sym1: 0, Weight: []uint64{1}, Tag: 1})
-	p.AddRule(Rule{FromState: 1, FromSym: 0, ToState: 3, Kind: SwapRule, Sym1: 0, Weight: []uint64{1}, Tag: 2})
-	p.AddRule(Rule{FromState: 0, FromSym: 0, ToState: 2, Kind: SwapRule, Sym1: 0, Weight: []uint64{5}, Tag: 3})
-	p.AddRule(Rule{FromState: 2, FromSym: 0, ToState: 3, Kind: SwapRule, Sym1: 0, Weight: []uint64{5}, Tag: 4})
+	cheap, costly := p.Weights.Add([]uint64{1}), p.Weights.Add([]uint64{5})
+	p.AddRule(Rule{FromState: 0, FromSym: 0, ToState: 1, Kind: SwapRule, Sym1: 0, W: cheap, Tag: 1})
+	p.AddRule(Rule{FromState: 1, FromSym: 0, ToState: 3, Kind: SwapRule, Sym1: 0, W: cheap, Tag: 2})
+	p.AddRule(Rule{FromState: 0, FromSym: 0, ToState: 2, Kind: SwapRule, Sym1: 0, W: costly, Tag: 3})
+	p.AddRule(Rule{FromState: 2, FromSym: 0, ToState: 3, Kind: SwapRule, Sym1: 0, W: costly, Tag: 4})
 	init := singleInit(p, 0, []Sym{0, 1})
 	res, err := PoststarOpts(p, init, SatOptions{Dim: 1})
 	if err != nil {
@@ -437,7 +438,7 @@ func TestWeightedMinimum(t *testing.T) {
 	}
 	var sum uint64
 	for _, ri := range rules {
-		sum += p.Rules[ri].Weight[0]
+		sum += p.Weights.Of(&p.Rules[ri])[0]
 	}
 	if sum != 2 {
 		t.Fatalf("witness derivation weight = %d, want 2 (the cheap route)", sum)
@@ -450,9 +451,9 @@ func TestWeightedMinimum(t *testing.T) {
 func TestWeightedPushPop(t *testing.T) {
 	p := New(2, 2)
 	// ⟨0,⊥⟩ -> ⟨0, x ⊥⟩ cost 3
-	p.AddRule(Rule{FromState: 0, FromSym: 1, ToState: 0, Kind: PushRule, Sym1: 0, Sym2: 1, Weight: []uint64{3}})
+	p.AddRule(Rule{FromState: 0, FromSym: 1, ToState: 0, Kind: PushRule, Sym1: 0, Sym2: 1, W: p.Weights.Add([]uint64{3})})
 	// ⟨0,x⟩ -> ⟨1, ε⟩ cost 1
-	p.AddRule(Rule{FromState: 0, FromSym: 0, ToState: 1, Kind: PopRule, Weight: []uint64{1}})
+	p.AddRule(Rule{FromState: 0, FromSym: 0, ToState: 1, Kind: PopRule, W: p.Weights.Add([]uint64{1})})
 	init := singleInit(p, 0, []Sym{1})
 	res, err := PoststarOpts(p, init, SatOptions{Dim: 1})
 	if err != nil {
@@ -485,7 +486,7 @@ func TestWeightedPushPop(t *testing.T) {
 func TestProbesCountSaturationOnly(t *testing.T) {
 	p := anbn()
 	const bot = 2
-	init := NewAuto(p)
+	init := NewAuto(p, 0)
 	for i := 0; i < 3; i++ {
 		s := init.AddState()
 		init.AddEdge(0, bot, s)

@@ -14,9 +14,6 @@ type Result struct {
 	PDS  *PDS
 	Auto *Auto
 	Dim  int
-	// Mids maps push-rule mid states back to their (state, symbol) key;
-	// diagnostic only.
-	Mids map[State][2]uint32
 	// EarlyAccepted reports that the run stopped before the fixed point
 	// because SatOptions.EarlyAccept found an accepting configuration
 	// reachable. The automaton then under-approximates post*(L(init)) but
@@ -80,24 +77,26 @@ const (
 // postRun is the mutable state of one post* saturation.
 type postRun struct {
 	p *PDS
-	// rules is p.Rules for an eager PDS; on the fly it is the run's own
-	// rule store, and lazy indexes it.
-	rules []Rule
-	lazy  *lazyRules
-	a     *Auto
-	o     SatOptions
-	dim   int
-	tally satTally
-	sc    *satScratch
+	// rules and weights are p.Rules and p.Weights for an eager PDS; on the
+	// fly they are the run's own rule store and weight table, and lazy
+	// indexes the rules.
+	rules   []Rule
+	weights Weights
+	lazy    *lazyRules
+	a       *Auto
+	o       SatOptions
+	dim     int
+	tally   satTally
+	sc      *satScratch
 
 	queue []edgeRef
 	head  int
 
-	wts  weightArena
-	wits witArena
+	wts weightArena
 
-	// mid states q_{p′,γ′}, one per (ToState, Sym1) of push rules.
-	mids map[[2]uint32]State
+	// mid states q_{p′,γ′}, one per (ToState, Sym1) of push rules, keyed
+	// by headKey(p′, γ′).
+	mids u64map
 
 	// epsInto[q] lists the sources of ε-transitions into q; indexed by
 	// state, with lazy growth for the mid states added during the run.
@@ -159,14 +158,13 @@ func newPostRun(p *PDS, init *Auto, o SatOptions) (*postRun, error) {
 	// The tally counts saturation only: building init walked chains too,
 	// and a Clone of it starts at zero, so drop what construction left.
 	init.takeProbes()
-	r := &postRun{p: p, rules: p.Rules, a: init, o: o, dim: o.Dim, sc: getScratch(), nextCheck: firstCheck}
+	r := &postRun{p: p, rules: p.Rules, weights: p.Weights, a: init, o: o, dim: o.Dim, sc: getScratch(), nextCheck: firstCheck}
 	if p.Gen != nil {
-		r.rules = nil
+		r.rules, r.weights = nil, nil
 		r.lazy = &lazyRules{gen: p.Gen}
 	}
 	r.queue, r.head = r.sc.queue[:0], 0
 	r.a.NormalizeWeights(r.dim)
-	r.mids = map[[2]uint32]State{}
 
 	// Seed the worklist with every initial transition.
 	for s := 0; s < r.a.NumStates(); s++ {
@@ -191,7 +189,7 @@ func (r *postRun) close() {
 	r.tally.probes += r.a.takeProbes()
 	r.tally.flushPost()
 	if r.lazy != nil {
-		r.p.Rules = r.rules
+		r.p.Rules, r.p.Weights = r.rules, r.weights
 		r.p.Gen.Done(len(r.rules))
 	}
 }
@@ -263,7 +261,7 @@ func (r *postRun) push(t Trans, w []uint64, kind WitKind, rule int32, predSym Sy
 		return
 	}
 	r.tally.inserted++
-	r.a.states[t.From].edges[i].Wit = r.wits.new(Witness{
+	r.a.states[t.From].edges[i].Wit = r.a.wits.new(Witness{
 		Kind: kind, Rule: rule, T: t, PredSym: predSym, Pred1: p1, Pred2: p2, Weight: w,
 	})
 	r.enqueue(t.From, i)
@@ -277,13 +275,12 @@ func (r *postRun) one() []uint64 {
 }
 
 func (r *postRun) midOf(s State, g Sym) State {
-	k := [2]uint32{uint32(s), uint32(g)}
-	if m, ok := r.mids[k]; ok {
-		return m
+	m := r.mids.ref(headKey(s, g))
+	if *m < 0 {
+		// ref's pointer dies at the next ref; AddState makes none.
+		*m = int32(r.a.AddState())
 	}
-	m := r.a.AddState()
-	r.mids[k] = m
-	return m
+	return State(*m)
 }
 
 func (r *postRun) epsAppend(to, src State) {
@@ -304,7 +301,10 @@ func (r *postRun) epsOf(s State) []State {
 // witness record.
 func (r *postRun) apply(ri int32, t Trans, w []uint64, rec *Witness) {
 	rl := &r.rules[ri]
-	nw := r.wts.add(w, ruleWeight(rl, r.dim))
+	nw := w
+	if r.dim > 0 {
+		nw = r.wts.add(w, r.weights.Of(rl))
+	}
 	switch rl.Kind {
 	case PopRule:
 		r.push(Trans{rl.ToState, Eps, t.To}, nw, WitRule, ri, rl.FromSym, rec, nil)
@@ -349,7 +349,8 @@ func (r *postRun) process(ref edgeRef) {
 	se.meta[ref.ei].flags &^= fQueued
 	e := &se.edges[ref.ei]
 	t := Trans{ref.from, e.Sym, e.To}
-	w, rec := e.Weight, e.Wit
+	rec := e.Wit
+	w := rec.Weight
 
 	if t.Sym == Eps {
 		// Register and combine with everything currently leaving t.To.
@@ -363,7 +364,7 @@ func (r *postRun) process(ref edgeRef) {
 			if e2.Sym == Eps {
 				continue // ε-targets are never ε-sources
 			}
-			nw := r.wts.add(w, e2.Weight)
+			nw := r.wts.add(w, e2.Wit.Weight)
 			r.push(Trans{t.From, e2.Sym, e2.To}, nw, WitCombine, -1, 0, rec, e2.Wit)
 		}
 		return
@@ -376,7 +377,7 @@ func (r *postRun) process(ref edgeRef) {
 		if !ok2 {
 			continue
 		}
-		nw := r.wts.add(et.Weight, w)
+		nw := r.wts.add(et.Wit.Weight, w)
 		r.push(Trans{src, t.Sym, t.To}, nw, WitCombine, -1, 0, et.Wit, rec)
 	}
 
@@ -390,20 +391,9 @@ func (r *postRun) finish(early bool) *Result {
 	p := r.p
 	if r.lazy != nil {
 		// The result keeps this run's rules even if p is saturated again.
-		p = &PDS{NumStates: p.NumStates, NumSyms: p.NumSyms, Rules: r.rules}
+		p = &PDS{NumStates: p.NumStates, NumSyms: p.NumSyms, Rules: r.rules, Weights: r.weights}
 	}
-	res := &Result{PDS: p, Auto: r.a, Dim: r.dim, Mids: map[State][2]uint32{}, EarlyAccepted: early}
-	for k, v := range r.mids {
-		res.Mids[v] = k
-	}
-	return res
-}
-
-func ruleWeight(r *Rule, dim int) []uint64 {
-	if dim == 0 {
-		return nil
-	}
-	return r.Weight
+	return &Result{PDS: p, Auto: r.a, Dim: r.dim, EarlyAccepted: early}
 }
 
 // Accepted is a configuration found by FindAccepting, with the automaton
@@ -466,7 +456,7 @@ func (r *Result) FindAccepting(starts []State, spec *nfa.NFA) (Accepted, bool) {
 			return accepted(cur.s, path, syms, it.w), true
 		}
 		r.productSteps(nd, spec, func(e Edge, nn accNode, csym Sym) {
-			nw := lexAdd(it.w, e.Weight)
+			nw := lexAdd(it.w, e.Wit.Weight)
 			nh := it.hops + 1
 			old, seen := dist[nn]
 			if !seen || lexLess(nw, old) || (equalVec(nw, old) && nh < hopCount[nn]) {
@@ -521,7 +511,7 @@ func (r *Result) FindAcceptingN(starts []State, spec *nfa.NFA, n int) []Accepted
 		}
 		r.productSteps(nd, spec, func(e Edge, nn accNode, csym Sym) {
 			steps = append(steps, step{it.step, Trans{nd.s, e.Sym, e.To}, csym})
-			heap.Push(pq, accItem{s: nn.s, n: nn.n, w: lexAdd(it.w, e.Weight), hops: it.hops + 1, step: len(steps) - 1})
+			heap.Push(pq, accItem{s: nn.s, n: nn.n, w: lexAdd(it.w, e.Wit.Weight), hops: it.hops + 1, step: len(steps) - 1})
 		})
 	}
 	return out
@@ -546,7 +536,7 @@ func (r *Result) productSteps(nd accNode, spec *nfa.NFA, f func(e Edge, nn accNo
 		for _, arc := range spec.Arcs(nd.n) {
 			csym := e.Sym
 			if set := r.Auto.SymSet(e.Sym); set != nil {
-				first, ok := arc.Set.Inter(set).First()
+				first, ok := arc.Set.FirstInter(set)
 				if !ok {
 					continue
 				}

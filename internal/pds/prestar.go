@@ -21,7 +21,6 @@ func Prestar(p *PDS, target *Auto) *Result {
 	}
 	a := target
 	var tally satTally
-	var wits witArena
 	sc := getScratch()
 	queue, head := sc.queue[:0], 0
 	defer func() {
@@ -38,7 +37,7 @@ func Prestar(p *PDS, target *Auto) *Result {
 		}
 		tally.inserted++
 		se := &a.states[t.From]
-		se.edges[i].Wit = wits.new(Witness{Kind: WitInitial, Rule: -1, T: t})
+		se.edges[i].Wit = a.wits.new(Witness{Kind: WitInitial, Rule: -1, T: t})
 		se.meta[i].flags |= fQueued
 		queue = append(queue, edgeRef{t.From, i})
 		tally.notePush(len(queue) - head)

@@ -9,7 +9,7 @@ import (
 // setInit builds an initial automaton accepting ⟨0, x ⊥⟩ for every x in
 // tops, using a single virtual set edge.
 func setInit(p *PDS, tops []Sym, bot Sym) *Auto {
-	a := NewAuto(p)
+	a := NewAuto(p, 0)
 	s1 := a.AddState()
 	s2 := a.AddState()
 	set := nfa.NewSet(p.NumSyms)
@@ -87,7 +87,7 @@ func TestSetEdgeWitness(t *testing.T) {
 // the intersection of the edge set and the spec set.
 func TestSetEdgeFindAcceptingIntersection(t *testing.T) {
 	p := New(1, 4) // symbols 0,1,2 tops; 3 bottom
-	a := NewAuto(p)
+	a := NewAuto(p, 0)
 	s1 := a.AddState()
 	s2 := a.AddState()
 	set := nfa.SetOf(4, 0, 1, 2)
@@ -117,7 +117,7 @@ func TestSetEdgeFindAcceptingIntersection(t *testing.T) {
 // TestVirtualSymInterning: equal sets share a virtual symbol.
 func TestVirtualSymInterning(t *testing.T) {
 	p := New(1, 4)
-	a := NewAuto(p)
+	a := NewAuto(p, 0)
 	s1 := a.VirtualSym(nfa.SetOf(4, 0, 2))
 	s2 := a.VirtualSym(nfa.SetOf(4, 0, 2))
 	s3 := a.VirtualSym(nfa.SetOf(4, 1))
@@ -140,7 +140,7 @@ func TestPrestarWithSetTarget(t *testing.T) {
 	// ⟨0,0 w⟩ -> swap -> ⟨1,1 w⟩; target accepts ⟨1, x ⊥⟩ for x ∈ {1,2}.
 	p := New(2, 4)
 	p.AddRule(Rule{FromState: 0, FromSym: 0, ToState: 1, Kind: SwapRule, Sym1: 1})
-	target := NewAuto(p)
+	target := NewAuto(p, 0)
 	s1 := target.AddState()
 	s2 := target.AddState()
 	target.AddSetEdge(1, nfa.SetOf(4, 1, 2), s1, nil)

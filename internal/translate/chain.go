@@ -70,8 +70,8 @@ type chainEmitter struct {
 // over candidate symbols when the top of stack is unknown. Rules are
 // appended depth first: each rule is followed by the chain below it. It
 // reports whether at least one rule was emitted. Only the first rule of a
-// chain carries the tag and weight.
-func (c *chainEmitter) emit(cur pds.State, st symStack, ops routing.Ops, to pds.State, tag int32, w []uint64) bool {
+// chain carries the tag and the weight, which w names (pds.Rule.W).
+func (c *chainEmitter) emit(cur pds.State, st symStack, ops routing.Ops, to pds.State, tag, w int32) bool {
 	if len(ops) == 0 {
 		// Forwarding without header rewrite: a no-op swap moves control.
 		any := false
@@ -79,7 +79,7 @@ func (c *chainEmitter) emit(cur pds.State, st symStack, ops routing.Ops, to pds.
 			c.out = append(c.out, pds.Rule{
 				FromState: cur, FromSym: LabelSymOf(t),
 				ToState: to, Kind: pds.SwapRule, Sym1: LabelSymOf(t),
-				Weight: w, Tag: tag,
+				Tag: tag, W: w,
 			})
 			any = true
 		}
@@ -119,12 +119,12 @@ func (c *chainEmitter) emit(cur pds.State, st symStack, ops routing.Ops, to pds.
 		rule.FromState = cur
 		rule.FromSym = LabelSymOf(t)
 		rule.ToState = dst
-		rule.Weight = w
 		rule.Tag = tag
+		rule.W = w
 		c.out = append(c.out, rule)
 		emitted := true
 		if len(rest) > 0 {
-			emitted = c.emit(dst, next, rest, to, -1, nil)
+			emitted = c.emit(dst, next, rest, to, -1, 0)
 		}
 		any = any || emitted
 	}

@@ -131,9 +131,10 @@ func digestSystem(h interface{ Write([]byte) (int, error) }, sys *translate.Syst
 		put(uint64(r.Sym1))
 		put(uint64(r.Sym2))
 		put(uint64(int64(r.Tag)))
-		put(uint64(len(r.Weight)))
-		for _, w := range r.Weight {
-			put(w)
+		w := sys.PDS.Weights.Of(&r)
+		put(uint64(len(w)))
+		for _, x := range w {
+			put(x)
 		}
 	}
 	put(uint64(len(sys.Steps)))

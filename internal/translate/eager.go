@@ -79,7 +79,7 @@ func (b *builder) buildKeyGroups(key routing.Key, gs routing.Groups) {
 // buildEntry emits rule chains for one routing entry across all path-NFA
 // transitions and failure budgets, starting from the key's stack init.
 func (b *builder) buildEntry(in topology.LinkID, init symStack, entry routing.Entry, group, nFail int) {
-	w := b.stepWeight(entry, nFail)
+	w := b.PDS.Weights.Add(b.stepWeight(entry, nFail))
 	tag := int32(len(b.Steps))
 	used := false
 	for qb := 0; qb < b.numB; qb++ {

@@ -16,7 +16,8 @@ import (
 // ruleBlock is the relocatable form of the rules one routing-table key
 // emits: chain states are stored relative to the block's first allocation
 // (encoded as baseCnt+offset, which cannot collide with base control
-// states), tags relative to the block's first Steps entry. Splicing a
+// states), tags relative to the block's first Steps entry and weight
+// indexes relative to the block's first weight vector. Splicing a
 // block into a new build reproduces exactly the rules, state ids and step
 // tags a from-scratch build would emit for that key, provided the key's
 // groups equal the groups the block was emitted from.
@@ -24,6 +25,7 @@ type ruleBlock struct {
 	groups    routing.Groups // the key's groups the block was emitted from
 	rules     []pds.Rule
 	steps     []StepInfo
+	weights   pds.Weights
 	numStates int // chain states the block allocates
 }
 
@@ -101,11 +103,13 @@ func (b *builder) record(key routing.Key, gs routing.Groups) *ruleBlock {
 	r0 := len(b.PDS.Rules)
 	s0 := b.PDS.NumStates
 	t0 := len(b.Steps)
+	w0 := len(b.PDS.Weights)
 	b.buildKeyGroups(key, gs)
 	blk := &ruleBlock{
 		groups:    gs,
 		numStates: b.PDS.NumStates - s0,
 		steps:     append([]StepInfo(nil), b.Steps[t0:]...),
+		weights:   append(pds.Weights(nil), b.PDS.Weights[w0:]...),
 		rules:     make([]pds.Rule, 0, len(b.PDS.Rules)-r0),
 	}
 	for _, r := range b.PDS.Rules[r0:] {
@@ -113,6 +117,9 @@ func (b *builder) record(key routing.Key, gs routing.Groups) *ruleBlock {
 		r.ToState = relocOut(r.ToState, s0, b.baseCnt)
 		if r.Tag >= 0 {
 			r.Tag -= int32(t0)
+		}
+		if r.W > 0 {
+			r.W -= int32(w0)
 		}
 		blk.rules = append(blk.rules, r)
 	}
@@ -126,11 +133,16 @@ func (b *builder) splice(blk *ruleBlock) {
 		b.PDS.AddState()
 	}
 	t0 := int32(len(b.Steps))
+	w0 := int32(len(b.PDS.Weights))
+	b.PDS.Weights = append(b.PDS.Weights, blk.weights...)
 	for _, r := range blk.rules {
 		r.FromState = relocIn(r.FromState, s0, b.baseCnt)
 		r.ToState = relocIn(r.ToState, s0, b.baseCnt)
 		if r.Tag >= 0 {
 			r.Tag += t0
+		}
+		if r.W > 0 {
+			r.W += w0
 		}
 		b.PDS.AddRule(r)
 	}

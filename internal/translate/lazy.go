@@ -24,7 +24,7 @@ import (
 type headGen struct{ s *System }
 
 // Head implements pds.Generator.
-func (g headGen) Head(dst []pds.Rule, st pds.State, sym pds.Sym, newState func() pds.State) []pds.Rule {
+func (g headGen) Head(dst []pds.Rule, wts *pds.Weights, st pds.State, sym pds.Sym, newState func() pds.State) []pds.Rule {
 	s := g.s
 	top, ok := s.SymLabel(sym)
 	if !ok {
@@ -49,7 +49,7 @@ func (g headGen) Head(dst []pds.Rule, st pds.State, sym pds.Sym, newState func()
 		for _, entry := range gs[j].Entries {
 			f2, ok := s.nextBudget(f, nFail)
 			if ts := s.targets(qb, entry.Out); ok && len(ts) > 0 {
-				w := s.stepWeight(entry, nFail)
+				w := wts.Add(s.stepWeight(entry, nFail))
 				for _, q2 := range ts {
 					to := s.stateOf(entry.Out, int(q2), f2)
 					em.emit(st, init, entry.Ops, to, tag, w)

@@ -13,14 +13,15 @@ import (
 )
 
 // renderChains renders the rules headed at from, in order, each followed
-// by the chain below it, with chain states unnamed and tags resolved to
-// steps: the form in which an eager and an on-the-fly head must agree.
-func renderChains(b *strings.Builder, sys *System, rules []pds.Rule, from pds.State, depth int) {
+// by the chain below it, with chain states unnamed, weights read from wts
+// and tags resolved to steps: the form in which an eager and an on-the-fly
+// head must agree.
+func renderChains(b *strings.Builder, sys *System, rules []pds.Rule, wts pds.Weights, from pds.State, depth int) {
 	for _, r := range rules {
 		if r.FromState != from {
 			continue
 		}
-		fmt.Fprintf(b, "%*s<%d> kind=%d sym1=%d sym2=%d w=%v", depth, "", r.FromSym, r.Kind, r.Sym1, r.Sym2, r.Weight)
+		fmt.Fprintf(b, "%*s<%d> kind=%d sym1=%d sym2=%d w=%v", depth, "", r.FromSym, r.Kind, r.Sym1, r.Sym2, wts.Of(&r))
 		if r.Tag >= 0 {
 			fmt.Fprintf(b, " step=%+v", sys.step(r.Tag))
 		}
@@ -29,7 +30,7 @@ func renderChains(b *strings.Builder, sys *System, rules []pds.Rule, from pds.St
 			continue
 		}
 		b.WriteString(" to=chain\n")
-		renderChains(b, sys, rules, r.ToState, depth+2)
+		renderChains(b, sys, rules, wts, r.ToState, depth+2)
 	}
 }
 
@@ -85,8 +86,9 @@ func TestHeadMatchesEager(t *testing.T) {
 								own = append(own, er)
 							}
 						}
-						renderChains(&want, eager, own, r.FromState, 0)
-						renderChains(&got, lazy, gen.Head(nil, r.FromState, r.FromSym, newState), r.FromState, 0)
+						renderChains(&want, eager, own, eager.PDS.Weights, r.FromState, 0)
+						var wts pds.Weights
+						renderChains(&got, lazy, gen.Head(nil, &wts, r.FromState, r.FromSym, newState), wts, r.FromState, 0)
 						if want.String() != got.String() {
 							t.Fatalf("%s %q mode=%d weighted=%v head <%d,%d>:\neager:\n%s\non the fly:\n%s",
 								name, text, mode, sp != nil, r.FromState, r.FromSym, want.String(), got.String())
@@ -105,7 +107,7 @@ func TestHeadMatchesEager(t *testing.T) {
 							if i > 0 && g <= listed[i-1] {
 								t.Fatalf("%s %q mode=%d: Heads(%d) not ascending", name, text, mode, s)
 							}
-							if len(gen.Head(nil, s, g, newState)) > 0 {
+							if len(gen.Head(nil, new(pds.Weights), s, g, newState)) > 0 {
 								ruled = append(ruled, g)
 							}
 						}

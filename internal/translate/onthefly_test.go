@@ -61,7 +61,7 @@ func satDump(t *testing.T, sys *translate.System) string {
 		}
 		fmt.Fprintf(&b, "%s accept=%v\n", visit(s), a.Accepting(s))
 		for i, e := range out {
-			fmt.Fprintf(&b, "  e%d sym=%d to=%s w=%v\n", i, e.Sym, visit(e.To), e.Weight)
+			fmt.Fprintf(&b, "  e%d sym=%d to=%s w=%v\n", i, e.Sym, visit(e.To), e.Wit.Weight)
 		}
 	}
 	for s := pds.State(0); isBase(s); s++ {

@@ -157,6 +157,6 @@ func (b *builder) reduce() {
 	p.Rules = kept
 	// Invalidate indices built over the old rule slice.
 	rebuilt := pds.New(p.NumStates, p.NumSyms)
-	rebuilt.Rules = kept
+	rebuilt.Rules, rebuilt.Weights = kept, p.Weights
 	*p = *rebuilt
 }

@@ -297,8 +297,9 @@ func liftSet(s *nfa.Set, universe int) *nfa.Set {
 // Hops and Distance count the entry link; Failures and Tunnels are defined
 // over consecutive pairs and contribute nothing).
 func (s *System) InitAuto() *pds.Auto {
-	a := pds.NewAuto(s.PDS)
 	pre := s.Query.PreNFA
+	// The automaton's own states: one per pre-NFA state, then ⊥'s target.
+	a := pds.NewAuto(s.PDS, pre.NumStates()+1)
 	L := s.Net.Labels.Len()
 	m := make([]pds.State, pre.NumStates())
 	for i := range m {
@@ -329,13 +330,14 @@ func (s *System) InitAuto() *pds.Auto {
 	}
 	// Entry edges from control states.
 	bStart := s.Query.PathNFA.Start()
+	var q1s []int
 	for e := 0; e < s.Net.Topo.NumLinks(); e++ {
 		var w []uint64
 		if s.Opts.Spec != nil {
 			atoms := weight.StepAtoms(s.Net.Topo, topology.LinkID(e), s.Opts.Dist, 0, 0)
 			w = s.Opts.Spec.Eval(atoms)
 		}
-		var q1s []int
+		q1s = q1s[:0]
 		for _, arc := range s.Query.PathNFA.Arcs(bStart) {
 			if arc.Set.Has(nfa.Sym(e)) {
 				q1s = append(q1s, arc.To)

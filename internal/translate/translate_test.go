@@ -106,12 +106,12 @@ func TestWeightedBuildAnnotatesRules(t *testing.T) {
 	withWeight := 0
 	var sawFailureCost bool
 	for _, r := range sys.PDS.Rules {
-		if r.Weight != nil {
-			if len(r.Weight) != 2 {
-				t.Fatalf("rule weight %v has wrong dim", r.Weight)
+		if w := sys.PDS.Weights.Of(&r); w != nil {
+			if len(w) != 2 {
+				t.Fatalf("rule weight %v has wrong dim", w)
 			}
 			withWeight++
-			if r.Weight[1] > 0 {
+			if w[1] > 0 {
 				sawFailureCost = true
 			}
 		}
@@ -237,6 +237,24 @@ func TestStepsRecorded(t *testing.T) {
 	for _, r := range sys.PDS.Rules {
 		if r.Tag >= 0 && int(r.Tag) >= len(sys.Steps) {
 			t.Fatalf("rule tag %d out of range %d", r.Tag, len(sys.Steps))
+		}
+	}
+}
+
+// TestInitAutoAllocs bounds the allocations of building the initial
+// automaton on the fattree-k8 ladder rung's queries (576 links, about 578
+// initial transitions each). Witness records come from one arena, the
+// entry loop reuses one buffer and the state table has room for the
+// query's own states, so the count does not grow with the links: a heap
+// record per transition made about 1,190 allocations.
+func TestInitAutoAllocs(t *testing.T) {
+	s := gen.FatTree(gen.FatTreeOpts{K: 8, Seed: 1})
+	for _, gq := range s.Queries(12, 1) {
+		sys := translate.Build(s.Net, mustParse(t, gq.Text, s.Net), translate.Options{Slice: true})
+		n := testing.AllocsPerRun(5, func() { sys.InitAuto() })
+		t.Logf("%s: %.0f allocations", gq.Text, n)
+		if n >= 64 {
+			t.Errorf("%s: InitAuto made %.0f allocations, want fewer than 64", gq.Text, n)
 		}
 	}
 }

@@ -77,7 +77,7 @@ func randomSystems(rng *rand.Rand) (*wpds.PDS[wpds.Dist], *pds.PDS) {
 			kind = wpds.Swap
 		}
 		r := wpds.Rule[wpds.Dist]{FromState: from, FromSym: fsym, ToState: to, Kind: kind, Weight: wpds.D(w)}
-		pr := pds.Rule{FromState: pds.State(from), FromSym: pds.Sym(fsym), ToState: pds.State(to), Weight: []uint64{w}}
+		pr := pds.Rule{FromState: pds.State(from), FromSym: pds.Sym(fsym), ToState: pds.State(to), W: pp.Weights.Add([]uint64{w})}
 		switch kind {
 		case wpds.Pop:
 			pr.Kind = pds.PopRule
@@ -113,7 +113,7 @@ func initAutos(wp *wpds.PDS[wpds.Dist], pp *pds.PDS) (*wpds.Auto[wpds.Dist], *pd
 	wa.AddTransition(m1, bot, m2, wpds.MinPlus{}.One())
 	wa.SetAccept(m2, true)
 
-	pa := pds.NewAuto(pp)
+	pa := pds.NewAuto(pp, 0)
 	p1 := pa.AddState()
 	p2 := pa.AddState()
 	pa.AddEdge(0, 0, p1)
@@ -176,7 +176,7 @@ func TestBoolAgreesWithReachability(t *testing.T) {
 		ba.SetAccept(m2, true)
 		bsat := wpds.Poststar[bool](wpds.Bool{}, wb, ba)
 
-		pa := pds.NewAuto(pp)
+		pa := pds.NewAuto(pp, 0)
 		p1 := pa.AddState()
 		p2 := pa.AddState()
 		pa.AddEdge(0, 0, p1)
