@@ -197,8 +197,10 @@ func BenchmarkBatchVerify(b *testing.B) {
 }
 
 // BenchmarkAblationReductions measures the top-of-stack reduction pass:
-// identical pipeline with and without it, on the two heaviest Table 1
-// queries.
+// the eager product with and without it, on the two heaviest Table 1
+// queries. Both arms set NoSlice, as benchrunner -ablation does: the
+// default on-the-fly product skips the reduction pass, so it cannot stand
+// for the reduced arm.
 func BenchmarkAblationReductions(b *testing.B) {
 	s := benchNordunet()
 	queries := s.Table1Queries()
@@ -209,7 +211,7 @@ func BenchmarkAblationReductions(b *testing.B) {
 			b.Run(name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					_, err := engine.VerifyText(s.Net, q.Text, engine.Options{
-						NoReductions: !reduced, Budget: benchBudget,
+						NoSlice: true, NoReductions: !reduced, Budget: benchBudget,
 					})
 					if err != nil {
 						b.Fatal(err)

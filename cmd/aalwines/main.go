@@ -4,8 +4,8 @@
 // query is satisfied, together with a (minimum) witness trace.
 //
 // With -queries FILE (one query per line, '#' starts a comment) it runs a
-// whole batch on a bounded worker pool, sharing the translated pushdown
-// systems across queries; -j sets the worker count.
+// whole batch on a bounded worker pool; -j sets the worker count. Each
+// query builds its own pushdown system.
 //
 // With -scenario FILE the network is mutated by a stack of what-if deltas
 // before verification: one command per line ('#' comments), e.g.
@@ -15,7 +15,8 @@
 //	add-entry v0.oe1#v2.ie1 s40 1 v2.oe5#v4.ie5 swap(s43);push(30)
 //
 // Queries (and -write-topology/-write-routing/-dot exports) then run
-// against the mutated overlay; the base network is never modified.
+// against the mutated overlay, verified like any other one-shot run; the
+// base network is never modified.
 //
 // With -sweep the queries become invariants and the tool explores the
 // network's failure space instead of verifying once: every single link
@@ -66,58 +67,59 @@ import (
 	"aalwines/internal/engine"
 	"aalwines/internal/live"
 	"aalwines/internal/loc"
-	"aalwines/internal/moped"
 	"aalwines/internal/network"
 	"aalwines/internal/obs"
 	"aalwines/internal/scenario"
 	"aalwines/internal/sweep"
 	"aalwines/internal/viz"
-	"aalwines/internal/weight"
 	"aalwines/internal/xmlio"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "aalwines:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run parses args on its own flag set and writes the report to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("aalwines", flag.ExitOnError)
 	var nf cli.NetFlags
-	flag.StringVar(&nf.Topo, "topo", "", "topology XML file")
-	flag.StringVar(&nf.Route, "routing", "", "routing XML file")
-	flag.StringVar(&nf.ISIS, "isis", "", "IS-IS snapshot mapping file")
-	flag.StringVar(&nf.GML, "gml", "", "Topology Zoo GML file (dataplane synthesised on it)")
-	flag.StringVar(&nf.Builtin, "net", "", "builtin network: running-example (default), nordunet, zoo")
-	flag.StringVar(&nf.Locations, "locations", "", "router locations JSON (Appendix A.2)")
-	flag.IntVar(&nf.Routers, "routers", 0, "router count for -net zoo")
-	flag.Int64Var(&nf.Seed, "seed", 1, "generator seed")
-	flag.IntVar(&nf.Services, "services", 0, "service chains per pair for -net nordunet")
-	flag.IntVar(&nf.Edge, "edge", 0, "edge router count for generated networks")
+	fs.StringVar(&nf.Topo, "topo", "", "topology XML file")
+	fs.StringVar(&nf.Route, "routing", "", "routing XML file")
+	fs.StringVar(&nf.ISIS, "isis", "", "IS-IS snapshot mapping file")
+	fs.StringVar(&nf.GML, "gml", "", "Topology Zoo GML file (dataplane synthesised on it)")
+	fs.StringVar(&nf.Builtin, "net", "", "builtin network: running-example (default), nordunet, zoo")
+	fs.StringVar(&nf.Locations, "locations", "", "router locations JSON (Appendix A.2)")
+	fs.IntVar(&nf.Routers, "routers", 0, "router count for -net zoo")
+	fs.Int64Var(&nf.Seed, "seed", 1, "generator seed")
+	fs.IntVar(&nf.Services, "services", 0, "service chains per pair for -net nordunet")
+	fs.IntVar(&nf.Edge, "edge", 0, "edge router count for generated networks")
 
-	queryText := flag.String("query", "", "reachability query <a> b <c> k")
-	queriesFile := flag.String("queries", "", "file with one query per line ('#' comments); runs them as a batch")
-	scenarioFile := flag.String("scenario", "", "what-if scenario file: one delta command per line, applied before verification")
-	workers := flag.Int("j", 0, "worker pool size for -queries batches, -sweep and -live (0 = GOMAXPROCS)")
-	queryTimeout := flag.Duration("query-timeout", 0, "per-query wall-clock deadline for -queries batches (0 = none)")
-	liveFile := flag.String("live", "", "replay a routing-update feed (\"-\" = stdin) against the invariants and report verdict transitions")
-	sweepMode := flag.Bool("sweep", false, "resilience sweep: verify every query under every single/double link failure")
-	sweepDepth := flag.Int("sweep-depth", 1, "failure-space depth for -sweep: 1 = single links, 2 = singles + pairs")
-	sweepCells := flag.Bool("sweep-cells", false, "embed the full per-cell grid in -sweep -json output")
-	engineName := flag.String("engine", "dual", "saturation backend: dual or moped")
-	weightSpec := flag.String("weight", "", "minimisation vector, e.g. 'Hops, Failures + 3*Tunnels'")
-	useDistance := flag.Bool("geo-distance", false, "use great-circle distances for the Distance quantity")
-	noReductions := flag.Bool("no-reductions", false, "disable the pre-saturation reduction pass")
-	noSlice := flag.Bool("no-slice", false, "build the whole reduced product up front instead of generating rules as saturation reaches them")
-	budget := flag.Int64("budget", 0, "work budget per saturation (0 = unlimited)")
-	asJSON := flag.Bool("json", false, "JSON output")
-	statsDump := flag.Bool("stats", false, "dump the metrics registry as JSON to stderr on exit (engine_rules_generated_total counts on-the-fly rules per direction)")
-	writeTopo := flag.String("write-topology", "", "write the topology XML and exit")
-	writeRoute := flag.String("write-routing", "", "write the routing XML and exit")
-	writeLoc := flag.String("write-locations", "", "write the locations JSON and exit")
-	dotOut := flag.String("dot", "", "write a Graphviz rendering of the network (and witness, if any)")
-	flag.Parse()
+	queryText := fs.String("query", "", "reachability query <a> b <c> k")
+	queriesFile := fs.String("queries", "", "file with one query per line ('#' comments); runs them as a batch")
+	scenarioFile := fs.String("scenario", "", "what-if scenario file: one delta command per line, applied before verification")
+	workers := fs.Int("j", 0, "worker pool size for -queries batches, -sweep and -live (0 = GOMAXPROCS)")
+	queryTimeout := fs.Duration("query-timeout", 0, "per-query wall-clock deadline for -queries batches (0 = none)")
+	liveFile := fs.String("live", "", "replay a routing-update feed (\"-\" = stdin) against the invariants and report verdict transitions")
+	sweepMode := fs.Bool("sweep", false, "resilience sweep: verify every query under every single/double link failure")
+	sweepDepth := fs.Int("sweep-depth", 1, "failure-space depth for -sweep: 1 = single links, 2 = singles + pairs")
+	sweepCells := fs.Bool("sweep-cells", false, "embed the full per-cell grid in -sweep -json output")
+	var er cli.EngineRequest
+	fs.StringVar(&er.Engine, "engine", "dual", "saturation backend: dual or moped")
+	fs.StringVar(&er.Weight, "weight", "", "minimisation vector, e.g. 'Hops, Failures + 3*Tunnels'")
+	fs.BoolVar(&er.GeoDistance, "geo-distance", false, "use great-circle distances for the Distance quantity")
+	fs.BoolVar(&er.NoReductions, "no-reductions", false, "disable the pre-saturation reduction pass")
+	noSlice := fs.Bool("no-slice", false, "build the whole reduced product up front instead of generating rules as saturation reaches them")
+	fs.Int64Var(&er.Budget, "budget", 0, "work budget per saturation (0 = unlimited)")
+	asJSON := fs.Bool("json", false, "JSON output")
+	statsDump := fs.Bool("stats", false, "dump the metrics registry as JSON to stderr on exit (engine_rules_generated_total counts on-the-fly rules per direction)")
+	writeTopo := fs.String("write-topology", "", "write the topology XML and exit")
+	writeRoute := fs.String("write-routing", "", "write the routing XML and exit")
+	writeLoc := fs.String("write-locations", "", "write the locations JSON and exit")
+	dotOut := fs.String("dot", "", "write a Graphviz rendering of the network (and witness, if any)")
+	fs.Parse(args)
 
 	if *statsDump {
 		// Runs on every exit path, after all verification work: the dump
@@ -137,7 +139,6 @@ func run() error {
 
 	// A scenario mutates the network up front: exports and queries below
 	// all see the overlay, never the base.
-	var sess *scenario.Session
 	if *scenarioFile != "" {
 		text, err := os.ReadFile(*scenarioFile)
 		if err != nil {
@@ -147,7 +148,7 @@ func run() error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", *scenarioFile, err)
 		}
-		sess = scenario.NewSession(net)
+		sess := scenario.NewSession(net)
 		defer sess.Close()
 		// ApplyAll validates the whole file before applying, then rebuilds
 		// the overlay once; its error names the failing command.
@@ -183,61 +184,29 @@ func run() error {
 		return fmt.Errorf("no -query or -queries given (and nothing to write)")
 	}
 
-	opts := engine.Options{NoReductions: *noReductions, Budget: *budget, NoSlice: *noSlice}
-	if *weightSpec != "" {
-		spec, err := weight.ParseSpec(*weightSpec)
-		if err != nil {
-			return err
-		}
-		opts.Spec = spec
+	opts, err := er.Options(net)
+	if err != nil {
+		return err
 	}
-	if *useDistance {
-		opts.Dist = loc.DistanceFunc(net)
-	}
-	switch *engineName {
-	case "dual":
-	case "moped":
-		if opts.Spec != nil {
-			return fmt.Errorf("the moped backend does not support -weight")
-		}
-		opts.Saturate = moped.Poststar
-	default:
-		return fmt.Errorf("unknown engine %q", *engineName)
+	opts.NoSlice = *noSlice
+	texts, err := readQueries(*queriesFile, *queryText)
+	if err != nil {
+		return err
 	}
 
-	if *liveFile != "" {
-		if *sweepMode || *dotOut != "" || sess != nil {
+	switch {
+	case *liveFile != "":
+		if *sweepMode || *dotOut != "" || *scenarioFile != "" {
 			return fmt.Errorf("-live cannot be combined with -sweep, -scenario or -dot")
-		}
-		var texts []string
-		if *queriesFile != "" {
-			texts, err = readQueries(*queriesFile)
-			if err != nil {
-				return err
-			}
-		}
-		if *queryText != "" {
-			texts = append(texts, *queryText)
 		}
 		if len(texts) == 0 {
 			return fmt.Errorf("-live needs invariants: give -query or -queries")
 		}
-		return runLive(*liveFile, net, texts, opts, *workers, *asJSON)
-	}
+		return runLive(stdout, *liveFile, net, texts, opts, *workers, *asJSON)
 
-	if *sweepMode {
+	case *sweepMode:
 		if *dotOut != "" {
 			return fmt.Errorf("-dot is not supported with -sweep")
-		}
-		var texts []string
-		if *queriesFile != "" {
-			texts, err = readQueries(*queriesFile)
-			if err != nil {
-				return err
-			}
-		}
-		if *queryText != "" {
-			texts = append(texts, *queryText)
 		}
 		res, err := sweep.Run(context.Background(), net, sweep.Config{
 			Depth:        *sweepDepth,
@@ -251,37 +220,21 @@ func run() error {
 			return err
 		}
 		if *asJSON {
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			return enc.Encode(res.Report)
+			return encodeJSON(stdout, res.Report)
 		}
-		return res.Report.WriteText(os.Stdout)
-	}
+		return res.Report.WriteText(stdout)
 
-	if *queriesFile != "" {
+	case *queriesFile != "":
 		if *dotOut != "" {
 			return fmt.Errorf("-dot is not supported with -queries")
-		}
-		texts, err := readQueries(*queriesFile)
-		if err != nil {
-			return err
-		}
-		if *queryText != "" {
-			texts = append(texts, *queryText)
 		}
 		if len(texts) == 0 {
 			return fmt.Errorf("%s: no queries", *queriesFile)
 		}
-		bopts := batch.Options{Workers: *workers, Timeout: *queryTimeout, Engine: opts}
-		var results []batch.Result
-		if sess != nil {
-			// Route through the session so translations reuse the
-			// incremental block store.
-			results = sess.VerifyBatch(context.Background(), texts, bopts)
-		} else {
-			results = batch.Verify(context.Background(), net, texts, bopts)
-		}
-		failed, err := cli.PrintBatch(os.Stdout, net, results, *asJSON)
+		results := batch.Verify(context.Background(), net, texts, batch.Options{
+			Workers: *workers, Timeout: *queryTimeout, Engine: opts,
+		})
+		failed, err := cli.PrintBatch(stdout, net, results, *asJSON)
 		if err != nil {
 			return err
 		}
@@ -291,12 +244,7 @@ func run() error {
 		return nil
 	}
 
-	var res engine.Result
-	if sess != nil {
-		res, err = sess.Verify(context.Background(), *queryText, opts)
-	} else {
-		res, err = engine.VerifyText(net, *queryText, opts)
-	}
+	res, err := engine.VerifyText(net, *queryText, opts)
 	if err != nil {
 		return err
 	}
@@ -308,7 +256,7 @@ func run() error {
 			return err
 		}
 	}
-	return cli.PrintResult(os.Stdout, net, *queryText, res, *asJSON)
+	return cli.PrintResult(stdout, net, *queryText, res, *asJSON)
 }
 
 // liveReport is the -live -json output: the replay totals, every flush
@@ -328,7 +276,7 @@ type liveReport struct {
 // every invariant, and reports the transitions. Flushes happen only at
 // explicit flush events, the burst cap and EOF — no debounce timer — so a
 // given feed always produces the same report.
-func runLive(feedPath string, net *network.Network, texts []string, eopts engine.Options, workers int, asJSON bool) error {
+func runLive(stdout io.Writer, feedPath string, net *network.Network, texts []string, eopts engine.Options, workers int, asJSON bool) error {
 	var r io.Reader
 	if feedPath == "-" {
 		r = os.Stdin
@@ -357,7 +305,7 @@ func runLive(feedPath string, net *network.Network, texts []string, eopts engine
 		OnFlush: func(info live.FlushInfo) {
 			flushes = append(flushes, info)
 			if !asJSON {
-				fmt.Printf("flush #%d: %d events -> stack %d (fp %s), %d changed, reverify %.1fms\n",
+				fmt.Fprintf(stdout, "flush #%d: %d events -> stack %d (fp %s), %d changed, reverify %.1fms\n",
 					info.Seq, info.Events, info.StackLen, info.Fingerprint, info.Changed, info.ReverifyMS)
 			}
 		},
@@ -394,25 +342,23 @@ func runLive(feedPath string, net *network.Network, texts []string, eopts engine
 		Final:       hub.Cells(),
 	}
 	if asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
+		if err := encodeJSON(stdout, rep); err != nil {
 			return err
 		}
 	} else {
-		fmt.Printf("replayed %s: %d events (%d errors), %d flushes, %d verdict changes\n",
+		fmt.Fprintf(stdout, "replayed %s: %d events (%d errors), %d flushes, %d verdict changes\n",
 			feedPath, stats.Events, stats.Errors, stats.Flushes, stats.Changed)
-		fmt.Println("initial:")
+		fmt.Fprintln(stdout, "initial:")
 		for _, c := range initial {
-			printCell(c)
+			printCell(stdout, c)
 		}
 		for _, ev := range transitions {
-			fmt.Printf("flush #%d (fp %s) changed:\n", ev.Seq, ev.Fingerprint)
-			printCell(*ev.Cell)
+			fmt.Fprintf(stdout, "flush #%d (fp %s) changed:\n", ev.Seq, ev.Fingerprint)
+			printCell(stdout, *ev.Cell)
 		}
-		fmt.Println("final:")
+		fmt.Fprintln(stdout, "final:")
 		for _, c := range rep.Final {
-			printCell(c)
+			printCell(stdout, c)
 		}
 	}
 	if stats.Errors > 0 {
@@ -421,32 +367,47 @@ func runLive(feedPath string, net *network.Network, texts []string, eopts engine
 	return nil
 }
 
-func printCell(c live.Cell) {
+func printCell(w io.Writer, c live.Cell) {
 	if c.Error != "" {
-		fmt.Printf("  error(%s)   %s: %s\n", c.Code, c.Query, c.Error)
+		fmt.Fprintf(w, "  error(%s)   %s: %s\n", c.Code, c.Query, c.Error)
 		return
 	}
-	fmt.Printf("  %-11s %s\n", c.Verdict, c.Query)
+	fmt.Fprintf(w, "  %-11s %s\n", c.Verdict, c.Query)
 }
 
-// readQueries reads one query per line; blank lines and lines starting
-// with '#' are skipped.
-func readQueries(path string) ([]string, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
+// readQueries returns the queries of path, one per line (blank lines and
+// lines starting with '#' skipped; no file if path is empty), followed by
+// extra unless that is empty: the query list of -queries, -sweep and -live.
+func readQueries(path, extra string) ([]string, error) {
 	var texts []string
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
+	if path != "" {
+		f, err := os.Open(path)
+		if err != nil {
+			return nil, err
 		}
-		texts = append(texts, line)
+		defer f.Close()
+		sc := bufio.NewScanner(f)
+		for sc.Scan() {
+			line := strings.TrimSpace(sc.Text())
+			if line == "" || strings.HasPrefix(line, "#") {
+				continue
+			}
+			texts = append(texts, line)
+		}
+		if err := sc.Err(); err != nil {
+			return nil, err
+		}
 	}
-	return texts, sc.Err()
+	if extra != "" {
+		texts = append(texts, extra)
+	}
+	return texts, nil
+}
+
+func encodeJSON(w io.Writer, v any) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(v)
 }
 
 func writeFile(path string, f func(*os.File) error) error {

@@ -1,10 +1,9 @@
-// Package cli holds the flag plumbing shared by the command-line tools:
-// loading or generating networks, applying location data and rendering
-// verification results.
+// Package cli holds the request plumbing shared by the command-line tools
+// and the HTTP API: loading or generating networks, applying location
+// data, resolving engine requests and rendering verification results.
 package cli
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -19,7 +18,9 @@ import (
 	"aalwines/internal/gml"
 	"aalwines/internal/isis"
 	"aalwines/internal/loc"
+	"aalwines/internal/moped"
 	"aalwines/internal/network"
+	"aalwines/internal/weight"
 	"aalwines/internal/xmlio"
 )
 
@@ -178,6 +179,52 @@ func applyLocations(net *network.Network, path string) (*network.Network, error)
 	return net, nil
 }
 
+// EngineRequest is a client's engine configuration: the engine flags of
+// cmd/aalwines, and the engine fields every HTTP verify and sweep body
+// embeds.
+type EngineRequest struct {
+	// Weight is an optional minimisation vector, e.g.
+	// "Hops, Failures + 3*Tunnels".
+	Weight string `json:"weight,omitempty"`
+	// Engine selects "dual" (the default, also "") or "moped".
+	Engine string `json:"engine,omitempty"`
+	// Budget bounds saturation work (0 = unlimited); the daemon caps it
+	// at its MaxBudget.
+	Budget int64 `json:"budget,omitempty"`
+	// GeoDistance uses great-circle distances for the Distance quantity.
+	GeoDistance bool `json:"geoDistance,omitempty"`
+	// NoReductions disables the reduction pass (diagnostics).
+	NoReductions bool `json:"noReductions,omitempty"`
+}
+
+// Options validates the request and resolves it into engine options for
+// net, whose router locations the geo-distance function reads. The moped
+// engine refuses weights.
+func (r EngineRequest) Options(net *network.Network) (engine.Options, error) {
+	opts := engine.Options{Budget: r.Budget, NoReductions: r.NoReductions}
+	if r.Weight != "" {
+		spec, err := weight.ParseSpec(r.Weight)
+		if err != nil {
+			return opts, err
+		}
+		opts.Spec = spec
+	}
+	if r.GeoDistance {
+		opts.Dist = loc.DistanceFunc(net)
+	}
+	switch r.Engine {
+	case "", "dual":
+	case "moped":
+		if opts.Spec != nil {
+			return opts, errors.New("the moped engine does not support weights")
+		}
+		opts.Saturate = moped.Poststar
+	default:
+		return opts, errors.New("unknown engine " + r.Engine)
+	}
+	return opts, nil
+}
+
 // ResultJSON is the machine-readable verification result.
 type ResultJSON struct {
 	Query    string     `json:"query"`
@@ -279,26 +326,6 @@ func ms(d interface{ Seconds() float64 }) float64 {
 	return d.Seconds() * 1000
 }
 
-// ErrorCode classifies a verification error for machine consumption:
-// "budget-exhausted" for an exhausted saturation budget (the server-side
-// analogue of the paper's 10-minute timeout), "deadline-exceeded" for an
-// expired per-query deadline, "cancelled" for a cancelled run, and
-// "query-error" for everything else (parse and validation failures). Both
-// HTTP routes and the batch JSON use the same mapping so clients can
-// switch on one vocabulary.
-func ErrorCode(err error) string {
-	switch {
-	case errors.Is(err, engine.ErrBudget):
-		return "budget-exhausted"
-	case errors.Is(err, context.DeadlineExceeded):
-		return "deadline-exceeded"
-	case errors.Is(err, context.Canceled):
-		return "cancelled"
-	default:
-		return "query-error"
-	}
-}
-
 // BatchItemJSON is one query's outcome in a batch run: a ResultJSON on
 // success, or the query text plus an error string, machine-readable code
 // and whatever partial timings/sizes the failed run produced.
@@ -324,7 +351,7 @@ func BatchToJSON(net *network.Network, results []batch.Result) []BatchItemJSON {
 				Sizes:    SizesOf(r.Stats),
 			}
 			item.Error = r.Err.Error()
-			item.Code = ErrorCode(r.Err)
+			item.Code = engine.ErrorCode(r.Err)
 		} else {
 			item.ResultJSON = ToJSON(net, r.Query, r.Res)
 		}

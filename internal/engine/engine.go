@@ -172,6 +172,26 @@ type Result struct {
 // as a timeout.
 var ErrBudget = pds.ErrBudget
 
+// ErrorCode classifies a verification error for machine consumption:
+// "budget-exhausted" for an exhausted saturation budget (the server-side
+// analogue of the paper's 10-minute timeout), "deadline-exceeded" for an
+// expired per-query deadline, "cancelled" for a cancelled run, and
+// "query-error" for everything else (parse and validation failures). The
+// HTTP routes, batch items, sweep cells and watch cells all use this one
+// vocabulary, so clients can switch on it.
+func ErrorCode(err error) string {
+	switch {
+	case errors.Is(err, ErrBudget):
+		return "budget-exhausted"
+	case errors.Is(err, context.DeadlineExceeded):
+		return "deadline-exceeded"
+	case errors.Is(err, context.Canceled):
+		return "cancelled"
+	default:
+		return "query-error"
+	}
+}
+
 // Verify runs the full pipeline for a query on a network.
 func Verify(net *network.Network, q *query.Query, opts Options) (Result, error) {
 	return VerifyCtx(context.Background(), net, q, opts)

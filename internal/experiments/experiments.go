@@ -9,6 +9,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -85,27 +86,13 @@ func RunOne(s *gen.Synth, q gen.GenQuery, kind EngineKind, budget int64) Measure
 		Time: time.Since(t0), Verdict: res.Verdict,
 	}
 	if err != nil {
-		if isBudget(err) {
+		if errors.Is(err, engine.ErrBudget) {
 			m.TimedOut = true
 		} else {
 			m.Err = err
 		}
 	}
 	return m
-}
-
-func isBudget(err error) bool {
-	for e := err; e != nil; {
-		if e == engine.ErrBudget {
-			return true
-		}
-		u, ok := e.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		e = u.Unwrap()
-	}
-	return false
 }
 
 // Table1Config parameterises the Table 1 run.
@@ -245,7 +232,7 @@ func Figure4(cfg Figure4Config) *Figure4Result {
 					Time: r.Elapsed, Verdict: r.Res.Verdict,
 				}
 				if r.Err != nil {
-					if isBudget(r.Err) {
+					if errors.Is(r.Err, engine.ErrBudget) {
 						m.TimedOut = true
 					} else {
 						m.Err = r.Err

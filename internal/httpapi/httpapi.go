@@ -45,11 +45,15 @@
 // surfaces as a 500 "internal-error" envelope rather than an empty reply.
 // A request body over 1 MiB is answered with 413 "request-too-large".
 //
+// Every verify, batch and sweep body embeds cli.EngineRequest, which owns
+// how its engine fields become engine.Options; the server adds only its
+// MaxBudget cap and the 400 envelope for a refused request.
+//
 // Networks are immutable after registration, so verification requests run
-// concurrently without locking. Each network gets a batch.Runner whose
-// translation cache is shared by all verification requests; scenario
-// sessions additionally maintain an incremental cache that re-translates
-// only the routing keys whose content their deltas changed.
+// concurrently without locking. /verify and /verify-batch keep no state
+// between requests: each query builds its own pushdown system. Scenario
+// sessions maintain an incremental cache that re-translates only the
+// routing keys whose content their deltas changed.
 package httpapi
 
 import (
@@ -69,12 +73,10 @@ import (
 	"aalwines/internal/engine"
 	"aalwines/internal/live"
 	"aalwines/internal/loc"
-	"aalwines/internal/moped"
 	"aalwines/internal/network"
 	"aalwines/internal/obs"
 	"aalwines/internal/scenario"
 	"aalwines/internal/sweep"
-	"aalwines/internal/weight"
 )
 
 // Server is the HTTP API. Register networks before serving; registration
@@ -186,7 +188,7 @@ func gone(successor string) http.HandlerFunc {
 // ErrorEnvelope is the single error shape every route returns.
 type ErrorEnvelope struct {
 	// Code is the machine-readable classification: "bad-request",
-	// "not-found", or a verification code from cli.ErrorCode
+	// "not-found", or a verification code from engine.ErrorCode
 	// ("query-error", "budget-exhausted", "deadline-exceeded",
 	// "cancelled").
 	Code string `json:"code"`
@@ -239,7 +241,7 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 // code and the partial stats of the aborted run.
 func writeVerifyError(w http.ResponseWriter, err error, st engine.Stats) {
 	writeJSON(w, errStatus(err), ErrorEnvelope{
-		Code:    cli.ErrorCode(err),
+		Code:    engine.ErrorCode(err),
 		Message: err.Error(),
 		Stats:   &ErrorStats{TimingMS: cli.TimingsOf(st), Sizes: cli.SizesOf(st)},
 	})
@@ -322,51 +324,20 @@ func (s *Server) handleTopology(w http.ResponseWriter, r *http.Request) {
 type VerifyRequest struct {
 	Network string `json:"network"`
 	Query   string `json:"query"`
-	// Weight is an optional minimisation vector, e.g.
-	// "Hops, Failures + 3*Tunnels".
-	Weight string `json:"weight,omitempty"`
-	// Engine selects "dual" (default) or "moped".
-	Engine string `json:"engine,omitempty"`
-	// Budget bounds saturation work; capped by the server's MaxBudget.
-	Budget int64 `json:"budget,omitempty"`
-	// GeoDistance uses great-circle distances for the Distance quantity.
-	GeoDistance bool `json:"geoDistance,omitempty"`
-	// NoReductions disables the reduction pass (diagnostics).
-	NoReductions bool `json:"noReductions,omitempty"`
+	cli.EngineRequest
 }
 
-// engineOptions validates the engine-facing request fields shared by the
-// single and batch verify endpoints. On failure it writes a 400 envelope
-// and returns ok=false.
-func (s *Server) engineOptions(w http.ResponseWriter, net *network.Network,
-	weightStr, engineName string, budget int64, geo, noReductions bool) (engine.Options, bool) {
-	opts := engine.Options{NoReductions: noReductions}
-	opts.Budget = s.MaxBudget
-	if budget > 0 && (s.MaxBudget == 0 || budget < s.MaxBudget) {
-		opts.Budget = budget
-	}
-	if weightStr != "" {
-		spec, err := weight.ParseSpec(weightStr)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad-request", err.Error())
-			return opts, false
-		}
-		opts.Spec = spec
-	}
-	if geo {
-		opts.Dist = loc.DistanceFunc(net)
-	}
-	switch engineName {
-	case "", "dual":
-	case "moped":
-		if opts.Spec != nil {
-			writeError(w, http.StatusBadRequest, "bad-request", "the moped engine does not support weights")
-			return opts, false
-		}
-		opts.Saturate = moped.Poststar
-	default:
-		writeError(w, http.StatusBadRequest, "bad-request", "unknown engine "+engineName)
+// options resolves a request's engine fields under the server's budget
+// cap: a request may lower MaxBudget but not raise it. On a refused
+// request it writes the 400 envelope and returns ok=false.
+func (s *Server) options(w http.ResponseWriter, net *network.Network, req cli.EngineRequest) (engine.Options, bool) {
+	opts, err := req.Options(net)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "bad-request", err.Error())
 		return opts, false
+	}
+	if s.MaxBudget > 0 && (opts.Budget <= 0 || opts.Budget > s.MaxBudget) {
+		opts.Budget = s.MaxBudget
 	}
 	return opts, true
 }
@@ -386,7 +357,7 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad-request", "empty query")
 		return
 	}
-	opts, ok := s.engineOptions(w, net, req.Weight, req.Engine, req.Budget, req.GeoDistance, req.NoReductions)
+	opts, ok := s.options(w, net, req.EngineRequest)
 	if !ok {
 		return
 	}
@@ -407,13 +378,8 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 type VerifyBatchRequest struct {
 	Network string   `json:"network"`
 	Queries []string `json:"queries"`
-	// Weight, Engine, Budget, GeoDistance and NoReductions act as in
-	// VerifyRequest, applied to every query.
-	Weight       string `json:"weight,omitempty"`
-	Engine       string `json:"engine,omitempty"`
-	Budget       int64  `json:"budget,omitempty"`
-	GeoDistance  bool   `json:"geoDistance,omitempty"`
-	NoReductions bool   `json:"noReductions,omitempty"`
+	// The engine fields apply to every query.
+	cli.EngineRequest
 	// Workers asks for a worker pool size; the server's Parallel cap wins.
 	Workers int `json:"workers,omitempty"`
 	// TimeoutMS is a per-query wall-clock deadline in milliseconds.
@@ -443,7 +409,7 @@ func (s *Server) handleVerifyBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad-request", "no queries")
 		return
 	}
-	opts, ok := s.engineOptions(w, net, req.Weight, req.Engine, req.Budget, req.GeoDistance, req.NoReductions)
+	opts, ok := s.options(w, net, req.EngineRequest)
 	if !ok {
 		return
 	}
@@ -466,13 +432,8 @@ type SweepRequest struct {
 	Depth int `json:"depth,omitempty"`
 	// Invariants are the queries verified in every failure scenario.
 	Invariants []string `json:"invariants"`
-	// Weight, Engine, Budget, GeoDistance and NoReductions act as in
-	// VerifyRequest, applied to every cell.
-	Weight       string `json:"weight,omitempty"`
-	Engine       string `json:"engine,omitempty"`
-	Budget       int64  `json:"budget,omitempty"`
-	GeoDistance  bool   `json:"geoDistance,omitempty"`
-	NoReductions bool   `json:"noReductions,omitempty"`
+	// The engine fields apply to every cell.
+	cli.EngineRequest
 	// Workers asks for a scenario-level pool size; the server's Parallel
 	// cap wins.
 	Workers int `json:"workers,omitempty"`
@@ -507,7 +468,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad-request", "no invariants")
 		return
 	}
-	opts, ok := s.engineOptions(w, net, req.Weight, req.Engine, req.Budget, req.GeoDistance, req.NoReductions)
+	opts, ok := s.options(w, net, req.EngineRequest)
 	if !ok {
 		return
 	}
@@ -838,19 +799,21 @@ func (s *Server) handleSessionVerify(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Engine options only read topology and locations, which every overlay
-	// shares with the base; the overlay actually verified comes back from
-	// VerifySnapshot so the response is rendered from the same network the
-	// run was pinned to, even if a delta lands concurrently.
-	opts, ok := s.engineOptions(w, e.sess.Base(), req.Weight, req.Engine, req.Budget, req.GeoDistance, req.NoReductions)
+	// shares with the base. A one-query batch, as on /verify: the response
+	// is rendered from the overlay the run was pinned to, even if a delta
+	// lands concurrently.
+	opts, ok := s.options(w, e.sess.Base(), req.EngineRequest)
 	if !ok {
 		return
 	}
-	res, overlay, err := e.sess.VerifySnapshot(r.Context(), req.Query, opts)
-	if err != nil {
-		writeVerifyError(w, err, res.Stats)
+	rs, overlay := e.sess.VerifyBatchSnapshot(r.Context(), []string{req.Query}, batch.Options{
+		Workers: 1, Engine: opts,
+	})
+	if rs[0].Err != nil {
+		writeVerifyError(w, rs[0].Err, rs[0].Stats)
 		return
 	}
-	writeJSON(w, http.StatusOK, cli.ToJSON(overlay, req.Query, res))
+	writeJSON(w, http.StatusOK, cli.ToJSON(overlay, req.Query, rs[0].Res))
 }
 
 func (s *Server) handleSessionVerifyBatch(w http.ResponseWriter, r *http.Request) {
@@ -868,7 +831,7 @@ func (s *Server) handleSessionVerifyBatch(w http.ResponseWriter, r *http.Request
 	}
 	// As in handleSessionVerify: options from the shared topology, response
 	// rendered from the overlay the batch was actually pinned to.
-	opts, ok := s.engineOptions(w, e.sess.Base(), req.Weight, req.Engine, req.Budget, req.GeoDistance, req.NoReductions)
+	opts, ok := s.options(w, e.sess.Base(), req.EngineRequest)
 	if !ok {
 		return
 	}
@@ -887,10 +850,10 @@ func (s *Server) handleSessionVerifyBatch(w http.ResponseWriter, r *http.Request
 // errStatus maps a verification error to an HTTP status. An exhausted
 // server-side budget is 504 (the server gave up, not the client), an
 // expired per-query deadline or a cancelled request is 408, and everything
-// else (parse errors etc.) is 422. The mapping keys off cli.ErrorCode so
-// both verify routes and the batch item JSON agree on the vocabulary.
+// else (parse errors etc.) is 422. The mapping keys off engine.ErrorCode so
+// the verify routes and the batch item JSON agree on the vocabulary.
 func errStatus(err error) int {
-	switch cli.ErrorCode(err) {
+	switch engine.ErrorCode(err) {
 	case "budget-exhausted":
 		return http.StatusGatewayTimeout
 	case "deadline-exceeded", "cancelled":

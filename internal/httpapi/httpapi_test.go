@@ -157,9 +157,9 @@ func TestVerifyEndpoint(t *testing.T) {
 func TestVerifyWeighted(t *testing.T) {
 	ts := newTestServer(t)
 	resp, out := postVerify(t, ts, httpapi.VerifyRequest{
-		Network: "running-example",
-		Query:   "<smpls? ip> [.#v0] . . . .* [v3#.] <smpls? ip> 1",
-		Weight:  "Hops, Failures + 3*Tunnels",
+		Network:       "running-example",
+		Query:         "<smpls? ip> [.#v0] . . . .* [v3#.] <smpls? ip> 1",
+		EngineRequest: cli.EngineRequest{Weight: "Hops, Failures + 3*Tunnels"},
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", resp.StatusCode)
@@ -172,9 +172,9 @@ func TestVerifyWeighted(t *testing.T) {
 func TestVerifyMopedEngine(t *testing.T) {
 	ts := newTestServer(t)
 	resp, out := postVerify(t, ts, httpapi.VerifyRequest{
-		Network: "running-example",
-		Query:   "<ip> [.#v0] .* [v3#.] <ip> 0",
-		Engine:  "moped",
+		Network:       "running-example",
+		Query:         "<ip> [.#v0] .* [v3#.] <ip> 0",
+		EngineRequest: cli.EngineRequest{Engine: "moped"},
 	})
 	if resp.StatusCode != http.StatusOK || out.Verdict != "satisfied" {
 		t.Fatalf("status=%d result=%+v", resp.StatusCode, out)
@@ -194,9 +194,9 @@ func TestVerifyErrors(t *testing.T) {
 		// A parse error whose text mentions "budget" is still a query error.
 		{httpapi.VerifyRequest{Network: "running-example", Query: "<ip> [.#budget] .* [v3#.] <ip> 0"}, http.StatusUnprocessableEntity, "query-error"},
 		{httpapi.VerifyRequest{Network: "running-example", Query: "budget"}, http.StatusUnprocessableEntity, "query-error"},
-		{httpapi.VerifyRequest{Network: "running-example", Query: "<ip> .* <ip> 0", Weight: "frobs"}, http.StatusBadRequest, "bad-request"},
-		{httpapi.VerifyRequest{Network: "running-example", Query: "<ip> .* <ip> 0", Engine: "z3"}, http.StatusBadRequest, "bad-request"},
-		{httpapi.VerifyRequest{Network: "running-example", Query: "<ip> .* <ip> 0", Engine: "moped", Weight: "Hops"}, http.StatusBadRequest, "bad-request"},
+		{httpapi.VerifyRequest{Network: "running-example", Query: "<ip> .* <ip> 0", EngineRequest: cli.EngineRequest{Weight: "frobs"}}, http.StatusBadRequest, "bad-request"},
+		{httpapi.VerifyRequest{Network: "running-example", Query: "<ip> .* <ip> 0", EngineRequest: cli.EngineRequest{Engine: "z3"}}, http.StatusBadRequest, "bad-request"},
+		{httpapi.VerifyRequest{Network: "running-example", Query: "<ip> .* <ip> 0", EngineRequest: cli.EngineRequest{Engine: "moped", Weight: "Hops"}}, http.StatusBadRequest, "bad-request"},
 	}
 	for i, c := range cases {
 		resp, _ := postVerify(t, ts, c.req)
@@ -259,8 +259,8 @@ func TestVerifyBudgetCap(t *testing.T) {
 		body, _ := json.Marshal(httpapi.VerifyRequest{
 			Network: "running-example",
 			Query:   "<ip> [.#v0] .* [v3#.] <ip> 0",
-			Budget:  1_000_000, // request may not raise the cap
-			Engine:  eng,
+			// The request may not raise the cap.
+			EngineRequest: cli.EngineRequest{Budget: 1_000_000, Engine: eng},
 		})
 		resp, err := http.Post(ts.URL+"/api/v1/verify", "application/json", bytes.NewReader(body))
 		if err != nil {
@@ -397,9 +397,9 @@ func TestRegisteredNetworkKeepsNoQueryState(t *testing.T) {
 		return 0
 	}
 	req := httpapi.VerifyRequest{
-		Network:      "running-example",
-		Query:        "<ip> [.#v0] .* [v3#.] <ip> 0",
-		NoReductions: true,
+		Network:       "running-example",
+		Query:         "<ip> [.#v0] .* [v3#.] <ip> 0",
+		EngineRequest: cli.EngineRequest{NoReductions: true},
 	}
 	var grew [2]int64
 	for i := range grew {
@@ -481,7 +481,7 @@ func TestVerifyBatchErrors(t *testing.T) {
 	}{
 		{httpapi.VerifyBatchRequest{Network: "ghost", Queries: []string{"<ip> .* <ip> 0"}}, http.StatusNotFound},
 		{httpapi.VerifyBatchRequest{Network: "running-example"}, http.StatusBadRequest},
-		{httpapi.VerifyBatchRequest{Network: "running-example", Queries: []string{"<ip> .* <ip> 0"}, Engine: "z3"}, http.StatusBadRequest},
+		{httpapi.VerifyBatchRequest{Network: "running-example", Queries: []string{"<ip> .* <ip> 0"}, EngineRequest: cli.EngineRequest{Engine: "z3"}}, http.StatusBadRequest},
 	}
 	for i, c := range cases {
 		resp, _ := postBatch(t, ts, c.req)
@@ -1028,5 +1028,98 @@ func TestSweepStream(t *testing.T) {
 	// 8 single-link scenarios × 1 invariant.
 	if cells != 8 || report.CellsTotal != 8 || report.Incomplete {
 		t.Fatalf("streamed %d cells, report %+v", cells, report)
+	}
+}
+
+// TestEngineRequestAcrossRoutes: every route that takes engine fields
+// decides them alike. An unknown engine, moped with a weight and an
+// unparsable weight are refused with the same 400 envelope and message on
+// each; a budget over the server's cap is lowered to the cap on each, so
+// every verification it runs is budget-exhausted (one-query routes answer
+// 504, the batch and sweep routes report it per item or cell).
+func TestEngineRequestAcrossRoutes(t *testing.T) {
+	s := httpapi.NewServer()
+	s.Register(gen.RunningExample().Network)
+	s.MaxBudget = 1
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	sess := ts.URL + "/api/v1/sessions/" + createTestSession(t, ts.URL)
+	const q = "<ip> [.#v0] .* [v3#.] <ip> 0"
+	routes := []struct {
+		name, url string
+		oneQuery  bool
+		body      func(cli.EngineRequest) any
+	}{
+		{"verify", ts.URL + "/api/v1/verify", true, func(er cli.EngineRequest) any {
+			return httpapi.VerifyRequest{Network: "running-example", Query: q, EngineRequest: er}
+		}},
+		{"verify-batch", ts.URL + "/api/v1/verify-batch", false, func(er cli.EngineRequest) any {
+			return httpapi.VerifyBatchRequest{Network: "running-example", Queries: []string{q}, EngineRequest: er}
+		}},
+		{"sweep", ts.URL + "/api/v1/networks/running-example/sweep", false, func(er cli.EngineRequest) any {
+			return httpapi.SweepRequest{Invariants: []string{q}, IncludeCells: true, EngineRequest: er}
+		}},
+		{"session verify", sess + "/verify", true, func(er cli.EngineRequest) any {
+			return httpapi.VerifyRequest{Query: q, EngineRequest: er}
+		}},
+		{"session verify-batch", sess + "/verify-batch", false, func(er cli.EngineRequest) any {
+			return httpapi.VerifyBatchRequest{Queries: []string{q}, EngineRequest: er}
+		}},
+	}
+	cases := []struct {
+		name string
+		er   cli.EngineRequest
+		code string
+	}{
+		{"unknown engine", cli.EngineRequest{Engine: "z3"}, "bad-request"},
+		{"moped with a weight", cli.EngineRequest{Engine: "moped", Weight: "Hops"}, "bad-request"},
+		{"unparsable weight", cli.EngineRequest{Weight: "frobs"}, "bad-request"},
+		{"over-cap budget", cli.EngineRequest{Budget: 1 << 40}, "budget-exhausted"},
+	}
+	for _, c := range cases {
+		firstMsg := ""
+		for _, rt := range routes {
+			resp := doJSON(t, http.MethodPost, rt.url, rt.body(c.er))
+			var body struct {
+				Code    string                  `json:"code"`
+				Message string                  `json:"message"`
+				Results []struct{ Code string } `json:"results"`
+				Cells   []struct{ Code string } `json:"cells"`
+			}
+			if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+				t.Fatalf("%s, %s: %v", c.name, rt.name, err)
+			}
+			resp.Body.Close()
+			wantStatus := http.StatusBadRequest
+			if c.code == "budget-exhausted" {
+				wantStatus = http.StatusOK
+				if rt.oneQuery {
+					wantStatus = http.StatusGatewayTimeout
+				}
+			}
+			codes := []string{body.Code}
+			if wantStatus == http.StatusOK {
+				codes = nil
+				for _, r := range append(body.Results, body.Cells...) {
+					codes = append(codes, r.Code)
+				}
+			}
+			if resp.StatusCode != wantStatus || len(codes) == 0 {
+				t.Errorf("%s, %s: status %d with codes %v, want %d", c.name, rt.name, resp.StatusCode, codes, wantStatus)
+				continue
+			}
+			for _, code := range codes {
+				if code != c.code {
+					t.Errorf("%s, %s: code %q, want %q", c.name, rt.name, code, c.code)
+				}
+			}
+			if c.code == "bad-request" {
+				if firstMsg == "" {
+					firstMsg = body.Message
+				} else if body.Message != firstMsg {
+					t.Errorf("%s, %s: message %q, want %q as on the other routes", c.name, rt.name, body.Message, firstMsg)
+				}
+			}
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -168,6 +169,58 @@ func TestWatchLifecycle(t *testing.T) {
 	gresp.Body.Close()
 	if env.Code != "watch-not-found" {
 		t.Fatalf("envelope = %+v", env)
+	}
+}
+
+// reverifyCount reads live_reverify_ms_count from GET /metrics.
+func reverifyCount(t *testing.T, ts *httptest.Server) int {
+	t.Helper()
+	for _, line := range strings.Split(getMetrics(t, ts), "\n") {
+		if v, ok := strings.CutPrefix(line, "live_reverify_ms_count "); ok {
+			n, err := strconv.Atoi(v)
+			if err != nil {
+				t.Fatalf("bad count line %q", line)
+			}
+			return n
+		}
+	}
+	t.Fatal("live_reverify_ms_count missing from /metrics")
+	return 0
+}
+
+// TestDeltaRefreshObservesReverify: the re-verification an HTTP delta or
+// undo triggers on a watched session is a live_reverify_ms observation,
+// as a feed flush's is; a session without watches re-verifies nothing.
+func TestDeltaRefreshObservesReverify(t *testing.T) {
+	ts := newTestServer(t)
+	sid := createTestSession(t, ts.URL)
+	base := ts.URL + "/api/v1/sessions/" + sid
+	step := func(method, url string, body any) int {
+		t.Helper()
+		before := reverifyCount(t, ts)
+		resp := doJSON(t, method, url, body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s %s: status = %d", method, url, resp.StatusCode)
+		}
+		return reverifyCount(t, ts) - before
+	}
+	fail := httpapi.SessionDeltasRequest{Commands: []string{"fail v2.oe4#v3.ie4"}}
+	if n := step(http.MethodPost, base+"/deltas", fail); n != 0 {
+		t.Fatalf("delta without watches: %d observations, want 0", n)
+	}
+	resp := doJSON(t, http.MethodPost, base+"/watch",
+		httpapi.WatchCreateRequest{Invariants: []string{"<ip> [.#v0] .* [v3#.] <ip> 1"}})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("watch create: status = %d", resp.StatusCode)
+	}
+	drain := httpapi.SessionDeltasRequest{Commands: []string{"fail v2.oe5#v4.ie5"}}
+	if n := step(http.MethodPost, base+"/deltas", drain); n != 1 {
+		t.Errorf("delta: %d observations, want 1", n)
+	}
+	if n := step(http.MethodDelete, base+"/deltas/2", nil); n != 1 {
+		t.Errorf("undo: %d observations, want 1", n)
 	}
 }
 

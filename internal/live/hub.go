@@ -55,7 +55,7 @@ type Cell struct {
 // overlay the run was pinned to.
 func CellOf(overlay *network.Network, r batch.Result) Cell {
 	if r.Err != nil {
-		return Cell{Query: r.Query, Error: r.Err.Error(), Code: cli.ErrorCode(r.Err)}
+		return Cell{Query: r.Query, Error: r.Err.Error(), Code: engine.ErrorCode(r.Err)}
 	}
 	rj := cli.ToJSON(overlay, r.Query, r.Res).Stable()
 	return Cell{
@@ -181,7 +181,7 @@ func (h *Hub) AddWatch(ctx context.Context, invariants []string, buffer int) (*W
 	if len(fresh) > 0 {
 		rs, overlay := h.sess.VerifyBatchSnapshot(ctx, fresh, h.batchOpts())
 		for _, r := range rs {
-			if r.Err != nil && cli.ErrorCode(r.Err) == "query-error" {
+			if r.Err != nil && engine.ErrorCode(r.Err) == "query-error" {
 				return nil, &BadQueryError{Query: r.Query, Err: r.Err}
 			}
 		}
@@ -249,8 +249,10 @@ func (h *Hub) batchOpts() batch.Options {
 // current overlay and pushes the cells whose rendering changed to every
 // watch subscribed to them. It returns the number of changed cells.
 // Callers serialize flushes through it; a refresh with no watched
-// invariants is free.
+// invariants is free. Every re-verification, whether a feed flush or an
+// HTTP delta or undo asked for it, is one live_reverify_ms observation.
 func (h *Hub) Refresh(ctx context.Context) int {
+	start := time.Now()
 	h.refreshMu.Lock()
 	defer h.refreshMu.Unlock()
 
@@ -263,6 +265,7 @@ func (h *Hub) Refresh(ctx context.Context) int {
 	h.mu.Unlock()
 
 	rs, overlay := h.sess.VerifyBatchSnapshot(ctx, queries, h.batchOpts())
+	mReverifyMS.Observe(float64(time.Since(start)) / float64(time.Millisecond))
 
 	h.mu.Lock()
 	defer h.mu.Unlock()

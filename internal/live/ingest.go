@@ -225,7 +225,6 @@ func (ing *Ingester) Flush(ctx context.Context) (FlushInfo, error) {
 		start := time.Now()
 		info.Changed = ing.opts.Hub.Refresh(ctx)
 		info.ReverifyMS = float64(time.Since(start)) / float64(time.Millisecond)
-		mReverifyMS.Observe(info.ReverifyMS)
 	}
 	ing.lastFP = fp
 	ing.flushedAny = true

@@ -49,6 +49,8 @@ var (
 	// seconds-based defaults: re-verification latency on a warm cache sits
 	// well under a second and ms buckets keep the histogram readable (the
 	// DESIGN.md §7 naming convention carries the unit in the name).
+	// Hub.Refresh observes it on every re-verification: feed flushes and
+	// the HTTP delta and undo routes alike.
 	mReverifyMS = obs.GetHistogram("live_reverify_ms",
 		[]float64{0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 2500})
 	mWatchesLive  = obs.GetGauge("live_watches_live")

@@ -189,7 +189,7 @@ func (p *parser) parseQuery() (*Query, error) {
 	if !p.eat('<') {
 		return nil, p.errf("expected '<' opening the initial header expression")
 	}
-	pre, err := p.parseLabelAlt()
+	pre, err := p.parseAlt(labelExpr)
 	if err != nil {
 		return nil, err
 	}
@@ -197,7 +197,7 @@ func (p *parser) parseQuery() (*Query, error) {
 		return nil, p.errf("expected '>' closing the initial header expression")
 	}
 	q.HeadPre = pre
-	path, err := p.parseLinkAlt()
+	path, err := p.parseAlt(linkExpr)
 	if err != nil {
 		return nil, err
 	}
@@ -205,7 +205,7 @@ func (p *parser) parseQuery() (*Query, error) {
 	if !p.eat('<') {
 		return nil, p.errf("expected '<' opening the final header expression")
 	}
-	post, err := p.parseLabelAlt()
+	post, err := p.parseAlt(labelExpr)
 	if err != nil {
 		return nil, err
 	}
@@ -244,16 +244,51 @@ func (p *parser) parseInt() (int, error) {
 	return n, nil
 }
 
-// ---------- label expressions ----------
+// ---------- expressions ----------
 
-func (p *parser) parseLabelAlt() (rex.Node, error) {
-	first, err := p.parseLabelCat()
+// grammar is one of Definition 5's two expression languages: label
+// expressions (the headers a and c) and link expressions (the path b).
+// Both share one recursive descent (alternation, concatenation, the
+// postfix repetitions, grouping, complement and the '.' wildcard) and
+// differ only in these fields.
+type grammar struct {
+	// noun names the language in error messages.
+	noun string
+	// end closes a concatenation besides '|', ')' and the end of input:
+	// the '>' after a header, the '<' after the path.
+	end byte
+	// universe is the symbol count '.' ranges over.
+	universe func(*network.Network) int
+	// bracket parses a bracketed atom after its '['.
+	bracket func(*parser) (rex.Node, error)
+	// names admits bare label names and abbreviations as atoms.
+	names bool
+}
+
+var (
+	labelExpr = &grammar{
+		noun:     "label",
+		end:      '>',
+		universe: func(n *network.Network) int { return n.Labels.Len() },
+		bracket:  (*parser).parseLabelSet,
+		names:    true,
+	}
+	linkExpr = &grammar{
+		noun:     "link",
+		end:      '<',
+		universe: func(n *network.Network) int { return n.Topo.NumLinks() },
+		bracket:  (*parser).parseLinkAtom,
+	}
+)
+
+func (p *parser) parseAlt(g *grammar) (rex.Node, error) {
+	first, err := p.parseCat(g)
 	if err != nil {
 		return nil, err
 	}
 	parts := []rex.Node{first}
 	for p.eat('|') {
-		n, err := p.parseLabelCat()
+		n, err := p.parseCat(g)
 		if err != nil {
 			return nil, err
 		}
@@ -265,11 +300,11 @@ func (p *parser) parseLabelAlt() (rex.Node, error) {
 	return rex.Union{Parts: parts}, nil
 }
 
-func (p *parser) parseLabelCat() (rex.Node, error) {
+func (p *parser) parseCat(g *grammar) (rex.Node, error) {
 	var parts []rex.Node
 	for {
 		switch p.peek() {
-		case '>', '|', ')', 0:
+		case g.end, '|', ')', 0:
 			if len(parts) == 0 {
 				return rex.Eps{}, nil
 			}
@@ -278,7 +313,7 @@ func (p *parser) parseLabelCat() (rex.Node, error) {
 			}
 			return rex.Concat{Parts: parts}, nil
 		}
-		n, err := p.parseLabelRep()
+		n, err := p.parseRep(g)
 		if err != nil {
 			return nil, err
 		}
@@ -286,15 +321,12 @@ func (p *parser) parseLabelCat() (rex.Node, error) {
 	}
 }
 
-func (p *parser) parseLabelRep() (rex.Node, error) {
-	n, err := p.parseLabelPrim()
+// parseRep parses a primary followed by any postfix repetitions.
+func (p *parser) parseRep(g *grammar) (rex.Node, error) {
+	n, err := p.parsePrim(g)
 	if err != nil {
 		return nil, err
 	}
-	return p.applyPostfix(n)
-}
-
-func (p *parser) applyPostfix(n rex.Node) (rex.Node, error) {
 	for {
 		switch p.peek() {
 		case '*':
@@ -308,11 +340,9 @@ func (p *parser) applyPostfix(n rex.Node) (rex.Node, error) {
 			n = rex.Opt{X: n}
 		case '{':
 			p.pos++
-			rep, err := p.parseRepeat(n)
-			if err != nil {
+			if n, err = p.parseRepeat(n); err != nil {
 				return nil, err
 			}
-			n = rep
 		default:
 			return n, nil
 		}
@@ -346,11 +376,11 @@ func (p *parser) parseRepeat(x rex.Node) (rex.Node, error) {
 	return rex.Repeat{X: x, Min: min, Max: max}, nil
 }
 
-func (p *parser) parseLabelPrim() (rex.Node, error) {
+func (p *parser) parsePrim(g *grammar) (rex.Node, error) {
 	switch p.peek() {
 	case '(':
 		p.pos++
-		n, err := p.parseLabelAlt()
+		n, err := p.parseAlt(g)
 		if err != nil {
 			return nil, err
 		}
@@ -360,27 +390,29 @@ func (p *parser) parseLabelPrim() (rex.Node, error) {
 		return n, nil
 	case '^':
 		p.pos++
-		n, err := p.parseLabelPrim()
+		n, err := p.parsePrim(g)
 		if err != nil {
 			return nil, err
 		}
 		return rex.Not{X: n}, nil
 	case '.':
 		p.pos++
-		return rex.AnyAtom(p.net.Labels.Len()), nil
+		return rex.AnyAtom(g.universe(p.net)), nil
 	case '[':
 		p.pos++
-		return p.parseLabelSet()
+		return g.bracket(p)
 	case 0:
-		return nil, p.errf("unexpected end of query in label expression")
-	default:
-		name := p.scanLabelName()
-		if name == "" {
-			return nil, p.errf("unexpected character %q in label expression", p.peek())
-		}
-		return p.labelAtom(name)
+		return nil, p.errf("unexpected end of query in %s expression", g.noun)
 	}
+	if g.names {
+		if name := p.scanLabelName(); name != "" {
+			return p.labelAtom(name)
+		}
+	}
+	return nil, p.errf("unexpected character %q in %s expression", p.peek(), g.noun)
 }
+
+// ---------- label atoms ----------
 
 func (p *parser) scanLabelName() string {
 	p.skipSpace()
@@ -448,87 +480,7 @@ func (p *parser) parseLabelSet() (rex.Node, error) {
 	}
 }
 
-// ---------- link expressions ----------
-
-func (p *parser) parseLinkAlt() (rex.Node, error) {
-	first, err := p.parseLinkCat()
-	if err != nil {
-		return nil, err
-	}
-	parts := []rex.Node{first}
-	for p.eat('|') {
-		n, err := p.parseLinkCat()
-		if err != nil {
-			return nil, err
-		}
-		parts = append(parts, n)
-	}
-	if len(parts) == 1 {
-		return parts[0], nil
-	}
-	return rex.Union{Parts: parts}, nil
-}
-
-func (p *parser) parseLinkCat() (rex.Node, error) {
-	var parts []rex.Node
-	for {
-		switch p.peek() {
-		case '<', '|', ')', 0:
-			if len(parts) == 0 {
-				return rex.Eps{}, nil
-			}
-			if len(parts) == 1 {
-				return parts[0], nil
-			}
-			return rex.Concat{Parts: parts}, nil
-		}
-		n, err := p.parseLinkRep()
-		if err != nil {
-			return nil, err
-		}
-		parts = append(parts, n)
-	}
-}
-
-func (p *parser) parseLinkRep() (rex.Node, error) {
-	n, err := p.parseLinkPrim()
-	if err != nil {
-		return nil, err
-	}
-	return p.applyPostfix(n)
-}
-
-func (p *parser) parseLinkPrim() (rex.Node, error) {
-	switch p.peek() {
-	case '(':
-		p.pos++
-		n, err := p.parseLinkAlt()
-		if err != nil {
-			return nil, err
-		}
-		if !p.eat(')') {
-			return nil, p.errf("expected ')'")
-		}
-		return n, nil
-	case '^':
-		p.pos++
-		n, err := p.parseLinkPrim()
-		if err != nil {
-			return nil, err
-		}
-		return rex.Not{X: n}, nil
-	case '.':
-		p.pos++
-		return rex.AnyAtom(p.net.Topo.NumLinks()), nil
-	case '[':
-		p.pos++
-		return p.parseLinkAtom()
-	case 0:
-		return nil, p.errf("unexpected end of query in link expression")
-	default:
-		return nil, p.errf("unexpected character %q in link expression", p.peek())
-	}
-}
+// ---------- link atoms ----------
 
 // parseLinkAtom parses the body of "[side#side]" after the '['; a leading
 // '^' complements the resulting link set ([^v#u] = any link except v→u).

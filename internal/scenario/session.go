@@ -442,19 +442,8 @@ func deepCopyGroups(gs routing.Groups) routing.Groups {
 // Verify runs one query against the current overlay, with translation
 // served from the session's incremental cache.
 func (s *Session) Verify(ctx context.Context, queryText string, opts engine.Options) (engine.Result, error) {
-	res, _, err := s.VerifySnapshot(ctx, queryText, opts)
-	return res, err
-}
-
-// VerifySnapshot is Verify returning also the overlay network the run was
-// pinned to. Callers rendering the result (witness traces reference the
-// network's links and headers) must render from the returned overlay: a
-// delta applied concurrently with the verification swaps Overlay()
-// underneath, while the run itself stays on the snapshot taken here.
-func (s *Session) VerifySnapshot(ctx context.Context, queryText string, opts engine.Options) (engine.Result, *network.Network, error) {
-	overlay := s.Overlay()
-	rs := s.runner.VerifyOn(ctx, overlay, []string{queryText}, batch.Options{Workers: 1, Engine: opts})
-	return rs[0].Res, overlay, rs[0].Err
+	rs := s.VerifyBatch(ctx, []string{queryText}, batch.Options{Workers: 1, Engine: opts})
+	return rs[0].Res, rs[0].Err
 }
 
 // VerifyBatch runs a batch of queries against the current overlay on the
@@ -465,7 +454,11 @@ func (s *Session) VerifyBatch(ctx context.Context, queries []string, opts batch.
 }
 
 // VerifyBatchSnapshot is VerifyBatch returning also the overlay network
-// the whole batch was pinned to; see VerifySnapshot.
+// the whole batch was pinned to. Callers rendering the results (witness
+// traces reference the network's links and headers) must render from the
+// returned overlay: a delta applied concurrently with the verification
+// swaps Overlay() underneath, while the runs stay on the snapshot taken
+// here.
 func (s *Session) VerifyBatchSnapshot(ctx context.Context, queries []string, opts batch.Options) ([]batch.Result, *network.Network) {
 	overlay := s.Overlay()
 	return s.runner.VerifyOn(ctx, overlay, queries, opts), overlay

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"aalwines/internal/batch"
 	"aalwines/internal/engine"
 	"aalwines/internal/gen"
 	"aalwines/internal/obs"
@@ -164,8 +165,8 @@ func TestApplyAllAtomic(t *testing.T) {
 	}
 }
 
-// TestVerifySnapshotOverlay checks VerifySnapshot hands back the overlay
-// the run was pinned to, agreeing with Verify at rest.
+// TestVerifySnapshotOverlay checks VerifyBatchSnapshot hands back the
+// overlay the run was pinned to, agreeing with Verify at rest.
 func TestVerifySnapshotOverlay(t *testing.T) {
 	re := gen.RunningExample()
 	s := NewSession(re.Network)
@@ -174,18 +175,18 @@ func TestVerifySnapshotOverlay(t *testing.T) {
 		t.Fatal(err)
 	}
 	const qt = "<s40 ip> [.#v0] .* [v3#.] <smpls ip> 1"
-	res, overlay, err := s.VerifySnapshot(context.Background(), qt, engine.Options{})
-	if err != nil {
-		t.Fatal(err)
+	rs, overlay := s.VerifyBatchSnapshot(context.Background(), []string{qt}, batch.Options{})
+	if rs[0].Err != nil {
+		t.Fatal(rs[0].Err)
 	}
 	if overlay != s.Overlay() {
-		t.Error("VerifySnapshot must return the overlay the run was pinned to")
+		t.Error("VerifyBatchSnapshot must return the overlay the run was pinned to")
 	}
 	want, err := s.Verify(context.Background(), qt, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameVerify(t, "snapshot vs verify", res, want)
+	sameVerify(t, "snapshot vs verify", rs[0].Res, want)
 }
 
 // sameVerify asserts two engine results are byte-identical in everything

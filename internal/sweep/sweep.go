@@ -265,7 +265,7 @@ func (c CellResult) JSON(g *topology.Graph) CellJSON {
 	case c.Incomplete:
 	case c.Err != nil:
 		cj.Error = c.Err.Error()
-		cj.Code = errCode(c.Err)
+		cj.Code = engine.ErrorCode(c.Err)
 	default:
 		cj.Verdict = c.Res.Verdict.String()
 	}
@@ -421,24 +421,9 @@ func runScenario(ctx context.Context, sess *scenario.Session, sc Scenario,
 // runs, so a budget blow-up under failures counts as breaking too.
 func outcome(res engine.Result, err error) string {
 	if err != nil {
-		return "error:" + errCode(err)
+		return "error:" + engine.ErrorCode(err)
 	}
 	return res.Verdict.String()
-}
-
-// errCode mirrors cli.ErrorCode's vocabulary (cli is not imported to keep
-// the dependency direction: cli renders, sweep computes).
-func errCode(err error) string {
-	switch {
-	case errors.Is(err, engine.ErrBudget):
-		return "budget-exhausted"
-	case errors.Is(err, context.DeadlineExceeded):
-		return "deadline-exceeded"
-	case errors.Is(err, context.Canceled):
-		return "cancelled"
-	default:
-		return "query-error"
-	}
 }
 
 func buildReport(net *network.Network, cfg Config, workers int, scs []Scenario,

@@ -100,7 +100,10 @@ func TestEnumerate(t *testing.T) {
 	}
 }
 
+// TestErrCode: failed cells and the breaking analysis speak the engine's
+// error vocabulary.
 func TestErrCode(t *testing.T) {
+	g := tinyGraph()
 	for _, tc := range []struct {
 		err  error
 		want string
@@ -110,8 +113,11 @@ func TestErrCode(t *testing.T) {
 		{context.Canceled, "cancelled"},
 		{errors.New("boom"), "query-error"},
 	} {
-		if got := errCode(tc.err); got != tc.want {
-			t.Errorf("errCode(%v) = %q, want %q", tc.err, got, tc.want)
+		if got := (CellResult{Links: []topology.LinkID{0}, Err: tc.err}).JSON(g).Code; got != tc.want {
+			t.Errorf("cell code of %v = %q, want %q", tc.err, got, tc.want)
+		}
+		if got := outcome(engine.Result{}, tc.err); got != "error:"+tc.want {
+			t.Errorf("outcome(%v) = %q, want %q", tc.err, got, "error:"+tc.want)
 		}
 	}
 }
