@@ -19,18 +19,21 @@
 // DELETE /api/v1/sessions/{id}/watch/{wid},
 // GET /api/v1/sessions/{id}/watch/{wid}/events — SSE, or NDJSON with
 // ?format=ndjson), GET /metrics (Prometheus text) and GET /healthz. The
-// pre-versioning /api/* paths answer 410 Gone with a successor Link.
+// pre-versioning /api/* paths are unknown routes (404 not-found).
 // Errors on every route share one JSON envelope ({code, message,
-// details, stats?}); see internal/httpapi for the schema and
-// cmd/apicontract for the golden-file contract check.
+// details, stats?}) whose code decides the status; see internal/httpapi
+// for the schema and the table of codes, and cmd/apicontract for the
+// golden-file contract check.
 //
 // With -feed the daemon opens a long-lived session on the builtin network
 // and streams routing updates into it from a file, FIFO, or stdin ("-"):
 // one event per line, either a JSON object ({"type":"link-down",...}) or
 // a bare delta command. Bursts are coalesced over -feed-window; each
-// flush atomically rebuilds the session overlay and re-verifies every
-// invariant registered through the watch routes, pushing only changed
-// verdicts to subscribers. See the README's "Live mode" walkthrough.
+// flush atomically replaces the session's delta stack and re-verifies
+// every invariant registered through the watch routes, pushing only
+// changed verdicts to subscribers. The stack belongs to the feed: a delta
+// posted to the feed session over HTTP lasts until the next flush. See
+// the README's "Live mode" walkthrough.
 //
 // With -debug-addr a second listener serves the operator-facing debug
 // surface — /metrics, /debug/vars (expvar, including the metrics registry

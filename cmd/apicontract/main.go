@@ -1,8 +1,8 @@
 // Command apicontract validates the versioned HTTP API contract against a
 // running aalwinesd. It drives every /api/v1 route — including the watch
-// subscription block and its NDJSON event transcript — plus one removed
-// legacy alias (410 Gone) in a fixed order on a freshly-started server,
-// and compares each response to a golden JSON document, after stripping
+// subscription block and its NDJSON event transcript — in a fixed order on
+// a freshly-started server, and compares each response to a golden JSON
+// document, after stripping
 // volatile fields (timings, translation sizes, cache counters) that
 // legitimately vary between runs and engine versions.
 //
@@ -46,8 +46,8 @@ type step struct {
 	path       string
 	body       string
 	wantStatus int
-	// wantHeaders are literal header expectations (e.g. the successor Link
-	// on removed routes).
+	// wantHeaders are literal header expectations (e.g. the Content-Type of
+	// an event stream).
 	wantHeaders map[string]string
 	// golden is the basename of the expected response document; empty for
 	// bodyless responses (204).
@@ -85,10 +85,9 @@ var steps = []step{
 	{name: "sweep-bad-depth", method: "POST", path: "/api/v1/networks/running-example/sweep",
 		body:       `{"depth":3,"invariants":["<ip> [.#v0] .* [v3#.] <ip> 0"]}`,
 		wantStatus: 400, golden: "sweep_error.json"},
-	{name: "networks-legacy-gone", method: "GET", path: "/api/networks",
-		wantStatus:  410,
-		wantHeaders: map[string]string{"Link": `</api/v1/networks>; rel="successor-version"`},
-		golden:      "legacy_gone.json"},
+	{name: "sweep-bad-invariant", method: "POST", path: "/api/v1/networks/running-example/sweep",
+		body:       `{"depth":1,"invariants":["<bogus"]}`,
+		wantStatus: 422, golden: "sweep_bad_invariant.json"},
 	{name: "session-create", method: "POST", path: "/api/v1/sessions",
 		body:       `{"network":"running-example"}`,
 		wantStatus: 201, golden: "session_create.json"},

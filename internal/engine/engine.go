@@ -192,6 +192,20 @@ func ErrorCode(err error) string {
 	}
 }
 
+// QueryError reports that a query text does not parse against the network.
+// Callers that check a set of queries before running any (watch and sweep
+// invariants) return it for the first that fails, so a client learns which
+// query to fix; ErrorCode classifies it "query-error". The message is the
+// parser's, which already quotes the query.
+type QueryError struct {
+	Query string
+	Err   error
+}
+
+func (e *QueryError) Error() string { return e.Err.Error() }
+
+func (e *QueryError) Unwrap() error { return e.Err }
+
 // Verify runs the full pipeline for a query on a network.
 func Verify(net *network.Network, q *query.Query, opts Options) (Result, error) {
 	return VerifyCtx(context.Background(), net, q, opts)

@@ -29,21 +29,32 @@
 //	GET    /healthz                            → liveness probe
 //	GET    /metrics                            → Prometheus text exposition
 //
-// The pre-versioning paths (/api/networks, /api/verify, ...) are gone:
-// they answer 410 with the standard error envelope and a Link header
-// naming the successor route.
-//
 // Every error response, on every route, uses the same JSON envelope
-// {code, message, details?, stats?} — code is machine-readable
-// ("bad-request", "request-too-large", "not-found", "session-not-found",
-// "method-not-allowed", "gone", "internal-error", "query-error",
-// "budget-exhausted", "deadline-exceeded", "cancelled"), details carries
-// request-specific context (e.g. the delta command that failed), and stats
-// carries the partial timings/sizes of an aborted verification. That
-// includes routing misses: an unknown /api/... path or a wrong method gets
-// the envelope, not the Go mux's plain-text page, and a handler panic
+// {code, message, details?, stats?}: details carries request-specific
+// context (e.g. the delta command that failed), and stats carries the
+// partial timings/sizes of an aborted verification. The code is
+// machine-readable, and it alone decides the status:
+//
+//	400 bad-request         malformed JSON, a missing field, refused engine fields, a bad sweep depth
+//	404 not-found           unknown route, network or delta sequence number
+//	404 session-not-found   unknown or closed session
+//	404 watch-not-found     unknown watch
+//	405 method-not-allowed  wrong method on an /api/ route
+//	408 cancelled           the client went away during a verification
+//	408 deadline-exceeded   a verification's deadline passed
+//	409 watch-busy          another stream is attached to the watch
+//	413 request-too-large   a request body over 1 MiB
+//	422 delta-error         a delta command that does not parse or validate
+//	422 query-error         a query or invariant that does not parse
+//	422 sweep-too-large     a sweep grid past sweep.MaxCells cells
+//	429 too-many-sessions   the open-session limit is reached
+//	500 internal-error      a handler panic
+//	504 budget-exhausted    the server's saturation budget ran out
+//
+// Routing misses wear the envelope too: an unknown /api/... path, the
+// pre-versioning /api/networks and /api/verify among them, or a wrong
+// method gets it, not the Go mux's plain-text page, and a handler panic
 // surfaces as a 500 "internal-error" envelope rather than an empty reply.
-// A request body over 1 MiB is answered with 413 "request-too-large".
 //
 // Every verify, batch and sweep body embeds cli.EngineRequest, which owns
 // how its engine fields become engine.Options; the server adds only its
@@ -51,9 +62,10 @@
 //
 // Networks are immutable after registration, so verification requests run
 // concurrently without locking. /verify and /verify-batch keep no state
-// between requests: each query builds its own pushdown system. Scenario
-// sessions maintain an incremental cache that re-translates only the
-// routing keys whose content their deltas changed.
+// between requests: each query builds its own pushdown system. A session's
+// verify routes share those handlers; only the network they run on
+// differs. Scenario sessions maintain an incremental cache that
+// re-translates only the routing keys whose content their deltas changed.
 package httpapi
 
 import (
@@ -141,6 +153,8 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /api/v1/networks/{name}/sweep", s.handleSweep)
 	mux.HandleFunc("POST /api/v1/verify", s.handleVerify)
 	mux.HandleFunc("POST /api/v1/verify-batch", s.handleVerifyBatch)
+	mux.HandleFunc("POST /api/v1/sessions/{id}/verify", s.handleVerify)
+	mux.HandleFunc("POST /api/v1/sessions/{id}/verify-batch", s.handleVerifyBatch)
 
 	mux.HandleFunc("POST /api/v1/sessions", s.handleSessionCreate)
 	mux.HandleFunc("GET /api/v1/sessions", s.handleSessionList)
@@ -148,21 +162,11 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("DELETE /api/v1/sessions/{id}", s.handleSessionClose)
 	mux.HandleFunc("POST /api/v1/sessions/{id}/deltas", s.handleSessionDeltas)
 	mux.HandleFunc("DELETE /api/v1/sessions/{id}/deltas/{seq}", s.handleSessionUndo)
-	mux.HandleFunc("POST /api/v1/sessions/{id}/verify", s.handleSessionVerify)
-	mux.HandleFunc("POST /api/v1/sessions/{id}/verify-batch", s.handleSessionVerifyBatch)
 
 	mux.HandleFunc("POST /api/v1/sessions/{id}/watch", s.handleWatchCreate)
 	mux.HandleFunc("GET /api/v1/sessions/{id}/watch", s.handleWatchList)
 	mux.HandleFunc("DELETE /api/v1/sessions/{id}/watch/{wid}", s.handleWatchClose)
 	mux.HandleFunc("GET /api/v1/sessions/{id}/watch/{wid}/events", s.handleWatchEvents)
-
-	// Pre-versioning aliases: 410 Gone pointing at the successor. No method
-	// in the pattern: every method on the dead path gets the same 410, not
-	// a 405.
-	mux.HandleFunc("/api/networks", gone("/api/v1/networks"))
-	mux.HandleFunc("/api/networks/{name}/topology", gone("/api/v1/networks/{name}/topology"))
-	mux.HandleFunc("/api/verify", gone("/api/v1/verify"))
-	mux.HandleFunc("/api/verify-batch", gone("/api/v1/verify-batch"))
 
 	// Prometheus text exposition of the process-wide metrics registry:
 	// saturation counters, translation counters, batch latency histograms,
@@ -174,23 +178,12 @@ func (s *Server) Handler() http.Handler {
 	return withMiddleware(mux)
 }
 
-// gone answers for a removed legacy route: 410 with the error envelope and
-// a Link header naming the successor.
-func gone(successor string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Link", `<`+successor+`>; rel="successor-version"`)
-		writeErrorDetails(w, http.StatusGone, "gone",
-			"this unversioned route has been removed; use "+successor,
-			map[string]string{"successor": successor})
-	}
-}
-
 // ErrorEnvelope is the single error shape every route returns.
 type ErrorEnvelope struct {
-	// Code is the machine-readable classification: "bad-request",
-	// "not-found", or a verification code from engine.ErrorCode
-	// ("query-error", "budget-exhausted", "deadline-exceeded",
-	// "cancelled").
+	// Code is the machine-readable classification, one of the codes the
+	// package documentation lists with their statuses; the verification
+	// codes ("query-error", "budget-exhausted", "deadline-exceeded",
+	// "cancelled") are engine.ErrorCode's.
 	Code string `json:"code"`
 	// Message is the human-readable error.
 	Message string `json:"message"`
@@ -207,12 +200,31 @@ type ErrorStats struct {
 	Sizes    cli.Sizes   `json:"sizes"`
 }
 
-func writeError(w http.ResponseWriter, status int, code, msg string) {
-	writeJSON(w, status, ErrorEnvelope{Code: code, Message: msg})
+// statusOf is the status of every error code; the package documentation
+// lists the same table. writeError and writeVerifyError read it, so a
+// code is answered with one status on every route.
+var statusOf = map[string]int{
+	"bad-request":        http.StatusBadRequest,
+	"not-found":          http.StatusNotFound,
+	"session-not-found":  http.StatusNotFound,
+	"watch-not-found":    http.StatusNotFound,
+	"method-not-allowed": http.StatusMethodNotAllowed,
+	"cancelled":          http.StatusRequestTimeout,
+	"deadline-exceeded":  http.StatusRequestTimeout,
+	"watch-busy":         http.StatusConflict,
+	"request-too-large":  http.StatusRequestEntityTooLarge,
+	"delta-error":        http.StatusUnprocessableEntity,
+	"query-error":        http.StatusUnprocessableEntity,
+	"sweep-too-large":    http.StatusUnprocessableEntity,
+	"too-many-sessions":  http.StatusTooManyRequests,
+	"internal-error":     http.StatusInternalServerError,
+	"budget-exhausted":   http.StatusGatewayTimeout,
 }
 
-func writeErrorDetails(w http.ResponseWriter, status int, code, msg string, details map[string]string) {
-	writeJSON(w, status, ErrorEnvelope{Code: code, Message: msg, Details: details})
+// writeError writes the error envelope with its code's status; details may
+// be nil.
+func writeError(w http.ResponseWriter, code, msg string, details map[string]string) {
+	writeJSON(w, statusOf[code], ErrorEnvelope{Code: code, Message: msg, Details: details})
 }
 
 // maxBodyBytes caps every request body (withMiddleware). The largest
@@ -229,22 +241,39 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	case err == nil:
 		return true
 	case errors.As(err, &tooLarge):
-		writeError(w, http.StatusRequestEntityTooLarge, "request-too-large",
-			fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit))
+		writeError(w, "request-too-large", fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit), nil)
 	default:
-		writeError(w, http.StatusBadRequest, "bad-request", "invalid JSON: "+err.Error())
+		writeError(w, "bad-request", "invalid JSON: "+err.Error(), nil)
 	}
 	return false
 }
 
-// writeVerifyError writes a verification failure with its machine-readable
-// code and the partial stats of the aborted run.
+// writeVerifyError writes a verification failure with its engine.ErrorCode
+// and the partial stats of the aborted run.
 func writeVerifyError(w http.ResponseWriter, err error, st engine.Stats) {
-	writeJSON(w, errStatus(err), ErrorEnvelope{
-		Code:    engine.ErrorCode(err),
+	code := engine.ErrorCode(err)
+	writeJSON(w, statusOf[code], ErrorEnvelope{
+		Code:    code,
 		Message: err.Error(),
 		Stats:   &ErrorStats{TimingMS: cli.TimingsOf(st), Sizes: cli.SizesOf(st)},
 	})
+}
+
+// writeRefused answers a request that sweep.Run or live.Hub.AddWatch
+// refused before running anything: an invariant that does not parse is a
+// "query-error" naming it, a grid past sweep.MaxCells a "sweep-too-large",
+// and anything else a "bad-request".
+func writeRefused(w http.ResponseWriter, err error) {
+	var bad *engine.QueryError
+	var tooLarge *sweep.TooLargeError
+	switch {
+	case errors.As(err, &bad):
+		writeError(w, "query-error", bad.Error(), map[string]string{"query": bad.Query})
+	case errors.As(err, &tooLarge):
+		writeError(w, "sweep-too-large", err.Error(), nil)
+	default:
+		writeError(w, "bad-request", err.Error(), nil)
+	}
 }
 
 // NetworkInfo summarises one registered network.
@@ -295,8 +324,7 @@ type LinkJSON struct {
 func (s *Server) handleTopology(w http.ResponseWriter, r *http.Request) {
 	net := s.lookup(r.PathValue("name"))
 	if net == nil {
-		writeErrorDetails(w, http.StatusNotFound, "not-found", "unknown network",
-			map[string]string{"network": r.PathValue("name")})
+		writeError(w, "not-found", "unknown network", map[string]string{"network": r.PathValue("name")})
 		return
 	}
 	out := TopologyJSON{Name: net.Name}
@@ -319,8 +347,8 @@ func (s *Server) handleTopology(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// VerifyRequest is the body of POST /api/v1/verify. Session verify bodies
-// are the same minus the network field (ignored there).
+// VerifyRequest is the body of POST /api/v1/verify and of
+// /api/v1/sessions/{id}/verify, which ignores the network field.
 type VerifyRequest struct {
 	Network string `json:"network"`
 	Query   string `json:"query"`
@@ -333,7 +361,7 @@ type VerifyRequest struct {
 func (s *Server) options(w http.ResponseWriter, net *network.Network, req cli.EngineRequest) (engine.Options, bool) {
 	opts, err := req.Options(net)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad-request", err.Error())
+		writeError(w, "bad-request", err.Error(), nil)
 		return opts, false
 	}
 	if s.MaxBudget > 0 && (opts.Budget <= 0 || opts.Budget > s.MaxBudget) {
@@ -342,39 +370,69 @@ func (s *Server) options(w http.ResponseWriter, net *network.Network, req cli.En
 	return opts, true
 }
 
+// runFunc verifies queries as one batch and returns the results with the
+// network they render from.
+type runFunc func(ctx context.Context, queries []string, opts batch.Options) ([]batch.Result, *network.Network)
+
+// target decodes a verify request's body into body and resolves, once, the
+// network it runs on: the {id} session's overlay on a session route, the
+// registered network named by *name otherwise. A session route answers
+// 404 for an unknown session before it reads the body; a network route
+// must decode first, since the name is in the body. It returns the network
+// engine options resolve against (a session's base: options read only
+// topology and locations, which every overlay shares) and the run
+// function. A session's run pins one overlay for the whole batch, so the
+// response renders from the overlay the queries ran on even if a delta
+// lands concurrently. On failure target has written the envelope and
+// returns a nil run.
+func (s *Server) target(w http.ResponseWriter, r *http.Request, body any, name *string) (*network.Network, runFunc) {
+	if id := r.PathValue("id"); id != "" {
+		e := s.lookupSession(w, id)
+		if e == nil || !decodeBody(w, r, body) {
+			return nil, nil
+		}
+		return e.sess.Base(), e.sess.VerifyBatchSnapshot
+	}
+	if !decodeBody(w, r, body) {
+		return nil, nil
+	}
+	net := s.lookup(*name)
+	if net == nil {
+		writeError(w, "not-found", "unknown network "+*name, map[string]string{"network": *name})
+		return nil, nil
+	}
+	return net, func(ctx context.Context, queries []string, opts batch.Options) ([]batch.Result, *network.Network) {
+		return batch.Verify(ctx, net, queries, opts), net
+	}
+}
+
 func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	var req VerifyRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	net := s.lookup(req.Network)
-	if net == nil {
-		writeErrorDetails(w, http.StatusNotFound, "not-found", "unknown network "+req.Network,
-			map[string]string{"network": req.Network})
+	base, run := s.target(w, r, &req, &req.Network)
+	if run == nil {
 		return
 	}
 	if strings.TrimSpace(req.Query) == "" {
-		writeError(w, http.StatusBadRequest, "bad-request", "empty query")
+		writeError(w, "bad-request", "empty query", nil)
 		return
 	}
-	opts, ok := s.options(w, net, req.EngineRequest)
+	opts, ok := s.options(w, base, req.EngineRequest)
 	if !ok {
 		return
 	}
 	// A one-query batch: it keeps nothing once the request ends, and a
 	// client disconnect cancels the saturation via the request context.
-	br := batch.Verify(r.Context(), net, []string{req.Query}, batch.Options{
-		Workers: 1, Engine: opts,
-	})[0]
-	if br.Err != nil {
-		writeVerifyError(w, br.Err, br.Stats)
+	rs, net := run(r.Context(), []string{req.Query}, batch.Options{Workers: 1, Engine: opts})
+	if rs[0].Err != nil {
+		writeVerifyError(w, rs[0].Err, rs[0].Stats)
 		return
 	}
-	writeJSON(w, http.StatusOK, cli.ToJSON(net, req.Query, br.Res))
+	writeJSON(w, http.StatusOK, cli.ToJSON(net, req.Query, rs[0].Res))
 }
 
-// VerifyBatchRequest is the body of POST /api/v1/verify-batch: one
-// network, many queries, shared engine configuration.
+// VerifyBatchRequest is the body of POST /api/v1/verify-batch, one network,
+// many queries, shared engine configuration, and of
+// /api/v1/sessions/{id}/verify-batch, which ignores the network field.
 type VerifyBatchRequest struct {
 	Network string   `json:"network"`
 	Queries []string `json:"queries"`
@@ -396,25 +454,20 @@ type VerifyBatchResponse struct {
 
 func (s *Server) handleVerifyBatch(w http.ResponseWriter, r *http.Request) {
 	var req VerifyBatchRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	net := s.lookup(req.Network)
-	if net == nil {
-		writeErrorDetails(w, http.StatusNotFound, "not-found", "unknown network "+req.Network,
-			map[string]string{"network": req.Network})
+	base, run := s.target(w, r, &req, &req.Network)
+	if run == nil {
 		return
 	}
 	if len(req.Queries) == 0 {
-		writeError(w, http.StatusBadRequest, "bad-request", "no queries")
+		writeError(w, "bad-request", "no queries", nil)
 		return
 	}
-	opts, ok := s.options(w, net, req.EngineRequest)
+	opts, ok := s.options(w, base, req.EngineRequest)
 	if !ok {
 		return
 	}
 	start := time.Now()
-	results := batch.Verify(r.Context(), net, req.Queries, batch.Options{
+	results, net := run(r.Context(), req.Queries, batch.Options{
 		Workers: s.clampWorkers(req.Workers),
 		Timeout: time.Duration(req.TimeoutMS) * time.Millisecond,
 		Engine:  opts,
@@ -456,7 +509,7 @@ type SweepStreamEvent struct {
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	net := s.lookup(r.PathValue("name"))
 	if net == nil {
-		writeErrorDetails(w, http.StatusNotFound, "not-found", "unknown network "+r.PathValue("name"),
+		writeError(w, "not-found", "unknown network "+r.PathValue("name"),
 			map[string]string{"network": r.PathValue("name")})
 		return
 	}
@@ -465,7 +518,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(req.Invariants) == 0 {
-		writeError(w, http.StatusBadRequest, "bad-request", "no invariants")
+		writeError(w, "bad-request", "no invariants", nil)
 		return
 	}
 	opts, ok := s.options(w, net, req.EngineRequest)
@@ -490,43 +543,34 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// work, so every config error still gets a proper JSON error envelope;
 	// cancellation mid-stream just ends with a report marked incomplete.
 	var started bool
-	if req.Stream {
-		flusher, _ := w.(http.Flusher)
-		enc := json.NewEncoder(w)
-		start := func() {
-			if !started {
-				started = true
-				w.Header().Set("Content-Type", "application/x-ndjson")
-				w.WriteHeader(http.StatusOK)
-			}
+	flusher, _ := w.(http.Flusher)
+	enc := json.NewEncoder(w)
+	emit := func(ev SweepStreamEvent) {
+		if !started {
+			started = true
+			w.Header().Set("Content-Type", "application/x-ndjson")
+			w.WriteHeader(http.StatusOK)
 		}
-		cfg.OnCell = func(c sweep.CellResult) {
-			start()
-			cj := c.JSON(net.Topo)
-			_ = enc.Encode(SweepStreamEvent{Cell: &cj})
-			if flusher != nil {
-				flusher.Flush()
-			}
-		}
-		res, err := sweep.Run(r.Context(), net, cfg)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad-request", err.Error())
-			return
-		}
-		start()
-		_ = enc.Encode(SweepStreamEvent{Report: &res.Report})
+		_ = enc.Encode(ev)
 		if flusher != nil {
 			flusher.Flush()
 		}
-		return
 	}
-
+	if req.Stream {
+		cfg.OnCell = func(c sweep.CellResult) {
+			cj := c.JSON(net.Topo)
+			emit(SweepStreamEvent{Cell: &cj})
+		}
+	}
 	res, err := sweep.Run(r.Context(), net, cfg)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad-request", err.Error())
-		return
+	switch {
+	case err != nil:
+		writeRefused(w, err)
+	case req.Stream:
+		emit(SweepStreamEvent{Report: &res.Report})
+	default:
+		writeJSON(w, http.StatusOK, res.Report)
 	}
-	writeJSON(w, http.StatusOK, res.Report)
 }
 
 func (s *Server) clampWorkers(workers int) int {
@@ -591,8 +635,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	net := s.lookup(req.Network)
 	if net == nil {
-		writeErrorDetails(w, http.StatusNotFound, "not-found", "unknown network "+req.Network,
-			map[string]string{"network": req.Network})
+		writeError(w, "not-found", "unknown network "+req.Network, map[string]string{"network": req.Network})
 		return
 	}
 	maxSess := s.MaxSessions
@@ -605,24 +648,36 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		writeApplyError(w, err, req.Deltas)
 		return
 	}
-	s.mu.Lock()
-	if len(s.sessions) >= maxSess {
-		s.mu.Unlock()
+	e := s.openSession(req.Network, sess, maxSess)
+	if e == nil {
 		sess.Close()
-		writeError(w, http.StatusTooManyRequests, "bad-request",
-			fmt.Sprintf("session limit reached (%d open)", maxSess))
+		writeError(w, "too-many-sessions", fmt.Sprintf("session limit reached (%d open)", maxSess), nil)
 		return
+	}
+	writeJSON(w, http.StatusCreated, sessionJSON(e, false))
+}
+
+// openSession numbers a session, builds its watch hub, which verifies with
+// the server's engine defaults, and registers it; it returns nil instead
+// when limit (0 = none) sessions are open already.
+func (s *Server) openSession(netName string, sess *scenario.Session, limit int) *sessionEntry {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if limit > 0 && len(s.sessions) >= limit {
+		return nil
 	}
 	e := &sessionEntry{
 		id:      fmt.Sprintf("s%d", s.nextSess),
-		netName: req.Network,
+		netName: netName,
 		sess:    sess,
-		hub:     s.newHub(sess),
+		hub: live.NewHub(sess, live.HubOptions{
+			Engine:  engine.Options{Budget: s.MaxBudget},
+			Workers: s.Parallel,
+		}),
 	}
 	s.nextSess++
 	s.sessions[e.id] = e
-	s.mu.Unlock()
-	writeJSON(w, http.StatusCreated, sessionJSON(e, false))
+	return e
 }
 
 func (s *Server) handleSessionList(w http.ResponseWriter, _ *http.Request) {
@@ -640,15 +695,6 @@ func (s *Server) handleSessionList(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// newHub builds the watch hub of a session, verifying with the server's
-// engine defaults.
-func (s *Server) newHub(sess *scenario.Session) *live.Hub {
-	return live.NewHub(sess, live.HubOptions{
-		Engine:  engine.Options{Budget: s.MaxBudget},
-		Workers: s.Parallel,
-	})
-}
-
 // lookupSession fetches a session entry, writing a 404 envelope when the
 // id is unknown — or known but already closed: a session torn down
 // concurrently with a request must answer exactly like one that never
@@ -658,8 +704,7 @@ func (s *Server) lookupSession(w http.ResponseWriter, id string) *sessionEntry {
 	e := s.sessions[id]
 	s.mu.RUnlock()
 	if e == nil || e.sess.Closed() {
-		writeErrorDetails(w, http.StatusNotFound, "session-not-found", "unknown session "+id,
-			map[string]string{"session": id})
+		writeError(w, "session-not-found", "unknown session "+id, map[string]string{"session": id})
 		return nil
 	}
 	return e
@@ -680,8 +725,7 @@ func (s *Server) handleSessionClose(w http.ResponseWriter, r *http.Request) {
 	delete(s.sessions, id)
 	s.mu.Unlock()
 	if e == nil {
-		writeErrorDetails(w, http.StatusNotFound, "session-not-found", "unknown session "+id,
-			map[string]string{"session": id})
+		writeError(w, "session-not-found", "unknown session "+id, map[string]string{"session": id})
 		return
 	}
 	// Watches are told honestly before the session dies under them; the
@@ -704,8 +748,9 @@ type SessionDeltasResponse struct {
 	Session SessionJSON             `json:"session"`
 }
 
-// writeApplyError writes the 422 envelope for a failed atomic delta batch,
-// with the offending command and its batch index in the details.
+// writeApplyError writes the "delta-error" envelope for a failed atomic
+// delta batch, with the offending command and its batch index in the
+// details.
 func writeApplyError(w http.ResponseWriter, err error, cmds []string) {
 	msg := err.Error()
 	var details map[string]string
@@ -719,7 +764,7 @@ func writeApplyError(w http.ResponseWriter, err error, cmds []string) {
 			details["command"] = ae.Cmd
 		}
 	}
-	writeErrorDetails(w, http.StatusUnprocessableEntity, "bad-request", msg, details)
+	writeError(w, "delta-error", msg, details)
 }
 
 func (s *Server) handleSessionDeltas(w http.ResponseWriter, r *http.Request) {
@@ -732,7 +777,7 @@ func (s *Server) handleSessionDeltas(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(req.Commands) == 0 {
-		writeError(w, http.StatusBadRequest, "bad-request", "no delta commands")
+		writeError(w, "bad-request", "no delta commands", nil)
 		return
 	}
 	// Atomic by construction: ApplyAllText validates every command before
@@ -771,96 +816,17 @@ func (s *Server) handleSessionUndo(w http.ResponseWriter, r *http.Request) {
 	}
 	seq, err := strconv.Atoi(r.PathValue("seq"))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad-request", "bad delta sequence number "+r.PathValue("seq"))
+		writeError(w, "bad-request", "bad delta sequence number "+r.PathValue("seq"), nil)
 		return
 	}
 	if err := e.sess.Undo(seq); err != nil {
-		writeErrorDetails(w, http.StatusNotFound, "not-found", err.Error(),
-			map[string]string{"seq": strconv.Itoa(seq)})
+		writeError(w, "not-found", err.Error(), map[string]string{"seq": strconv.Itoa(seq)})
 		return
 	}
 	// Detached like handleSessionDeltas: one client's disconnect must not
 	// poison other subscribers' streams with cancelled cells.
 	e.hub.Refresh(context.WithoutCancel(r.Context()))
 	writeJSON(w, http.StatusOK, sessionJSON(e, false))
-}
-
-func (s *Server) handleSessionVerify(w http.ResponseWriter, r *http.Request) {
-	e := s.lookupSession(w, r.PathValue("id"))
-	if e == nil {
-		return
-	}
-	var req VerifyRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	if strings.TrimSpace(req.Query) == "" {
-		writeError(w, http.StatusBadRequest, "bad-request", "empty query")
-		return
-	}
-	// Engine options only read topology and locations, which every overlay
-	// shares with the base. A one-query batch, as on /verify: the response
-	// is rendered from the overlay the run was pinned to, even if a delta
-	// lands concurrently.
-	opts, ok := s.options(w, e.sess.Base(), req.EngineRequest)
-	if !ok {
-		return
-	}
-	rs, overlay := e.sess.VerifyBatchSnapshot(r.Context(), []string{req.Query}, batch.Options{
-		Workers: 1, Engine: opts,
-	})
-	if rs[0].Err != nil {
-		writeVerifyError(w, rs[0].Err, rs[0].Stats)
-		return
-	}
-	writeJSON(w, http.StatusOK, cli.ToJSON(overlay, req.Query, rs[0].Res))
-}
-
-func (s *Server) handleSessionVerifyBatch(w http.ResponseWriter, r *http.Request) {
-	e := s.lookupSession(w, r.PathValue("id"))
-	if e == nil {
-		return
-	}
-	var req VerifyBatchRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	if len(req.Queries) == 0 {
-		writeError(w, http.StatusBadRequest, "bad-request", "no queries")
-		return
-	}
-	// As in handleSessionVerify: options from the shared topology, response
-	// rendered from the overlay the batch was actually pinned to.
-	opts, ok := s.options(w, e.sess.Base(), req.EngineRequest)
-	if !ok {
-		return
-	}
-	start := time.Now()
-	results, overlay := e.sess.VerifyBatchSnapshot(r.Context(), req.Queries, batch.Options{
-		Workers: s.clampWorkers(req.Workers),
-		Timeout: time.Duration(req.TimeoutMS) * time.Millisecond,
-		Engine:  opts,
-	})
-	writeJSON(w, http.StatusOK, VerifyBatchResponse{
-		Results:   cli.BatchToJSON(overlay, results),
-		ElapsedMS: time.Since(start).Seconds() * 1000,
-	})
-}
-
-// errStatus maps a verification error to an HTTP status. An exhausted
-// server-side budget is 504 (the server gave up, not the client), an
-// expired per-query deadline or a cancelled request is 408, and everything
-// else (parse errors etc.) is 422. The mapping keys off engine.ErrorCode so
-// the verify routes and the batch item JSON agree on the vocabulary.
-func errStatus(err error) int {
-	switch engine.ErrorCode(err) {
-	case "budget-exhausted":
-		return http.StatusGatewayTimeout
-	case "deadline-exceeded", "cancelled":
-		return http.StatusRequestTimeout
-	default:
-		return http.StatusUnprocessableEntity
-	}
 }
 
 func (s *Server) lookup(name string) *network.Network {

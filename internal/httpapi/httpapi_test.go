@@ -787,8 +787,8 @@ func TestSessionErrors(t *testing.T) {
 		t.Fatalf("create with bad delta: status = %d, want 422", resp.StatusCode)
 	}
 	env := decodeEnvelope(t, resp)
-	if env.Details["command"] != "fail no-such-link" {
-		t.Errorf("details = %+v, want the offending command", env.Details)
+	if env.Code != "delta-error" || env.Details["command"] != "fail no-such-link" {
+		t.Errorf("envelope = %+v, want delta-error naming the offending command", env)
 	}
 	listResp := doJSON(t, http.MethodGet, ts.URL+"/api/v1/sessions", nil)
 	if got := decodeBody[[]httpapi.SessionJSON](t, listResp); len(got) != 0 {
@@ -811,8 +811,8 @@ func TestSessionErrors(t *testing.T) {
 		t.Fatalf("mixed deltas: status = %d, want 422", dresp.StatusCode)
 	}
 	env = decodeEnvelope(t, dresp)
-	if env.Details["command"] != "drain nowhere" || env.Details["index"] != "1" {
-		t.Errorf("details = %+v, want offending command at index 1", env.Details)
+	if env.Code != "delta-error" || env.Details["command"] != "drain nowhere" || env.Details["index"] != "1" {
+		t.Errorf("envelope = %+v, want delta-error with the offending command at index 1", env)
 	}
 	gj := decodeBody[httpapi.SessionJSON](t, doJSON(t, http.MethodGet, sessURL, nil))
 	if len(gj.Deltas) != 0 {
@@ -828,7 +828,9 @@ func TestSessionErrors(t *testing.T) {
 	if dresp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("huge priority: status = %d, want 422", dresp.StatusCode)
 	}
-	decodeEnvelope(t, dresp)
+	if env := decodeEnvelope(t, dresp); env.Code != "delta-error" {
+		t.Errorf("huge priority: code = %q, want delta-error", env.Code)
+	}
 
 	// Undo of an unknown seq.
 	uresp := doJSON(t, http.MethodDelete, sessURL+"/deltas/99", nil)
@@ -864,23 +866,34 @@ func TestSessionErrors(t *testing.T) {
 		t.Errorf("code = %q, want query-error", env.Code)
 	}
 
-	// Routes on an unknown session id.
-	for _, probe := range []struct{ method, url string }{
-		{http.MethodGet, ts.URL + "/api/v1/sessions/s999"},
-		{http.MethodDelete, ts.URL + "/api/v1/sessions/s999"},
-		{http.MethodPost, ts.URL + "/api/v1/sessions/s999/verify"},
+	// Routes on an unknown session id. The session is looked up before the
+	// body is read, so a malformed body still answers 404.
+	for _, probe := range []struct{ method, url, body string }{
+		{http.MethodGet, ts.URL + "/api/v1/sessions/s999", ""},
+		{http.MethodDelete, ts.URL + "/api/v1/sessions/s999", ""},
+		{http.MethodPost, ts.URL + "/api/v1/sessions/s999/verify", `{"query":"x"}`},
+		{http.MethodPost, ts.URL + "/api/v1/sessions/s999/verify", `{"query":`},
+		{http.MethodPost, ts.URL + "/api/v1/sessions/s999/verify-batch", `{"queries":[`},
 	} {
-		resp := doJSON(t, probe.method, probe.url, httpapi.VerifyRequest{Query: "x"})
-		if resp.StatusCode != http.StatusNotFound {
-			t.Errorf("%s %s: status = %d, want 404", probe.method, probe.url, resp.StatusCode)
-			continue
+		req, err := http.NewRequest(probe.method, probe.url, strings.NewReader(probe.body))
+		if err != nil {
+			t.Fatal(err)
 		}
-		decodeEnvelope(t, resp)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s %s %s: status = %d, want 404", probe.method, probe.url, probe.body, resp.StatusCode)
+		} else if env := decodeEnvelope(t, resp); env.Code != "session-not-found" {
+			t.Errorf("%s %s %s: code = %q, want session-not-found", probe.method, probe.url, probe.body, env.Code)
+		}
+		resp.Body.Close()
 	}
 }
 
-// TestSessionLimit checks the MaxSessions guard returns 429 with the
-// envelope rather than creating unbounded sessions.
+// TestSessionLimit checks the MaxSessions guard returns 429
+// "too-many-sessions" rather than creating unbounded sessions.
 func TestSessionLimit(t *testing.T) {
 	s := httpapi.NewServer()
 	s.Register(gen.RunningExample().Network)
@@ -899,7 +912,9 @@ func TestSessionLimit(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("over limit: status = %d, want 429", resp.StatusCode)
 	}
-	decodeEnvelope(t, resp)
+	if env := decodeEnvelope(t, resp); env.Code != "too-many-sessions" {
+		t.Errorf("over limit: code = %q, want too-many-sessions", env.Code)
+	}
 	// Closing one frees a slot.
 	cresp := doJSON(t, http.MethodDelete, ts.URL+"/api/v1/sessions/s1", nil)
 	if cresp.StatusCode != http.StatusNoContent {
@@ -959,7 +974,7 @@ func TestSweepEndpoint(t *testing.T) {
 
 func TestSweepErrors(t *testing.T) {
 	ts := newTestServer(t)
-	check := func(resp *http.Response, wantStatus int, wantCode string) {
+	check := func(resp *http.Response, wantStatus int, wantCode string) httpapi.ErrorEnvelope {
 		t.Helper()
 		defer resp.Body.Close()
 		if resp.StatusCode != wantStatus {
@@ -972,6 +987,7 @@ func TestSweepErrors(t *testing.T) {
 		if env.Code != wantCode {
 			t.Fatalf("code = %q, want %q", env.Code, wantCode)
 		}
+		return env
 	}
 	inv := []string{"<ip> [.#v0] .* [v3#.] <ip> 0"}
 	check(postSweep(t, ts, "no-such-net", httpapi.SweepRequest{Invariants: inv}),
@@ -980,8 +996,13 @@ func TestSweepErrors(t *testing.T) {
 		http.StatusBadRequest, "bad-request")
 	check(postSweep(t, ts, "running-example", httpapi.SweepRequest{Depth: 3, Invariants: inv}),
 		http.StatusBadRequest, "bad-request")
-	check(postSweep(t, ts, "running-example", httpapi.SweepRequest{Invariants: []string{"not a query"}}),
-		http.StatusBadRequest, "bad-request")
+	// An invariant that does not parse is a query error naming the
+	// invariant, as on the watch route.
+	env := check(postSweep(t, ts, "running-example", httpapi.SweepRequest{Invariants: []string{"not a query"}}),
+		http.StatusUnprocessableEntity, "query-error")
+	if env.Details["query"] != "not a query" {
+		t.Errorf("details = %+v, want the invariant", env.Details)
+	}
 	// Config errors must get a proper envelope in stream mode too: the
 	// success header is only written once the first cell lands.
 	check(postSweep(t, ts, "running-example", httpapi.SweepRequest{Depth: 3, Invariants: inv, Stream: true}),

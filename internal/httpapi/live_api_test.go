@@ -18,37 +18,6 @@ import (
 	"aalwines/internal/live"
 )
 
-// TestLegacyRoutesGone checks the default stance on the pre-versioning
-// aliases: 410 Gone with the error envelope and a successor Link, for
-// every method.
-func TestLegacyRoutesGone(t *testing.T) {
-	ts := newTestServer(t)
-	for _, c := range []struct {
-		method, path, successor string
-	}{
-		{http.MethodGet, "/api/networks", "/api/v1/networks"},
-		{http.MethodGet, "/api/networks/running-example/topology", "/api/v1/networks/{name}/topology"},
-		{http.MethodPost, "/api/verify", "/api/v1/verify"},
-		{http.MethodPost, "/api/verify-batch", "/api/v1/verify-batch"},
-		// Method does not matter on a dead path: still 410, never 405.
-		{http.MethodDelete, "/api/networks", "/api/v1/networks"},
-	} {
-		resp := doJSON(t, c.method, ts.URL+c.path, nil)
-		if resp.StatusCode != http.StatusGone {
-			t.Fatalf("%s %s: status = %d, want 410", c.method, c.path, resp.StatusCode)
-		}
-		if l := resp.Header.Get("Link"); !strings.Contains(l, c.successor) ||
-			!strings.Contains(l, "successor-version") {
-			t.Errorf("%s: Link = %q, want successor %s", c.path, l, c.successor)
-		}
-		env := decodeEnvelope(t, resp)
-		resp.Body.Close()
-		if env.Code != "gone" || env.Details["successor"] != c.successor {
-			t.Errorf("%s: envelope = %+v", c.path, env)
-		}
-	}
-}
-
 // TestMuxErrorsWearEnvelope checks that routing misses under /api/ answer
 // with the JSON envelope instead of the mux's plain-text pages.
 func TestMuxErrorsWearEnvelope(t *testing.T) {
@@ -467,6 +436,50 @@ func TestWatchOnLiveFeedSession(t *testing.T) {
 	evs = readNDJSONEvents(t, base+"/watch/"+info.ID+"/events?format=ndjson&limit=1")
 	if len(evs) != 1 || evs[0].Type != "verdict" || evs[0].Cell.Verdict == "satisfied" {
 		t.Fatalf("feed transition = %+v", evs)
+	}
+}
+
+// TestFeedFlushRevertRefreshesWatches: the feed owns a feed session's
+// stack, so a flush that drops an HTTP delta changes the session and must
+// re-verify its watches. The verdict event it delivers equals a
+// from-scratch verify of the reverted (empty-stack) session.
+func TestFeedFlushRevertRefreshesWatches(t *testing.T) {
+	s := newLiveFeedServer(t)
+	base := s.ts.URL + "/api/v1/sessions/" + s.sid
+	const q = "<s40 ip> [.#v0] .* [v3#.] <smpls ip> 0"
+	s.feed(t, "flush\n")
+	resp := doJSON(t, http.MethodPost, base+"/watch", httpapi.WatchCreateRequest{Invariants: []string{q}})
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("watch create: status = %d", resp.StatusCode)
+	}
+	events := base + "/watch/" + decodeBody[live.WatchInfo](t, resp).ID + "/events?format=ndjson&limit=1"
+	if evs := readNDJSONEvents(t, events); len(evs) != 1 || evs[0].Cell.Verdict != "satisfied" {
+		t.Fatalf("initial = %+v, want satisfied", evs)
+	}
+
+	resp = doJSON(t, http.MethodPost, base+"/deltas",
+		httpapi.SessionDeltasRequest{Commands: []string{"fail vsrc.oe0#v0.ie0"}})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("deltas: status = %d", resp.StatusCode)
+	}
+	if evs := readNDJSONEvents(t, events); len(evs) != 1 || evs[0].Cell.Verdict == "satisfied" {
+		t.Fatalf("after the delta = %+v, want a flip from satisfied", evs)
+	}
+
+	s.feed(t, "flush\n")
+	watches := decodeBody[[]live.WatchInfo](t, doJSON(t, http.MethodGet, base+"/watch", nil))
+	if len(watches) != 1 || watches[0].Pending != 1 {
+		t.Fatalf("after the reverting flush, watches = %+v, want one pending event", watches)
+	}
+	evs := readNDJSONEvents(t, events)
+	if len(evs) != 1 {
+		t.Fatalf("after the reverting flush = %+v, want one event", evs)
+	}
+	_, fresh := postVerify(t, s.ts, httpapi.VerifyRequest{Network: "running-example", Query: q})
+	want, _ := json.Marshal(live.Cell{Query: fresh.Query, Verdict: fresh.Verdict, Weight: fresh.Weight,
+		Failed: fresh.Failed, Trace: fresh.Trace})
+	if got, _ := json.Marshal(evs[0].Cell); string(got) != string(want) {
+		t.Fatalf("after the reverting flush = %s, want %s", got, want)
 	}
 }
 

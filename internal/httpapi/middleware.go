@@ -28,17 +28,17 @@ func (ew *envelopeWriter) WriteHeader(status int) {
 		strings.HasPrefix(ew.req.URL.Path, "/api/") &&
 		!strings.HasPrefix(ew.Header().Get("Content-Type"), "application/json") {
 		ew.intercepted = true
-		env := ErrorEnvelope{Code: "not-found", Message: "no such route: " + ew.req.URL.Path}
-		if status == http.StatusMethodNotAllowed {
-			env.Code = "method-not-allowed"
-			env.Message = fmt.Sprintf("method %s not allowed on %s", ew.req.Method, ew.req.URL.Path)
-			if allow := ew.Header().Get("Allow"); allow != "" {
-				env.Details = map[string]string{"allow": allow}
-			}
-		}
-		ew.Header().Set("Content-Type", "application/json")
 		ew.Header().Del("X-Content-Type-Options")
-		writeJSON(ew.ResponseWriter, status, env)
+		if status == http.StatusNotFound {
+			writeError(ew.ResponseWriter, "not-found", "no such route: "+ew.req.URL.Path, nil)
+			return
+		}
+		var details map[string]string
+		if allow := ew.Header().Get("Allow"); allow != "" {
+			details = map[string]string{"allow": allow}
+		}
+		writeError(ew.ResponseWriter, "method-not-allowed",
+			fmt.Sprintf("method %s not allowed on %s", ew.req.Method, ew.req.URL.Path), details)
 		return
 	}
 	ew.ResponseWriter.WriteHeader(status)
@@ -81,8 +81,7 @@ func withMiddleware(h http.Handler) http.Handler {
 				panic(p)
 			}
 			if !ew.wroteHeader {
-				writeError(ew, http.StatusInternalServerError, "internal-error",
-					fmt.Sprintf("internal error: %v", p))
+				writeError(ew, "internal-error", fmt.Sprintf("internal error: %v", p), nil)
 			}
 			// Mid-stream panics can only truncate the response; the status
 			// is already on the wire.

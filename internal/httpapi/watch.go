@@ -32,22 +32,16 @@ func (s *Server) handleWatchCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(req.Invariants) == 0 {
-		writeError(w, http.StatusBadRequest, "bad-request", "no invariants")
+		writeError(w, "bad-request", "no invariants", nil)
 		return
 	}
 	wch, err := e.hub.AddWatch(r.Context(), req.Invariants, req.Buffer)
-	if err != nil {
-		var bad *live.BadQueryError
-		switch {
-		case errors.As(err, &bad):
-			writeErrorDetails(w, http.StatusUnprocessableEntity, "query-error", bad.Err.Error(),
-				map[string]string{"query": bad.Query})
-		case errors.Is(err, live.ErrClosed):
-			writeErrorDetails(w, http.StatusNotFound, "session-not-found", "unknown session "+e.id,
-				map[string]string{"session": e.id})
-		default:
-			writeError(w, http.StatusBadRequest, "bad-request", err.Error())
-		}
+	switch {
+	case errors.Is(err, live.ErrClosed):
+		writeError(w, "session-not-found", "unknown session "+e.id, map[string]string{"session": e.id})
+		return
+	case err != nil:
+		writeRefused(w, err)
 		return
 	}
 	writeJSON(w, http.StatusCreated, wch.Info())
@@ -68,8 +62,7 @@ func (s *Server) handleWatchClose(w http.ResponseWriter, r *http.Request) {
 	}
 	wid := r.PathValue("wid")
 	if !e.hub.CloseWatch(wid, "client-request") {
-		writeErrorDetails(w, http.StatusNotFound, "watch-not-found", "unknown watch "+wid,
-			map[string]string{"watch": wid})
+		writeError(w, "watch-not-found", "unknown watch "+wid, map[string]string{"watch": wid})
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -90,24 +83,21 @@ func (s *Server) handleWatchEvents(w http.ResponseWriter, r *http.Request) {
 	wid := r.PathValue("wid")
 	wch := e.hub.Watch(wid)
 	if wch == nil {
-		writeErrorDetails(w, http.StatusNotFound, "watch-not-found", "unknown watch "+wid,
-			map[string]string{"watch": wid})
+		writeError(w, "watch-not-found", "unknown watch "+wid, map[string]string{"watch": wid})
 		return
 	}
 	limit := 0
 	if l := r.URL.Query().Get("limit"); l != "" {
 		n, err := strconv.Atoi(l)
 		if err != nil || n <= 0 {
-			writeError(w, http.StatusBadRequest, "bad-request", "bad limit "+l)
+			writeError(w, "bad-request", "bad limit "+l, nil)
 			return
 		}
 		limit = n
 	}
 	ndjson := r.URL.Query().Get("format") == "ndjson"
 	if !wch.TryAttach() {
-		writeErrorDetails(w, http.StatusConflict, "watch-busy",
-			"another stream is attached to this watch",
-			map[string]string{"watch": wid})
+		writeError(w, "watch-busy", "another stream is attached to this watch", map[string]string{"watch": wid})
 		return
 	}
 	defer wch.Detach()
@@ -179,17 +169,7 @@ func (s *Server) AttachLiveFeed(netName string, opts live.Options) (*live.Ingest
 		return nil, "", fmt.Errorf("unknown network %q", netName)
 	}
 	sess := scenario.NewSession(net)
-	hub := s.newHub(sess)
-	s.mu.Lock()
-	e := &sessionEntry{
-		id:      fmt.Sprintf("s%d", s.nextSess),
-		netName: netName,
-		sess:    sess,
-		hub:     hub,
-	}
-	s.nextSess++
-	s.sessions[e.id] = e
-	s.mu.Unlock()
-	opts.Hub = hub
+	e := s.openSession(netName, sess, 0)
+	opts.Hub = e.hub
 	return live.NewIngester(sess, opts), e.id, nil
 }

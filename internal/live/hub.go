@@ -20,19 +20,6 @@ import (
 // ErrClosed is returned by AddWatch on a hub whose session was torn down.
 var ErrClosed = errors.New("live: hub closed")
 
-// BadQueryError rejects a watch whose invariant does not parse against the
-// session's network.
-type BadQueryError struct {
-	Query string
-	Err   error
-}
-
-func (e *BadQueryError) Error() string {
-	return fmt.Sprintf("live: invariant %q: %v", e.Query, e.Err)
-}
-
-func (e *BadQueryError) Unwrap() error { return e.Err }
-
 // Cell is the stable verdict of one invariant: everything the semantics
 // determine (verdict, weight, failed links, witness trace), nothing that
 // varies by wall clock or translation strategy. Watch events push cells,
@@ -149,7 +136,7 @@ func NewHub(sess *scenario.Session, opts HubOptions) *Hub {
 // AddWatch registers a watch over the given invariants with the given
 // queue capacity (0 = 64) and immediately queues one verdict event per
 // invariant carrying its current cell. Invariants that fail to parse
-// reject the whole watch with a *BadQueryError.
+// reject the whole watch with an *engine.QueryError.
 func (h *Hub) AddWatch(ctx context.Context, invariants []string, buffer int) (*Watch, error) {
 	if len(invariants) == 0 {
 		return nil, errors.New("live: watch without invariants")
@@ -182,7 +169,7 @@ func (h *Hub) AddWatch(ctx context.Context, invariants []string, buffer int) (*W
 		rs, overlay := h.sess.VerifyBatchSnapshot(ctx, fresh, h.batchOpts())
 		for _, r := range rs {
 			if r.Err != nil && engine.ErrorCode(r.Err) == "query-error" {
-				return nil, &BadQueryError{Query: r.Query, Err: r.Err}
+				return nil, &engine.QueryError{Query: r.Query, Err: r.Err}
 			}
 		}
 		h.mu.Lock()

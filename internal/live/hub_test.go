@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"aalwines/internal/engine"
 	"aalwines/internal/gen"
 	"aalwines/internal/scenario"
 )
@@ -96,9 +97,9 @@ func TestHubWatchLifecycle(t *testing.T) {
 func TestHubRejectsBadQuery(t *testing.T) {
 	_, hub := newHubFixture(t)
 	_, err := hub.AddWatch(context.Background(), []string{"<s40"}, 0)
-	var bad *BadQueryError
-	if !errors.As(err, &bad) {
-		t.Fatalf("err = %v, want BadQueryError", err)
+	var bad *engine.QueryError
+	if !errors.As(err, &bad) || bad.Query != "<s40" {
+		t.Fatalf("err = %v, want an engine.QueryError naming the invariant", err)
 	}
 	if _, err := hub.AddWatch(context.Background(), nil, 0); err == nil {
 		t.Fatal("watch without invariants accepted")

@@ -96,7 +96,6 @@ type Ingester struct {
 	flushMu sync.Mutex
 
 	lastBlocks translate.BuildStats
-	lastFP     uint64
 	flushedAny bool
 }
 
@@ -111,7 +110,6 @@ func NewIngester(sess *scenario.Session, opts Options) *Ingester {
 		failedIdx:  make(map[string]int),
 		drainIdx:   make(map[string]int),
 		lastBlocks: sess.BlockStats(),
-		lastFP:     sess.Fingerprint(),
 	}
 }
 
@@ -194,13 +192,17 @@ func (ing *Ingester) Stack() []scenario.Delta {
 }
 
 // Flush atomically replaces the session's delta stack with the coalesced
-// desired state, then (unless the fingerprint is unchanged) refreshes the
-// hub so watched invariants re-verify and changed cells stream out.
+// desired state, then (unless the session's fingerprint is unchanged)
+// refreshes the hub so watched invariants re-verify and changed cells
+// stream out. The stack belongs to the feed: a delta applied to the
+// session by other means lasts until the next flush, and a flush that
+// drops it changes the fingerprint and so refreshes the hub.
 func (ing *Ingester) Flush(ctx context.Context) (FlushInfo, error) {
 	ing.flushMu.Lock()
 	defer ing.flushMu.Unlock()
 
 	stack := ing.Stack()
+	before := ing.sess.Fingerprint()
 	if _, err := ing.sess.SetStack(stack); err != nil {
 		return FlushInfo{}, err
 	}
@@ -217,7 +219,7 @@ func (ing *Ingester) Flush(ctx context.Context) (FlushInfo, error) {
 		StackLen:    len(stack),
 		Fingerprint: fmt.Sprintf("%016x", fp),
 	}
-	if ing.flushedAny && fp == ing.lastFP {
+	if ing.flushedAny && fp == before {
 		// The coalesced batch cancelled itself out (e.g. fail+restore of
 		// the same link inside one window): nothing to re-verify.
 		info.Skipped = true
@@ -226,7 +228,6 @@ func (ing *Ingester) Flush(ctx context.Context) (FlushInfo, error) {
 		info.Changed = ing.opts.Hub.Refresh(ctx)
 		info.ReverifyMS = float64(time.Since(start)) / float64(time.Millisecond)
 	}
-	ing.lastFP = fp
 	ing.flushedAny = true
 
 	blocks := ing.sess.BlockStats()

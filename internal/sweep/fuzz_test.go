@@ -13,7 +13,9 @@ import (
 // FuzzSweepEnumerate drives the enumeration over randomly generated zoo
 // networks and failure-space restrictions, asserting the properties every
 // sweep depends on: the scenario count is exactly C(n,1) (+ C(n,2) at
-// depth 2) for n live links, no failure set appears twice, a second
+// depth 2) for n live links, and so is the count Run's MaxCells check
+// takes from space before anything is allocated, no failure set appears
+// twice, a second
 // enumeration is structurally identical, and every emitted scenario
 // compiles into a delta stack that applies cleanly — in particular no
 // delta ever references an excluded (drained-router) or nonexistent link.
@@ -60,6 +62,9 @@ func FuzzSweepEnumerate(f *testing.F) {
 		}
 		if len(scs) != want {
 			t.Fatalf("%d scenarios for %d live links at depth %d, want %d", len(scs), live, d, want)
+		}
+		if _, total, err := space(g, d, exclude); err != nil || total != len(scs) {
+			t.Fatalf("space counts %d scenarios (err %v), Enumerate lists %d", total, err, len(scs))
 		}
 		seen := map[string]bool{}
 		for i, sc := range scs {

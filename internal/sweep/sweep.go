@@ -84,8 +84,18 @@ func (sc Scenario) LinkNames(g *topology.Graph) []string {
 // whole space is covered exactly once and consecutive pair scenarios share
 // their first link (the cache-locality property the scheduler relies on).
 func Enumerate(g *topology.Graph, depth int, exclude func(topology.LinkID) bool) ([]Scenario, error) {
+	live, total, err := space(g, depth, exclude)
+	if err != nil {
+		return nil, err
+	}
+	return enumerate(live, depth, total), nil
+}
+
+// space lists the live links of a failure space and counts its scenarios,
+// C(n,1) (+ C(n,2) at depth 2), without allocating them.
+func space(g *topology.Graph, depth int, exclude func(topology.LinkID) bool) ([]topology.LinkID, int, error) {
 	if depth < 1 || depth > 2 {
-		return nil, fmt.Errorf("sweep: depth %d out of range (want 1 or 2)", depth)
+		return nil, 0, fmt.Errorf("sweep: depth %d out of range (want 1 or 2)", depth)
 	}
 	var live []topology.LinkID
 	for l := 0; l < g.NumLinks(); l++ {
@@ -98,18 +108,40 @@ func Enumerate(g *topology.Graph, depth int, exclude func(topology.LinkID) bool)
 	if depth == 2 {
 		total += n * (n - 1) / 2
 	}
+	return live, total, nil
+}
+
+func enumerate(live []topology.LinkID, depth, total int) []Scenario {
 	scs := make([]Scenario, 0, total)
 	for _, l := range live {
 		scs = append(scs, Scenario{ID: len(scs), Links: []topology.LinkID{l}})
 	}
 	if depth == 2 {
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
+		for i := range live {
+			for j := i + 1; j < len(live); j++ {
 				scs = append(scs, Scenario{ID: len(scs), Links: []topology.LinkID{live[i], live[j]}})
 			}
 		}
 	}
-	return scs, nil
+	return scs
+}
+
+// MaxCells caps a sweep's grid, scenarios × invariants. Run allocates every
+// scenario and every cell before it verifies any, about 300 bytes per cell
+// on 64-bit platforms, so the cap admits about 80 MB up front; the cells'
+// witnesses and the report come on top. A depth-2 sweep of a 720-link
+// network with one invariant fits (259,560 cells); the same sweep of
+// zoo-240's 5,952 links asks for 17,716,728 and is refused.
+const MaxCells = 1 << 18
+
+// TooLargeError refuses a sweep whose grid would exceed MaxCells.
+type TooLargeError struct {
+	Scenarios, Invariants int
+}
+
+func (e *TooLargeError) Error() string {
+	return fmt.Sprintf("sweep: %d scenarios × %d invariants exceeds the %d-cell bound",
+		e.Scenarios, e.Invariants, MaxCells)
 }
 
 // Config configures one sweep run.
@@ -275,25 +307,32 @@ func (c CellResult) JSON(g *topology.Graph) CellJSON {
 // Run executes the sweep. Cancelling ctx stops scheduling: cells already
 // verified keep their verdicts, everything else is marked incomplete, and
 // the partial report comes back with Incomplete set — Run itself returns
-// an error only for configuration problems (bad depth, unparseable
-// invariant, empty failure space). All worker goroutines are joined before
-// Run returns, cancelled or not.
+// an error only for configuration problems (no invariants, an unparseable
+// invariant as an *engine.QueryError, bad depth, empty failure space, a
+// grid past MaxCells as a *TooLargeError). All worker goroutines are
+// joined before Run returns, cancelled or not.
 func Run(ctx context.Context, net *network.Network, cfg Config) (*Result, error) {
 	if len(cfg.Invariants) == 0 {
 		return nil, fmt.Errorf("sweep: no invariants")
 	}
 	for _, qt := range cfg.Invariants {
 		if _, err := query.Parse(qt, net); err != nil {
-			return nil, fmt.Errorf("sweep: invariant %q: %w", qt, err)
+			return nil, &engine.QueryError{Query: qt, Err: err}
 		}
 	}
-	scs, err := Enumerate(net.Topo, cfg.Depth, cfg.Exclude)
+	live, total, err := space(net.Topo, cfg.Depth, cfg.Exclude)
 	if err != nil {
 		return nil, err
 	}
-	if len(scs) == 0 {
+	if total == 0 {
 		return nil, fmt.Errorf("sweep: empty failure space (no live links)")
 	}
+	// total > MaxCells/nq, not total*nq > MaxCells: the product can
+	// overflow.
+	if total > MaxCells/len(cfg.Invariants) {
+		return nil, &TooLargeError{Scenarios: total, Invariants: len(cfg.Invariants)}
+	}
+	scs := enumerate(live, cfg.Depth, total)
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

@@ -257,15 +257,32 @@ func TestSweepRunningExample(t *testing.T) {
 func TestSweepConfigErrors(t *testing.T) {
 	re := gen.RunningExample()
 	ctx := context.Background()
-	cases := []Config{
-		{Depth: 1}, // no invariants
-		{Depth: 1, Invariants: []string{"not a query"}},                                                       // parse error
-		{Depth: 3, Invariants: runningExampleInvariants},                                                      // bad depth
-		{Depth: 1, Invariants: runningExampleInvariants, Exclude: func(topology.LinkID) bool { return true }}, // empty space
+	// 36 depth-2 scenarios of the running example's 8 links, times one
+	// invariant more than MaxCells admits.
+	tooMany := make([]string, MaxCells/36+1)
+	for i := range tooMany {
+		tooMany[i] = runningExampleInvariants[0]
 	}
-	for i, cfg := range cases {
-		if _, err := Run(ctx, re.Network, cfg); err == nil {
-			t.Errorf("case %d: Run succeeded, want error", i)
+	var queryErr *engine.QueryError
+	var tooLarge *TooLargeError
+	cases := []struct {
+		cfg  Config
+		want func(error) bool
+	}{
+		{Config{Depth: 1}, nil}, // no invariants
+		{Config{Depth: 1, Invariants: []string{"not a query"}}, func(err error) bool {
+			return errors.As(err, &queryErr) && queryErr.Query == "not a query"
+		}},
+		{Config{Depth: 3, Invariants: runningExampleInvariants}, nil},                                                      // bad depth
+		{Config{Depth: 1, Invariants: runningExampleInvariants, Exclude: func(topology.LinkID) bool { return true }}, nil}, // empty space
+		{Config{Depth: 2, Invariants: tooMany}, func(err error) bool {
+			return errors.As(err, &tooLarge) && *tooLarge == TooLargeError{Scenarios: 36, Invariants: len(tooMany)}
+		}},
+	}
+	for i, c := range cases {
+		_, err := Run(ctx, re.Network, c.cfg)
+		if err == nil || c.want != nil && !c.want(err) {
+			t.Errorf("case %d: Run error = %v", i, err)
 		}
 	}
 }
