@@ -90,11 +90,11 @@ func run(args []string, stdout io.Writer) error {
 	fs.StringVar(&nf.Route, "routing", "", "routing XML file")
 	fs.StringVar(&nf.ISIS, "isis", "", "IS-IS snapshot mapping file")
 	fs.StringVar(&nf.GML, "gml", "", "Topology Zoo GML file (dataplane synthesised on it)")
-	fs.StringVar(&nf.Builtin, "net", "", "builtin network: running-example (default), nordunet, zoo")
+	fs.StringVar(&nf.Builtin, "net", "", "builtin network: running-example (default), nordunet, zoo, fattree, rings, backbone")
 	fs.StringVar(&nf.Locations, "locations", "", "router locations JSON (Appendix A.2)")
-	fs.IntVar(&nf.Routers, "routers", 0, "router count for -net zoo")
+	fs.IntVar(&nf.Routers, "routers", 0, "router count (zoo) or size target (fattree/rings/backbone)")
 	fs.Int64Var(&nf.Seed, "seed", 1, "generator seed")
-	fs.IntVar(&nf.Services, "services", 0, "service chains per pair for -net nordunet")
+	fs.IntVar(&nf.Services, "services", 0, "service chains per edge pair")
 	fs.IntVar(&nf.Edge, "edge", 0, "edge router count for generated networks")
 
 	queryText := fs.String("query", "", "reachability query <a> b <c> k")

@@ -9,8 +9,11 @@ import (
 	"testing"
 
 	"aalwines/internal/cli"
+	"aalwines/internal/engine"
 	"aalwines/internal/live"
+	"aalwines/internal/network"
 	"aalwines/internal/sweep"
+	"aalwines/internal/topology"
 )
 
 // phi0 is the running example's delivery query: satisfied over the e4
@@ -143,4 +146,75 @@ func TestRunEngineErrors(t *testing.T) {
 			t.Errorf("%v: err = %v, want one naming %q", tc.args, err, tc.want)
 		}
 	}
+}
+
+// TestRunWriteFiles: -write-topology, -write-routing and -write-locations
+// export every builtin family (at a 20-router size target where the
+// family takes one) in a form that reads back to the same network — same
+// routers, located routers, rules, labels and links — and the same
+// verdict.
+func TestRunWriteFiles(t *testing.T) {
+	const q = "<smpls? ip> .* <. smpls ip> 0"
+	for _, name := range []string{"running-example", "nordunet", "zoo", "fattree", "rings", "backbone"} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			topo, route, locs := filepath.Join(dir, "topo.xml"), filepath.Join(dir, "route.xml"), filepath.Join(dir, "loc.json")
+			var out bytes.Buffer
+			if err := run([]string{"-net", name, "-routers", "20", "-services", "2",
+				"-write-topology", topo, "-write-routing", route, "-write-locations", locs}, &out); err != nil {
+				t.Fatalf("run: %v", err)
+			}
+			want, err := cli.Load(cli.NetFlags{Builtin: name, Routers: 20, Services: 2, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Read back as -topo/-routing/-locations do: xmlio.ReadNetwork,
+			// then loc.Read.
+			got, err := cli.Load(cli.NetFlags{Topo: topo, Route: route, Locations: locs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g, w := counts(got), counts(want); g != w {
+				t.Fatalf("read back %+v, want %+v", g, w)
+			}
+			// An XML link is bidirectional: every link reads back, and the
+			// reader adds the reverse of each one-way link.
+			names := map[string]bool{}
+			for l := range got.Topo.Links {
+				names[got.Topo.LinkName(topology.LinkID(l))] = true
+			}
+			for l := range want.Topo.Links {
+				if name := want.Topo.LinkName(topology.LinkID(l)); !names[name] {
+					t.Errorf("link %s did not read back", name)
+				}
+			}
+			if n, w := got.Topo.NumLinks(), want.Topo.NumLinks(); n < w || n > 2*w {
+				t.Errorf("%d links read back from %d", n, w)
+			}
+			gr, err := engine.VerifyText(got, q, engine.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			wr, err := engine.VerifyText(want, q, engine.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gr.Verdict != wr.Verdict {
+				t.Errorf("%s: read back %v, want %v", q, gr.Verdict, wr.Verdict)
+			}
+		})
+	}
+}
+
+// netCounts sizes a network for TestRunWriteFiles.
+type netCounts struct{ routers, located, rules, labels int }
+
+func counts(net *network.Network) netCounts {
+	c := netCounts{routers: net.Topo.NumRouters(), rules: net.Routing.NumRules(), labels: net.Labels.Len()}
+	for i := range net.Topo.Routers {
+		if net.Topo.Routers[i].HasLoc {
+			c.located++
+		}
+	}
+	return c
 }

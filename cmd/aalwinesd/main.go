@@ -71,11 +71,11 @@ func run() error {
 	var nf cli.NetFlags
 	flag.StringVar(&nf.Topo, "topo", "", "additional network: topology XML")
 	flag.StringVar(&nf.Route, "routing", "", "additional network: routing XML")
-	flag.StringVar(&nf.Builtin, "net", "running-example", "builtin network to serve")
+	flag.StringVar(&nf.Builtin, "net", "running-example", "builtin network to serve: running-example, nordunet, zoo, fattree, rings, backbone")
 	flag.StringVar(&nf.Locations, "locations", "", "router locations JSON")
-	flag.IntVar(&nf.Routers, "routers", 0, "router count for -net zoo")
+	flag.IntVar(&nf.Routers, "routers", 0, "router count (zoo) or size target (fattree/rings/backbone)")
 	flag.Int64Var(&nf.Seed, "seed", 1, "generator seed")
-	flag.IntVar(&nf.Services, "services", 0, "service chains per pair for -net nordunet")
+	flag.IntVar(&nf.Services, "services", 0, "service chains per edge pair")
 	flag.IntVar(&nf.Edge, "edge", 0, "edge router count")
 	listen := flag.String("listen", ":8080", "listen address")
 	budget := flag.Int64("max-budget", 200_000_000, "per-request saturation budget (0 = unlimited)")

@@ -322,9 +322,8 @@ type LinkJSON struct {
 }
 
 func (s *Server) handleTopology(w http.ResponseWriter, r *http.Request) {
-	net := s.lookup(r.PathValue("name"))
+	net := s.lookupNetwork(w, r.PathValue("name"))
 	if net == nil {
-		writeError(w, "not-found", "unknown network", map[string]string{"network": r.PathValue("name")})
 		return
 	}
 	out := TopologyJSON{Name: net.Name}
@@ -396,9 +395,8 @@ func (s *Server) target(w http.ResponseWriter, r *http.Request, body any, name *
 	if !decodeBody(w, r, body) {
 		return nil, nil
 	}
-	net := s.lookup(*name)
+	net := s.lookupNetwork(w, *name)
 	if net == nil {
-		writeError(w, "not-found", "unknown network "+*name, map[string]string{"network": *name})
 		return nil, nil
 	}
 	return net, func(ctx context.Context, queries []string, opts batch.Options) ([]batch.Result, *network.Network) {
@@ -507,10 +505,8 @@ type SweepStreamEvent struct {
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	net := s.lookup(r.PathValue("name"))
+	net := s.lookupNetwork(w, r.PathValue("name"))
 	if net == nil {
-		writeError(w, "not-found", "unknown network "+r.PathValue("name"),
-			map[string]string{"network": r.PathValue("name")})
 		return
 	}
 	var req SweepRequest
@@ -633,9 +629,8 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	net := s.lookup(req.Network)
+	net := s.lookupNetwork(w, req.Network)
 	if net == nil {
-		writeError(w, "not-found", "unknown network "+req.Network, map[string]string{"network": req.Network})
 		return
 	}
 	maxSess := s.MaxSessions
@@ -693,6 +688,16 @@ func (s *Server) handleSessionList(w http.ResponseWriter, _ *http.Request) {
 		out = append(out, sessionJSON(e, false))
 	}
 	writeJSON(w, http.StatusOK, out)
+}
+
+// lookupNetwork fetches a registered network, writing a 404 envelope that
+// names it when the name is unknown.
+func (s *Server) lookupNetwork(w http.ResponseWriter, name string) *network.Network {
+	net := s.lookup(name)
+	if net == nil {
+		writeError(w, "not-found", "unknown network "+name, map[string]string{"network": name})
+	}
+	return net
 }
 
 // lookupSession fetches a session entry, writing a 404 envelope when the

@@ -108,18 +108,32 @@ func TestTopology(t *testing.T) {
 	if len(topo.Routers) != 7 || len(topo.Links) != 8 {
 		t.Fatalf("topology: %d routers %d links", len(topo.Routers), len(topo.Links))
 	}
-	// Unknown network → 404 error envelope with a details pointer.
-	resp2, err := http.Get(ts.URL + "/api/v1/networks/ghost/topology")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	if resp2.StatusCode != http.StatusNotFound {
-		t.Fatalf("status = %d, want 404", resp2.StatusCode)
-	}
-	env := decodeEnvelope(t, resp2)
-	if env.Code != "not-found" || env.Details["network"] != "ghost" {
-		t.Errorf("envelope = %+v, want not-found with details.network=ghost", env)
+}
+
+// TestUnknownNetworkNamed: every route that resolves a registered network
+// answers an unknown one with the same 404, naming it in the message and
+// in details.network.
+func TestUnknownNetworkNamed(t *testing.T) {
+	ts := newTestServer(t)
+	for _, c := range []struct {
+		method, path string
+		body         any
+	}{
+		{"GET", "/api/v1/networks/ghost/topology", nil},
+		{"POST", "/api/v1/verify", httpapi.VerifyRequest{Network: "ghost", Query: "<ip> .* <ip> 0"}},
+		{"POST", "/api/v1/verify-batch", httpapi.VerifyBatchRequest{Network: "ghost", Queries: []string{"<ip> .* <ip> 0"}}},
+		{"POST", "/api/v1/networks/ghost/sweep", httpapi.SweepRequest{Depth: 1, Invariants: []string{"<ip> .* <ip> 0"}}},
+		{"POST", "/api/v1/sessions", httpapi.SessionCreateRequest{Network: "ghost"}},
+	} {
+		resp := doJSON(t, c.method, ts.URL+c.path, c.body)
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s %s: status = %d, want 404", c.method, c.path, resp.StatusCode)
+			continue
+		}
+		env := decodeEnvelope(t, resp)
+		if env.Code != "not-found" || env.Message != "unknown network ghost" || env.Details["network"] != "ghost" {
+			t.Errorf("%s %s: envelope = %+v, want not-found naming ghost", c.method, c.path, env)
+		}
 	}
 }
 

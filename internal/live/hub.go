@@ -2,10 +2,13 @@ package live
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -314,12 +317,10 @@ func (h *Hub) Watches() []WatchInfo {
 	for _, w := range ws {
 		out = append(out, w.Info())
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && len(out[j-1].ID) > len(out[j].ID) ||
-			j > 0 && len(out[j-1].ID) == len(out[j].ID) && out[j-1].ID > out[j].ID; j-- {
-			out[j-1], out[j] = out[j], out[j-1]
-		}
-	}
+	// Shorter ids first, so w2 sorts before w10.
+	slices.SortFunc(out, func(a, b WatchInfo) int {
+		return cmp.Or(cmp.Compare(len(a.ID), len(b.ID)), strings.Compare(a.ID, b.ID))
+	})
 	return out
 }
 

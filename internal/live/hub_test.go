@@ -3,6 +3,7 @@ package live
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -91,6 +92,26 @@ func TestHubWatchLifecycle(t *testing.T) {
 	}
 	if hub.CloseWatch(w.ID(), "again") {
 		t.Fatal("double close succeeded")
+	}
+}
+
+// TestHubWatchesOrder: listings order watch ids numerically, w2 before
+// w10.
+func TestHubWatchesOrder(t *testing.T) {
+	_, hub := newHubFixture(t)
+	for i := 0; i < 11; i++ {
+		if _, err := hub.AddWatch(context.Background(), []string{witnessQuery}, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ws := hub.Watches()
+	if len(ws) != 11 {
+		t.Fatalf("%d watches listed, want 11", len(ws))
+	}
+	for i, w := range ws {
+		if want := fmt.Sprintf("w%d", i+1); w.ID != want {
+			t.Errorf("watch %d is %s, want %s", i, w.ID, want)
+		}
 	}
 }
 

@@ -7,10 +7,6 @@
 // the rule list instead of head-indexed lookup, and no weight support. The
 // performance gap between this backend and the optimised engine in
 // internal/pds reproduces the Moped-vs-Dual comparison.
-//
-// The package also implements a reader and writer for Moped's textual
-// pushdown-system format (".pds"), so systems can be exported for external
-// tools and re-imported.
 package moped
 
 import (

@@ -1,9 +1,6 @@
 package moped_test
 
 import (
-	"bytes"
-	"math/rand"
-	"strings"
 	"testing"
 
 	"aalwines/internal/engine"
@@ -53,83 +50,5 @@ func TestMopedBudget(t *testing.T) {
 		engine.Options{Saturate: moped.Poststar, Budget: 1})
 	if err == nil {
 		t.Fatal("expected budget error")
-	}
-}
-
-// TestFormatRoundTrip: WritePDS then ReadPDS reproduces the rule set.
-func TestFormatRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	p := pds.New(5, 4)
-	for i := 0; i < 40; i++ {
-		r := pds.Rule{
-			FromState: pds.State(rng.Intn(5)),
-			FromSym:   pds.Sym(rng.Intn(4)),
-			ToState:   pds.State(rng.Intn(5)),
-			Kind:      pds.RuleKind(rng.Intn(3)),
-		}
-		if r.Kind != pds.PopRule {
-			r.Sym1 = pds.Sym(rng.Intn(4))
-		}
-		if r.Kind == pds.PushRule {
-			r.Sym2 = pds.Sym(rng.Intn(4))
-		}
-		p.AddRule(r)
-	}
-	var buf bytes.Buffer
-	if err := moped.WritePDS(&buf, p); err != nil {
-		t.Fatal(err)
-	}
-	got, err := moped.ReadPDS(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumStates != p.NumStates || got.NumSyms != p.NumSyms {
-		t.Fatalf("dims: got (%d,%d) want (%d,%d)", got.NumStates, got.NumSyms, p.NumStates, p.NumSyms)
-	}
-	// Compare as sorted canonical rule lists (the writer sorts; duplicates
-	// survive round-tripping).
-	want := append([]pds.Rule(nil), p.Rules...)
-	pds.SortRulesDeterministic(want)
-	have := append([]pds.Rule(nil), got.Rules...)
-	pds.SortRulesDeterministic(have)
-	if len(want) != len(have) {
-		t.Fatalf("rule count: got %d want %d", len(have), len(want))
-	}
-	for i := range want {
-		w, h := want[i], have[i]
-		if w.String() != h.String() {
-			t.Fatalf("rule %d: got %v want %v", i, h, w)
-		}
-	}
-}
-
-func TestReadPDSErrors(t *testing.T) {
-	bad := []string{
-		"",
-		"p0 g0 --> p1\n",               // rule before header
-		"(1)\n",                        // short header
-		"(x y)\n",                      // non-numeric header
-		"(2 2)\np0 g0 p1\n",            // missing arrow
-		"(2 2)\np0 --> p1\n",           // short lhs
-		"(2 2)\nq0 g0 --> p1\n",        // bad prefix
-		"(2 2)\np0 g0 --> p1 g0 g0 g0", // long rhs
-	}
-	for _, s := range bad {
-		if _, err := moped.ReadPDS(strings.NewReader(s)); err == nil {
-			t.Errorf("ReadPDS(%q) succeeded, want error", s)
-		}
-	}
-}
-
-func TestWriteIncludesHeaderAndComment(t *testing.T) {
-	p := pds.New(2, 2)
-	p.AddRule(pds.Rule{FromState: 0, FromSym: 1, ToState: 1, Kind: pds.PopRule})
-	var buf bytes.Buffer
-	if err := moped.WritePDS(&buf, p); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "(2 2)") || !strings.Contains(out, "p0 g1 --> p1") {
-		t.Fatalf("output:\n%s", out)
 	}
 }

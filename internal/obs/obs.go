@@ -65,8 +65,6 @@ func (f *FloatCounter) Add(v float64) {
 // Value returns the current sum.
 func (f *FloatCounter) Value() float64 { return math.Float64frombits(f.bits.Load()) }
 
-func (f *FloatCounter) store(v float64) { f.bits.Store(math.Float64bits(v)) }
-
 // Gauge is an instantaneous int64 value (worker occupancy, peak depths).
 type Gauge struct{ v atomic.Int64 }
 
@@ -127,9 +125,6 @@ func (h *Histogram) Observe(v float64) {
 // ObserveDuration records a duration in seconds.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
 // snapshot copies the histogram counters; not atomic across buckets, which
 // is the usual (and here acceptable) scrape-time approximation.
 func (h *Histogram) snapshot() HistogramSnapshot {
@@ -145,60 +140,12 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 	return s
 }
 
-func (h *Histogram) reset() {
-	for i := range h.counts {
-		h.counts[i].Store(0)
-	}
-	h.count.Store(0)
-	h.sum.store(0)
-}
-
 // HistogramSnapshot is an immutable copy of a histogram's state.
 type HistogramSnapshot struct {
 	Count  int64     `json:"count"`
 	Sum    float64   `json:"sum"`
 	Bounds []float64 `json:"bounds"`
 	Counts []int64   `json:"counts"` // per-bucket; last entry is the +Inf bucket
-}
-
-// Mean returns the average observation (0 when empty).
-func (s HistogramSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return s.Sum / float64(s.Count)
-}
-
-// Quantile estimates the q-quantile (0 ≤ q ≤ 1) assuming a uniform
-// distribution inside each bucket; observations in the +Inf bucket report
-// the last finite bound.
-func (s HistogramSnapshot) Quantile(q float64) float64 {
-	if s.Count == 0 || len(s.Bounds) == 0 {
-		return 0
-	}
-	rank := q * float64(s.Count)
-	var seen float64
-	for i, c := range s.Counts {
-		if c == 0 {
-			continue
-		}
-		if seen+float64(c) >= rank {
-			if i >= len(s.Bounds) {
-				return s.Bounds[len(s.Bounds)-1]
-			}
-			lo := 0.0
-			if i > 0 {
-				lo = s.Bounds[i-1]
-			}
-			frac := (rank - seen) / float64(c)
-			if frac < 0 {
-				frac = 0
-			}
-			return lo + frac*(s.Bounds[i]-lo)
-		}
-		seen += float64(c)
-	}
-	return s.Bounds[len(s.Bounds)-1]
 }
 
 // Snapshot is a deep, JSON-marshalable copy of a registry's state.
@@ -304,25 +251,6 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Histograms[n] = h.snapshot()
 	}
 	return s
-}
-
-// Reset zeroes every metric (bench runs isolate themselves with a Reset
-// before measuring; the registered metric objects stay valid).
-func (r *Registry) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, c := range r.counts {
-		c.v.Store(0)
-	}
-	for _, f := range r.floats {
-		f.store(0)
-	}
-	for _, g := range r.gauges {
-		g.Set(0)
-	}
-	for _, h := range r.hists {
-		h.reset()
-	}
 }
 
 // splitName separates an inline-labeled metric name into its base name and
@@ -434,13 +362,6 @@ func GetGauge(name string) *Gauge { return Default.Gauge(name) }
 // GetHistogram returns a histogram from the default registry (nil bounds =
 // DefBuckets).
 func GetHistogram(name string, bounds []float64) *Histogram { return Default.Histogram(name, bounds) }
-
-// SanitizeLabel makes s safe to embed in an inline label value: quotes,
-// backslashes and newlines are replaced so the rendered exposition stays
-// parseable.
-func SanitizeLabel(s string) string {
-	return strings.NewReplacer(`"`, "'", `\`, "/", "\n", " ", "{", "(", "}", ")").Replace(s)
-}
 
 var expvarOnce sync.Once
 

@@ -131,48 +131,6 @@ func TestSnapshotIsolation(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("c").Add(7)
-	r.FloatCounter("f").Add(1.5)
-	r.Gauge("g").Set(3)
-	r.Histogram("h", nil).Observe(0.2)
-	r.Reset()
-	s := r.Snapshot()
-	if s.Counters["c"] != 0 || s.FloatCounters["f"] != 0 || s.Gauges["g"] != 0 {
-		t.Fatalf("reset left values: %+v", s)
-	}
-	if hs := s.Histograms["h"]; hs.Count != 0 || hs.Sum != 0 {
-		t.Fatalf("reset left histogram: %+v", hs)
-	}
-	// Metric handles created before the reset stay live.
-	r.Counter("c").Inc()
-	if r.Snapshot().Counters["c"] != 1 {
-		t.Fatal("counter dead after reset")
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("h", []float64{1, 2, 4, 8})
-	for i := 0; i < 100; i++ {
-		h.Observe(1.5) // all in the (1,2] bucket
-	}
-	s := h.snapshot()
-	for _, q := range []float64{0.5, 0.9, 0.99} {
-		v := s.Quantile(q)
-		if v < 1 || v > 2 {
-			t.Errorf("q%.2f = %g, want within (1,2]", q, v)
-		}
-	}
-	if got := (HistogramSnapshot{}).Quantile(0.5); got != 0 {
-		t.Errorf("empty quantile = %g, want 0", got)
-	}
-	if m := s.Mean(); math.Abs(m-1.5) > 1e-9 {
-		t.Errorf("mean = %g, want 1.5", m)
-	}
-}
-
 // TestWritePrometheus pins the exposition format: TYPE lines, label
 // merging for labeled histograms, cumulative buckets, +Inf terminal.
 func TestWritePrometheus(t *testing.T) {
@@ -219,16 +177,6 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	}
 	if snap.Counters["c"] != 2 || snap.Histograms["h"].Count != 1 {
 		t.Fatalf("round trip lost data: %+v", snap)
-	}
-}
-
-func TestSanitizeLabel(t *testing.T) {
-	in := "a\"b\\c\nd{e}"
-	out := SanitizeLabel(in)
-	for _, bad := range []string{`"`, `\`, "\n", "{", "}"} {
-		if strings.Contains(out, bad) {
-			t.Errorf("sanitized %q still contains %q", out, bad)
-		}
 	}
 }
 

@@ -313,8 +313,7 @@ func (c Config) Step(r Rule) (Config, bool) {
 	return Config{}, false
 }
 
-// SortRulesDeterministic orders the rule slice for reproducible output;
-// used by the Moped text exporter and tests.
+// SortRulesDeterministic orders the rule slice for reproducible output.
 func SortRulesDeterministic(rules []Rule) {
 	sort.Slice(rules, func(i, j int) bool {
 		a, b := rules[i], rules[j]

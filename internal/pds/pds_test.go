@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
+	"testing/quick"
 
 	"aalwines/internal/nfa"
 )
@@ -547,5 +548,49 @@ func TestSortRulesDeterministic(t *testing.T) {
 		if a.FromState > b.FromState {
 			t.Fatal("not sorted")
 		}
+	}
+}
+
+// TestSemiringLaws checks that the weight arithmetic of weighted post*
+// forms the bounded idempotent semiring saturation needs: on proper
+// vectors of one dimension, ⊕ (lexLess as a minimum) is idempotent,
+// commutative and associative, ⊗ (lexAdd) is associative and has the
+// all-zeros vector as its identity, and ⊗ distributes over ⊕.
+func TestSemiringLaws(t *testing.T) {
+	plus := func(a, b []uint64) []uint64 {
+		if lexLess(b, a) {
+			return b
+		}
+		return a
+	}
+	one := []uint64{0, 0, 0}
+	// Small components, so vectors often tie on a prefix and the later
+	// components decide.
+	mk := func(x, y, z uint8) []uint64 { return []uint64{uint64(x % 4), uint64(y % 4), uint64(z % 4)} }
+	if err := quick.Check(func(x1, y1, z1, x2, y2, z2, x3, y3, z3 uint8) bool {
+		a, b, c := mk(x1, y1, z1), mk(x2, y2, z2), mk(x3, y3, z3)
+		if !equalVec(plus(a, a), a) {
+			return false // ⊕ idempotent
+		}
+		if !equalVec(plus(a, b), plus(b, a)) {
+			return false // ⊕ commutative
+		}
+		if !equalVec(plus(a, plus(b, c)), plus(plus(a, b), c)) {
+			return false // ⊕ associative
+		}
+		if !equalVec(lexAdd(a, lexAdd(b, c)), lexAdd(lexAdd(a, b), c)) {
+			return false // ⊗ associative
+		}
+		// Distributivity (⊗ over ⊕) in both directions.
+		if !equalVec(lexAdd(a, plus(b, c)), plus(lexAdd(a, b), lexAdd(a, c))) {
+			return false
+		}
+		if !equalVec(lexAdd(plus(a, b), c), plus(lexAdd(a, c), lexAdd(b, c))) {
+			return false
+		}
+		// The all-zeros vector is the identity of ⊗.
+		return equalVec(lexAdd(a, one), a) && equalVec(lexAdd(one, a), a)
+	}, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
 	}
 }

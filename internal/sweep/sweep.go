@@ -28,6 +28,7 @@ import (
 	"io"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -77,49 +78,43 @@ func (sc Scenario) LinkNames(g *topology.Graph) []string {
 	return names
 }
 
-// Enumerate lists the failure scenarios of the graph's live links — every
-// link for which exclude (nil = none) returns false. Depth 1 yields the
-// C(n,1) single-link scenarios in link-ID order; depth 2 appends the
-// C(n,2) unordered pairs in lexicographic (i, j) order, i < j, so the
-// whole space is covered exactly once and consecutive pair scenarios share
-// their first link (the cache-locality property the scheduler relies on).
-func Enumerate(g *topology.Graph, depth int, exclude func(topology.LinkID) bool) ([]Scenario, error) {
-	live, total, err := space(g, depth, exclude)
+// Enumerate lists the failure scenarios of the graph's links. Depth 1
+// yields the C(n,1) single-link scenarios in link-ID order; depth 2
+// appends the C(n,2) unordered pairs in lexicographic (i, j) order, i < j,
+// so the whole space is covered exactly once and consecutive pair
+// scenarios share their first link (the cache-locality property the
+// scheduler relies on).
+func Enumerate(g *topology.Graph, depth int) ([]Scenario, error) {
+	n, total, err := space(g, depth)
 	if err != nil {
 		return nil, err
 	}
-	return enumerate(live, depth, total), nil
+	return enumerate(n, depth, total), nil
 }
 
-// space lists the live links of a failure space and counts its scenarios,
-// C(n,1) (+ C(n,2) at depth 2), without allocating them.
-func space(g *topology.Graph, depth int, exclude func(topology.LinkID) bool) ([]topology.LinkID, int, error) {
+// space counts the links of a failure space and its scenarios, C(n,1)
+// (+ C(n,2) at depth 2), without allocating them.
+func space(g *topology.Graph, depth int) (n, total int, err error) {
 	if depth < 1 || depth > 2 {
-		return nil, 0, fmt.Errorf("sweep: depth %d out of range (want 1 or 2)", depth)
+		return 0, 0, fmt.Errorf("sweep: depth %d out of range (want 1 or 2)", depth)
 	}
-	var live []topology.LinkID
-	for l := 0; l < g.NumLinks(); l++ {
-		if id := topology.LinkID(l); exclude == nil || !exclude(id) {
-			live = append(live, id)
-		}
-	}
-	n := len(live)
-	total := n
+	n = g.NumLinks()
+	total = n
 	if depth == 2 {
 		total += n * (n - 1) / 2
 	}
-	return live, total, nil
+	return n, total, nil
 }
 
-func enumerate(live []topology.LinkID, depth, total int) []Scenario {
+func enumerate(n, depth, total int) []Scenario {
 	scs := make([]Scenario, 0, total)
-	for _, l := range live {
-		scs = append(scs, Scenario{ID: len(scs), Links: []topology.LinkID{l}})
+	for l := 0; l < n; l++ {
+		scs = append(scs, Scenario{ID: len(scs), Links: []topology.LinkID{topology.LinkID(l)}})
 	}
 	if depth == 2 {
-		for i := range live {
-			for j := i + 1; j < len(live); j++ {
-				scs = append(scs, Scenario{ID: len(scs), Links: []topology.LinkID{live[i], live[j]}})
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				scs = append(scs, Scenario{ID: len(scs), Links: []topology.LinkID{topology.LinkID(i), topology.LinkID(j)}})
 			}
 		}
 	}
@@ -163,9 +158,6 @@ type Config struct {
 	// Timeout is the per-cell wall-clock deadline (0 = none); an expired
 	// deadline is that cell's outcome, not a sweep abort.
 	Timeout time.Duration
-	// Exclude drops links from the enumerated failure space (nil = none) —
-	// e.g. links already failed or drained in a base what-if state.
-	Exclude func(topology.LinkID) bool
 	// OnCell, when non-nil, is invoked once per completed cell, serialized
 	// across workers — the streaming hook for progress reporting.
 	OnCell func(CellResult)
@@ -320,7 +312,7 @@ func Run(ctx context.Context, net *network.Network, cfg Config) (*Result, error)
 			return nil, &engine.QueryError{Query: qt, Err: err}
 		}
 	}
-	live, total, err := space(net.Topo, cfg.Depth, cfg.Exclude)
+	n, total, err := space(net.Topo, cfg.Depth)
 	if err != nil {
 		return nil, err
 	}
@@ -332,7 +324,7 @@ func Run(ctx context.Context, net *network.Network, cfg Config) (*Result, error)
 	if total > MaxCells/len(cfg.Invariants) {
 		return nil, &TooLargeError{Scenarios: total, Invariants: len(cfg.Invariants)}
 	}
-	scs := enumerate(live, cfg.Depth, total)
+	scs := enumerate(n, cfg.Depth, total)
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -489,7 +481,7 @@ func buildReport(net *network.Network, cfg Config, workers int, scs []Scenario,
 	}
 
 	// singleBreaks[l] answers "does failing l alone break invariant qi?"
-	// for the minimality filter; only singles present in the space count.
+	// for the minimality filter; a cancelled single leaves it unknown.
 	g := net.Topo
 	var samples []float64
 	var sum float64
@@ -614,7 +606,7 @@ func (r *Report) WriteText(w io.Writer) error {
 				fmt.Fprintf(w, "    … and %d more\n", len(inv.MinimalBreaking)-maxShown)
 				break
 			}
-			fmt.Fprintf(w, "    fail { %s }\n", joinNames(set))
+			fmt.Fprintf(w, "    fail { %s }\n", strings.Join(set, ", "))
 		}
 	}
 	fmt.Fprintf(w, "\ncache:   %d/%d system hits, %d blocks reused / %d rebuilt (%.0f%% reuse)\n",
@@ -626,15 +618,4 @@ func (r *Report) WriteText(w io.Writer) error {
 			r.CellsIncomplete, r.CellsTotal)
 	}
 	return err
-}
-
-func joinNames(names []string) string {
-	out := ""
-	for i, n := range names {
-		if i > 0 {
-			out += ", "
-		}
-		out += n
-	}
-	return out
 }

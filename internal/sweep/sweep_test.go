@@ -12,6 +12,7 @@ import (
 
 	"aalwines/internal/engine"
 	"aalwines/internal/gen"
+	"aalwines/internal/network"
 	"aalwines/internal/topology"
 )
 
@@ -32,7 +33,7 @@ func tinyGraph() *topology.Graph {
 func TestEnumerate(t *testing.T) {
 	g := tinyGraph()
 
-	scs, err := Enumerate(g, 1, nil)
+	scs, err := Enumerate(g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func TestEnumerate(t *testing.T) {
 		}
 	}
 
-	scs, err = Enumerate(g, 2, nil)
+	scs, err = Enumerate(g, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestEnumerate(t *testing.T) {
 	}
 
 	// Determinism: a second enumeration is structurally identical.
-	again, err := Enumerate(g, 2, nil)
+	again, err := Enumerate(g, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,24 +78,8 @@ func TestEnumerate(t *testing.T) {
 		t.Fatal("enumeration is not deterministic")
 	}
 
-	// Exclusion drops the link from singles and pairs alike.
-	scs, err = Enumerate(g, 2, func(l topology.LinkID) bool { return l == 1 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(scs) != 3+3 {
-		t.Fatalf("excluded depth 2: %d scenarios, want 6", len(scs))
-	}
-	for _, sc := range scs {
-		for _, l := range sc.Links {
-			if l == 1 {
-				t.Fatalf("scenario %v references the excluded link", sc.Links)
-			}
-		}
-	}
-
 	for _, depth := range []int{0, 3, -1} {
-		if _, err := Enumerate(g, depth, nil); err == nil {
+		if _, err := Enumerate(g, depth); err == nil {
 			t.Errorf("Enumerate depth %d succeeded, want error", depth)
 		}
 	}
@@ -263,24 +248,30 @@ func TestSweepConfigErrors(t *testing.T) {
 	for i := range tooMany {
 		tooMany[i] = runningExampleInvariants[0]
 	}
+	// A network read from XML can have routers but no links.
+	linkless := network.New("linkless")
+	linkless.Topo.AddRouter("v0")
 	var queryErr *engine.QueryError
 	var tooLarge *TooLargeError
 	cases := []struct {
+		net  *network.Network
 		cfg  Config
 		want func(error) bool
 	}{
-		{Config{Depth: 1}, nil}, // no invariants
-		{Config{Depth: 1, Invariants: []string{"not a query"}}, func(err error) bool {
+		{re.Network, Config{Depth: 1}, nil}, // no invariants
+		{re.Network, Config{Depth: 1, Invariants: []string{"not a query"}}, func(err error) bool {
 			return errors.As(err, &queryErr) && queryErr.Query == "not a query"
 		}},
-		{Config{Depth: 3, Invariants: runningExampleInvariants}, nil},                                                      // bad depth
-		{Config{Depth: 1, Invariants: runningExampleInvariants, Exclude: func(topology.LinkID) bool { return true }}, nil}, // empty space
-		{Config{Depth: 2, Invariants: tooMany}, func(err error) bool {
+		{re.Network, Config{Depth: 3, Invariants: runningExampleInvariants}, nil}, // bad depth
+		{linkless, Config{Depth: 1, Invariants: []string{"<ip> [.#v0] .* <ip> 0"}}, func(err error) bool {
+			return strings.Contains(err.Error(), "empty failure space")
+		}},
+		{re.Network, Config{Depth: 2, Invariants: tooMany}, func(err error) bool {
 			return errors.As(err, &tooLarge) && *tooLarge == TooLargeError{Scenarios: 36, Invariants: len(tooMany)}
 		}},
 	}
 	for i, c := range cases {
-		_, err := Run(ctx, re.Network, c.cfg)
+		_, err := Run(ctx, c.net, c.cfg)
 		if err == nil || c.want != nil && !c.want(err) {
 			t.Errorf("case %d: Run error = %v", i, err)
 		}

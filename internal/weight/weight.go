@@ -1,9 +1,10 @@
 // Package weight implements the quantitative extension of §3 of the
 // AalWiNes paper: atomic quantities of network traces (Links, Hops,
 // Distance, Failures, Tunnels), linear expressions over them, priority
-// vectors of expressions compared lexicographically, and the bounded
-// idempotent semiring (lexicographic min-plus on vectors) that drives the
-// weighted pushdown reachability of the verification engine.
+// vectors of expressions compared lexicographically. The weighted
+// pushdown reachability of the verification engine (internal/pds) works
+// in the bounded idempotent semiring these vectors form: ⊕ is the
+// lexicographic minimum and ⊗ component-wise addition.
 package weight
 
 import (
@@ -113,25 +114,10 @@ func (s Spec) Eval(a Atoms) Vec {
 	return v
 }
 
-// Uses reports whether any expression of the spec mentions q.
-func (s Spec) Uses(q Quantity) bool {
-	for _, e := range s {
-		for _, t := range e {
-			if t.Q == q && t.Coeff != 0 {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // Vec is a weight vector compared lexicographically. The nil vector is the
 // semiring zero ⊥ and denotes "no path"; it is worse than every proper
 // vector.
 type Vec []uint64
-
-// IsZero reports whether v is the semiring zero (no path).
-func (v Vec) IsZero() bool { return v == nil }
 
 // Less reports strict lexicographic order between two proper vectors of
 // equal length; the zero vector compares greater than everything.
@@ -173,40 +159,4 @@ func (v Vec) String() string {
 		parts[i] = fmt.Sprintf("%d", x)
 	}
 	return "(" + strings.Join(parts, ", ") + ")"
-}
-
-// Semiring is the lexicographic min-plus semiring over weight vectors of a
-// fixed dimension: ⊕ is lexicographic minimum, ⊗ is component-wise
-// addition, zero is the nil vector (no path) and one is the all-zeros
-// vector. It is bounded and idempotent, so weighted pre*/post* saturation
-// terminates (Reps et al. 2005).
-type Semiring struct {
-	// Dim is the vector dimension; One returns a vector of this length.
-	Dim int
-}
-
-// Zero returns the semiring zero ⊥ (no path).
-func (s Semiring) Zero() Vec { return nil }
-
-// One returns the semiring one: the all-zeros vector.
-func (s Semiring) One() Vec { return make(Vec, s.Dim) }
-
-// Combine is ⊕: the lexicographically smaller vector.
-func (s Semiring) Combine(a, b Vec) Vec {
-	if a.Less(b) || b == nil {
-		return a
-	}
-	return b
-}
-
-// Extend is ⊗: component-wise sum; zero annihilates.
-func (s Semiring) Extend(a, b Vec) Vec {
-	if a == nil || b == nil {
-		return nil
-	}
-	out := make(Vec, len(a))
-	for i := range a {
-		out[i] = a[i] + b[i]
-	}
-	return out
 }
