@@ -182,13 +182,13 @@ func CheckBenchLadder(cfg LadderGateConfig) ([]string, error) {
 			lines = append(lines, fmt.Sprintf("%-18s FAIL  %v", rung.Name, cerr))
 			continue
 		}
-		lines = append(lines, fmt.Sprintf("%-18s ok    mean=%.3fms (baseline %.3fms)  pops=%d  alloc/run=%.1fMB",
+		lines = append(lines, fmt.Sprintf("%-18s ok    mean=%.3fms (baseline %.3fms)  pops=%d  alloc/run=%.1fMB (baseline %.1fMB)",
 			rung.Name, fresh.LatencyMS.Mean, base.LatencyMS.Mean, fresh.Saturation.WorklistPops,
-			float64(fresh.Memory.AllocBytesPerRun)/(1<<20)))
+			float64(fresh.Memory.AllocBytesPerRun)/(1<<20), float64(base.Memory.AllocBytesPerRun)/(1<<20)))
 	}
 	if len(failures) > 0 {
 		return lines, fmt.Errorf("ladder regression gate: %d rung(s) failed:\n  %s",
-			len(failures), joinLines(failures))
+			len(failures), strings.Join(failures, "\n  "))
 	}
 	return lines, nil
 }
@@ -205,15 +205,4 @@ func ReadBenchVerify(data []byte) (*BenchVerifyReport, error) {
 		return nil, err
 	}
 	return rep, nil
-}
-
-func joinLines(ss []string) string {
-	out := ""
-	for i, s := range ss {
-		if i > 0 {
-			out += "\n  "
-		}
-		out += s
-	}
-	return out
 }

@@ -100,9 +100,11 @@ func (a *Auto) chainSym(sym Sym) Sym {
 }
 
 // stateEdges holds one state's outgoing transitions. meta[i].next threads
-// the edges into per-symbol chains headed in the automaton's flat hash, so
-// the saturation inner loops touch only candidate edges without paying a
-// per-state map allocation.
+// the edges into per-symbol chains, newest first, so the saturation inner
+// loops touch only candidate edges without paying a per-state map
+// allocation. A chain's head is its newest edge: a state with at most
+// scanMax edges finds it by scanning the out-list, and a larger one looks
+// it up in the automaton's flat hash.
 type stateEdges struct {
 	edges []Edge
 	meta  []edgeMeta
@@ -123,11 +125,11 @@ type Auto struct {
 	NumSyms   int // concrete stack alphabet size; virtual symbols follow
 	numStates int
 	numTrans  int
-	accept    []bool
-	states    []stateEdges
-	heads     u64map         // chainKey(state, chainSym) -> head edge index
-	sets      []*nfa.Set     // virtual symbol table
-	setIdx    map[string]Sym // set key -> virtual symbol
+	accept    []bool              // states past its end are not accepting
+	states    chunked[stateEdges] // by state; see NewAuto for the chunk length
+	heads     u64map              // chainKey(state, chainSym) -> head edge index, states past scanMax edges only
+	sets      []*nfa.Set          // virtual symbol table
+	setIdx    map[string]Sym      // set key -> virtual symbol
 
 	// Bump arenas backing the per-state edge slices: growing a state's
 	// out-list re-slices a chunk instead of asking the allocator, so the
@@ -148,6 +150,16 @@ type Auto struct {
 	bufB    []State
 	probes  int64
 }
+
+// scanMax is the largest out-degree at which a state finds its chain heads
+// by scanning its out-list instead of hashing. Nearly every state a
+// saturation adds keeps a single out-edge (DESIGN.md §8), so most states
+// never enter the hash.
+const scanMax = 8
+
+// minStateShift bounds the state table's chunk length from below (16
+// states), so a tiny automaton does not allocate a chunk per AddState.
+const minStateShift = 4
 
 // edgeChunkSize is the minimum bump-arena chunk length; 1024 edges ≈ 24
 // KiB with their bookkeeping. maxEdgeChunk caps the adaptive growth below
@@ -199,20 +211,27 @@ func (a *Auto) growEdges(se *stateEdges) {
 }
 
 // NewAuto returns an automaton whose first n states mirror the PDS control
-// states, with no transitions and no accepting states. The state table
-// reserves room for extra states beyond those, so a caller that knows how
-// many it adds (the initial automaton's own states) never regrows it.
+// states, with no transitions and no accepting states. The state table's
+// first chunk holds the extra states beyond those too, so a caller that
+// knows how many it adds (the initial automaton's own states) allocates
+// the table once. Every later chunk has the same power-of-two length, so
+// a state's slot is a shift and a mask away.
 func NewAuto(p *PDS, extra int) *Auto {
 	n := p.NumStates
-	return &Auto{
+	a := &Auto{
 		PDSStates: n,
 		NumSyms:   p.NumSyms,
 		numStates: n,
 		accept:    make([]bool, n, n+extra),
-		states:    make([]stateEdges, n, n+extra),
+		states:    chunked[stateEdges]{shift: uint(max(bits.Len(uint(n+extra)), minStateShift))},
 		setIdx:    make(map[string]Sym),
 	}
+	a.states.grow(n)
+	return a
 }
+
+// st returns state s's out-list.
+func (a *Auto) st(s State) *stateEdges { return a.states.at(int(s)) }
 
 // Clone returns an independent copy of the automaton that can be saturated
 // while the original (and other clones) are used concurrently. State and
@@ -227,11 +246,12 @@ func (a *Auto) Clone() *Auto {
 		numStates: a.numStates,
 		numTrans:  a.numTrans,
 		accept:    append([]bool(nil), a.accept...),
-		states:    make([]stateEdges, len(a.states)),
+		states:    chunked[stateEdges]{shift: a.states.shift},
 		heads:     a.heads.clone(),
 		sets:      append([]*nfa.Set(nil), a.sets...),
 		setIdx:    make(map[string]Sym, len(a.setIdx)),
 	}
+	b.states.grow(a.numStates)
 	// One backing array serves every state's out-list, sliced with its
 	// capacity capped at its length so a later append (during saturation
 	// of the clone) copies that state's list out instead of clobbering
@@ -240,12 +260,13 @@ func (a *Auto) Clone() *Auto {
 	edges := make([]Edge, a.numTrans)
 	meta := make([]edgeMeta, a.numTrans)
 	off := 0
-	for i := range a.states {
-		n := len(a.states[i].edges)
-		copy(edges[off:off+n], a.states[i].edges)
-		copy(meta[off:off+n], a.states[i].meta)
-		b.states[i].edges = edges[off : off+n : off+n]
-		b.states[i].meta = meta[off : off+n : off+n]
+	for s := State(0); int(s) < a.numStates; s++ {
+		src, dst := a.st(s), b.st(s)
+		n := len(src.edges)
+		copy(edges[off:off+n], src.edges)
+		copy(meta[off:off+n], src.meta)
+		dst.edges = edges[off : off+n : off+n]
+		dst.meta = meta[off : off+n : off+n]
 		off += n
 	}
 	for k, v := range a.setIdx {
@@ -264,8 +285,8 @@ func (a *Auto) NormalizeWeights(dim int) {
 	if dim == 0 {
 		return
 	}
-	for s := range a.states {
-		edges := a.states[s].edges
+	for s := State(0); int(s) < a.numStates; s++ {
+		edges := a.st(s).edges
 		for i := range edges {
 			if edges[i].Wit.Weight == nil {
 				edges[i].Wit.Weight = make([]uint64, dim)
@@ -275,17 +296,10 @@ func (a *Auto) NormalizeWeights(dim int) {
 }
 
 // AddState appends a fresh non-accepting extra state. The state table
-// doubles when full: append's gentler growth at saturation sizes copied
-// the table about five times over.
+// grows by a chunk when full and copies no state.
 func (a *Auto) AddState() State {
-	if len(a.states) == cap(a.states) {
-		n := 2*len(a.states) + 16
-		a.states = append(make([]stateEdges, 0, n), a.states...)
-		a.accept = append(make([]bool, 0, n), a.accept...)
-	}
 	a.numStates++
-	a.accept = append(a.accept, false)
-	a.states = append(a.states, stateEdges{})
+	a.states.grow(a.numStates)
 	return State(a.numStates - 1)
 }
 
@@ -293,25 +307,54 @@ func (a *Auto) AddState() State {
 func (a *Auto) NumStates() int { return a.numStates }
 
 // SetAccept marks s accepting.
-func (a *Auto) SetAccept(s State, v bool) { a.accept[s] = v }
+func (a *Auto) SetAccept(s State, v bool) {
+	for int(s) >= len(a.accept) {
+		a.accept = append(a.accept, false)
+	}
+	a.accept[s] = v
+}
 
 // Accepting reports whether s is accepting.
-func (a *Auto) Accepting(s State) bool { return a.accept[s] }
+func (a *Auto) Accepting(s State) bool { return int(s) < len(a.accept) && a.accept[s] }
 
 // Out returns the outgoing edges of s; the slice is shared.
-func (a *Auto) Out(s State) []Edge { return a.states[s].edges }
+func (a *Auto) Out(s State) []Edge { return a.st(s).edges }
 
 // NumTrans returns the total number of transitions.
 func (a *Auto) NumTrans() int { return a.numTrans }
 
+// chainHead returns the newest edge of s's chain cs, or -1. A state with
+// at most scanMax edges scans its out-list newest first; the first edge of
+// the chain it meets is the head the hash would hold.
+func (a *Auto) chainHead(se *stateEdges, s State, cs Sym) int32 {
+	if len(se.edges) > scanMax {
+		if j, ok := a.heads.get(chainKey(s, cs)); ok {
+			return j
+		}
+		return -1
+	}
+	for j := len(se.edges) - 1; j >= 0; j-- {
+		if a.chainSym(se.edges[j].Sym) == cs {
+			return int32(j)
+		}
+	}
+	return -1
+}
+
+// indexChains enters every chain head of s into the hash; upsert calls it
+// when s's out-list first grows past scanMax.
+func (a *Auto) indexChains(s State, se *stateEdges) {
+	for j := len(se.edges) - 1; j >= 0; j-- {
+		if hp := a.heads.ref(chainKey(s, a.chainSym(se.edges[j].Sym))); *hp == -1 {
+			*hp = int32(j)
+		}
+	}
+}
+
 // Get returns the edge for t and whether it exists.
 func (a *Auto) Get(t Trans) (Edge, bool) {
-	se := &a.states[t.From]
-	j, ok := a.heads.get(chainKey(t.From, a.chainSym(t.Sym)))
-	if !ok {
-		return Edge{}, false
-	}
-	for ; j != -1; j = se.meta[j].next {
+	se := a.st(t.From)
+	for j := a.chainHead(se, t.From, a.chainSym(t.Sym)); j != -1; j = se.meta[j].next {
 		if se.edges[j].Sym == t.Sym && se.edges[j].To == t.To {
 			return se.edges[j], true
 		}
@@ -360,9 +403,17 @@ func (a *Auto) Matches(edgeSym, c Sym) bool {
 // the old per-pop garbage came from. A nil weight means "unweighted": then
 // only novelty counts.
 func (a *Auto) upsert(t Trans, w []uint64) (int32, bool) {
-	se := &a.states[t.From]
-	hp := a.heads.ref(chainKey(t.From, a.chainSym(t.Sym)))
-	for j := *hp; j != -1; j = se.meta[j].next {
+	se := a.st(t.From)
+	cs := a.chainSym(t.Sym)
+	var hp *int32 // the hash slot of the chain head, for a hashed state
+	var head int32
+	if len(se.edges) > scanMax {
+		hp = a.heads.ref(chainKey(t.From, cs))
+		head = *hp
+	} else {
+		head = a.chainHead(se, t.From, cs)
+	}
+	for j := head; j != -1; j = se.meta[j].next {
 		a.probes++
 		if se.edges[j].Sym == t.Sym && se.edges[j].To == t.To {
 			if w == nil || !lexLess(w, se.edges[j].Wit.Weight) {
@@ -376,9 +427,13 @@ func (a *Auto) upsert(t Trans, w []uint64) (int32, bool) {
 		a.growEdges(se)
 	}
 	se.edges = append(se.edges, Edge{Sym: t.Sym, To: t.To})
-	se.meta = append(se.meta, edgeMeta{next: *hp})
-	*hp = i
+	se.meta = append(se.meta, edgeMeta{next: head})
 	a.numTrans++
+	if hp != nil {
+		*hp = i
+	} else if len(se.edges) > scanMax {
+		a.indexChains(t.From, se)
+	}
 	return i, true
 }
 
@@ -388,7 +443,7 @@ func (a *Auto) upsert(t Trans, w []uint64) (int32, bool) {
 func (a *Auto) Insert(t Trans, wit *Witness) bool {
 	i, changed := a.upsert(t, wit.Weight)
 	if changed {
-		a.states[t.From].edges[i].Wit = wit
+		a.st(t.From).edges[i].Wit = wit
 	}
 	return changed
 }
@@ -398,20 +453,16 @@ func (a *Auto) Insert(t Trans, wit *Witness) bool {
 // the virtual-set chain instead of scanning the whole out-list. Targets are
 // not deduplicated; callers dedup where it matters.
 func (a *Auto) appendMatches(dst []State, s State, c Sym) []State {
-	se := &a.states[s]
-	if j, ok := a.heads.get(chainKey(s, c)); ok {
-		for ; j != -1; j = se.meta[j].next {
-			a.probes++
-			dst = append(dst, se.edges[j].To)
-		}
+	se := a.st(s)
+	for j := a.chainHead(se, s, c); j != -1; j = se.meta[j].next {
+		a.probes++
+		dst = append(dst, se.edges[j].To)
 	}
-	if j, ok := a.heads.get(chainKey(s, virtChain)); ok {
-		for ; j != -1; j = se.meta[j].next {
-			a.probes++
-			e := &se.edges[j]
-			if a.sets[int(e.Sym)-a.NumSyms].Has(nfa.Sym(c)) {
-				dst = append(dst, e.To)
-			}
+	for j := a.chainHead(se, s, virtChain); j != -1; j = se.meta[j].next {
+		a.probes++
+		e := &se.edges[j]
+		if a.sets[int(e.Sym)-a.NumSyms].Has(nfa.Sym(c)) {
+			dst = append(dst, e.To)
 		}
 	}
 	return dst
@@ -432,14 +483,6 @@ func (a *Auto) AddEdge(from State, sym Sym, to State) {
 	a.addInitial(Trans{from, sym, to}, nil)
 }
 
-// AddSetEdge inserts an initial transition that admits every symbol in set.
-func (a *Auto) AddSetEdge(from State, set *nfa.Set, to State, w []uint64) {
-	if set.IsEmpty() {
-		return
-	}
-	a.AddVirtualEdge(from, a.VirtualSym(set), to, w)
-}
-
 // AddVirtualEdge inserts an initial transition over a virtual symbol that
 // VirtualSym returned, so a set added from many states is interned once.
 func (a *Auto) AddVirtualEdge(from State, sym Sym, to State, w []uint64) {
@@ -450,7 +493,7 @@ func (a *Auto) AddVirtualEdge(from State, sym Sym, to State, w []uint64) {
 // the automaton's arena only when the transition is new or improved.
 func (a *Auto) addInitial(t Trans, w []uint64) {
 	if i, changed := a.upsert(t, w); changed {
-		a.states[t.From].edges[i].Wit = a.wits.new(Witness{Kind: WitInitial, Rule: -1, T: t, Weight: w})
+		a.st(t.From).edges[i].Wit = a.wits.new(Witness{Kind: WitInitial, Rule: -1, T: t, Weight: w})
 	}
 }
 
@@ -490,7 +533,7 @@ func (a *Auto) AcceptsConfig(c Config) bool {
 		}
 	}
 	for _, s := range cur {
-		if a.accept[s] {
+		if a.Accepting(s) {
 			return true
 		}
 	}
@@ -509,14 +552,12 @@ func (a *Auto) epsCloseInto(dst []State, states ...State) []State {
 	}
 	for i := 0; i < len(dst); i++ {
 		s := dst[i]
-		se := &a.states[s]
-		if j, ok := a.heads.get(chainKey(s, Eps)); ok {
-			for ; j != -1; j = se.meta[j].next {
-				to := se.edges[j].To
-				if a.mark[to] != gen {
-					a.mark[to] = gen
-					dst = append(dst, to)
-				}
+		se := a.st(s)
+		for j := a.chainHead(se, s, Eps); j != -1; j = se.meta[j].next {
+			to := se.edges[j].To
+			if a.mark[to] != gen {
+				a.mark[to] = gen
+				dst = append(dst, to)
 			}
 		}
 	}
@@ -526,8 +567,8 @@ func (a *Auto) epsCloseInto(dst []State, states ...State) []State {
 // Validate checks the post* input requirement: no transitions into control
 // states.
 func (a *Auto) Validate() error {
-	for s := range a.states {
-		edges := a.states[s].edges
+	for s := State(0); int(s) < a.numStates; s++ {
+		edges := a.st(s).edges
 		for i := range edges {
 			if int(edges[i].To) < a.PDSStates {
 				return fmt.Errorf("pds: initial automaton has transition into control state %d", edges[i].To)
@@ -639,6 +680,12 @@ func (m *u64map) ref(k uint64) *int32 {
 		m.n++
 	}
 	return &m.vals[i]
+}
+
+// clear removes every key and keeps the table's size.
+func (m *u64map) clear() {
+	clear(m.keys)
+	m.n = 0
 }
 
 func (m *u64map) clone() u64map {

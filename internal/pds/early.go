@@ -13,16 +13,19 @@ import (
 // escapes the run. Weight vectors and witness records are deliberately NOT
 // pooled: they outlive the run inside the result automaton.
 type satScratch struct {
-	queue   []edgeRef
-	epsInto [][]State
+	queue workQueue
+	eps   epsPreds
 
 	// Early-accept probe scratch: the product nodes (automaton state ×
 	// spec state) reached so far, and their marks, generation-stamped per
 	// run so a new run skips the O(product) clear.
-	prodMark []uint32
+	prodMark chunked[uint32]
 	prodGen  uint32
 	prodBuf  []prodNode
 }
+
+// markShift sets the probe marks' chunk length: 1,024 product nodes.
+const markShift = 10
 
 // prodNode is a reached product node with its cursor: next counts the
 // out-edges of s the probe has already followed from this node.
@@ -40,25 +43,14 @@ func getScratch() *satScratch {
 		return v.(*satScratch)
 	}
 	poolMisses.Inc()
-	return &satScratch{}
+	return &satScratch{prodMark: chunked[uint32]{shift: markShift}}
 }
 
 func putScratch(sc *satScratch) {
-	sc.queue = sc.queue[:0]
-	for i := range sc.epsInto {
-		sc.epsInto[i] = sc.epsInto[i][:0]
-	}
+	sc.queue.reset()
+	sc.eps.reset()
 	sc.prodBuf = sc.prodBuf[:0]
 	scratchPool.Put(sc)
-}
-
-// epsIntoFor returns the ε-predecessor table sized for at least n states,
-// reusing the inner slices' capacity from previous runs.
-func (sc *satScratch) epsIntoFor(n int) [][]State {
-	for len(sc.epsInto) < n {
-		sc.epsInto = append(sc.epsInto, nil)
-	}
-	return sc.epsInto
 }
 
 // nextProdGen advances the early-accept mark generation; on wrap the mark
@@ -66,12 +58,115 @@ func (sc *satScratch) epsIntoFor(n int) [][]State {
 func (sc *satScratch) nextProdGen() uint32 {
 	sc.prodGen++
 	if sc.prodGen == 0 {
-		for i := range sc.prodMark {
-			sc.prodMark[i] = 0
+		for _, c := range sc.prodMark.chunks {
+			clear(c)
 		}
 		sc.prodGen = 1
 	}
 	return sc.prodGen
+}
+
+// workQueue is post*'s FIFO worklist. It grows by chunks, each twice as
+// long as the last up to maxQueueChunk entries, and recycles a chunk once
+// drained, so a run allocates about its peak depth instead of doubling one
+// array, and a small run allocates a few hundred bytes.
+type workQueue struct {
+	chunks [][]edgeRef // queued entries, oldest chunk first
+	head   int         // entries of chunks[0] already popped
+	n      int         // entries queued
+	free   [][]edgeRef // drained chunks, empty
+}
+
+const (
+	minQueueChunk = 64
+	maxQueueChunk = 4096
+)
+
+func (q *workQueue) push(e edgeRef) {
+	k := len(q.chunks) - 1
+	if k < 0 || len(q.chunks[k]) == cap(q.chunks[k]) {
+		var c []edgeRef
+		if f := len(q.free) - 1; f >= 0 {
+			c, q.free = q.free[f], q.free[:f]
+		} else if k < 0 {
+			c = make([]edgeRef, 0, minQueueChunk)
+		} else {
+			c = make([]edgeRef, 0, min(2*cap(q.chunks[k]), maxQueueChunk))
+		}
+		q.chunks = append(q.chunks, c)
+		k++
+	}
+	q.chunks[k] = append(q.chunks[k], e)
+	q.n++
+}
+
+// pop removes the oldest entry; the queue must not be empty.
+func (q *workQueue) pop() edgeRef {
+	c := q.chunks[0]
+	e := c[q.head]
+	q.head++
+	q.n--
+	if q.head == len(c) {
+		q.head = 0
+		if q.n == 0 {
+			q.chunks[0] = c[:0]
+		} else { // only the last chunk is ever short, so c is full
+			q.free = append(q.free, c[:0])
+			q.chunks = q.chunks[:copy(q.chunks, q.chunks[1:])]
+		}
+	}
+	return e
+}
+
+// reset empties the queue and keeps its chunks for reuse.
+func (q *workQueue) reset() {
+	for _, c := range q.chunks {
+		q.free = append(q.free, c[:0])
+	}
+	q.chunks, q.head, q.n = q.chunks[:0], 0, 0
+}
+
+// epsPreds lists the sources of the ε-transitions into each state, in the
+// order they were registered. Few states are ε-targets (1,297 of 236,785
+// on Table 1 row 2 at paper scale), so it hashes a target to the first
+// node of its list instead of keeping a slot per state.
+type epsPreds struct {
+	first u64map // target state → its first node
+	nodes []epsNode
+}
+
+// epsNode is one ε-predecessor; last is the list's tail, kept at the
+// list's first node.
+type epsNode struct {
+	src        State
+	next, last int32
+}
+
+// add appends src to the ε-predecessors of to.
+func (ep *epsPreds) add(to, src State) {
+	i := int32(len(ep.nodes))
+	ep.nodes = append(ep.nodes, epsNode{src: src, next: -1, last: i})
+	hp := ep.first.ref(uint64(to))
+	if *hp == -1 {
+		*hp = i
+		return
+	}
+	f := &ep.nodes[*hp]
+	ep.nodes[f.last].next = i
+	f.last = i
+}
+
+// head returns the first node of to's list, or -1.
+func (ep *epsPreds) head(to State) int32 {
+	if i, ok := ep.first.get(uint64(to)); ok {
+		return i
+	}
+	return -1
+}
+
+func (ep *epsPreds) reset() {
+	ep.first.clear()
+	ep.nodes = ep.nodes[:0]
 }
 
 // earlyProbe answers, during one unweighted post* run, whether the
@@ -120,23 +215,18 @@ func (pr *earlyProbe) init(a *Auto, starts []State, spec *nfa.NFA, sc *satScratc
 
 // grow extends the mark array over the states the run has added (mid and
 // chain states) since the last call.
-func (pr *earlyProbe) grow(a *Auto) {
-	sc := pr.sc
-	if n := a.numStates * pr.ns; n > len(sc.prodMark) {
-		sc.prodMark = append(sc.prodMark, make([]uint32, n-len(sc.prodMark))...)
-	}
-}
+func (pr *earlyProbe) grow(a *Auto) { pr.sc.prodMark.grow(a.numStates * pr.ns) }
 
 // visit adds node (s, n) unless it was reached before.
 func (pr *earlyProbe) visit(a *Auto, s State, n int) {
 	sc := pr.sc
-	i := int(s)*pr.ns + n
-	if sc.prodMark[i] == pr.gen {
+	m := sc.prodMark.at(int(s)*pr.ns + n)
+	if *m == pr.gen {
 		return
 	}
-	sc.prodMark[i] = pr.gen
+	*m = pr.gen
 	sc.prodBuf = append(sc.prodBuf, prodNode{s: s, n: int32(n)})
-	if a.accept[s] && pr.spec.Accepting(n) {
+	if a.Accepting(s) && pr.spec.Accepting(n) {
 		pr.accepted = true
 	}
 }
@@ -153,7 +243,7 @@ func (pr *earlyProbe) reachable(a *Auto) bool {
 	nodes := &pr.sc.prodBuf
 	for i := 0; i < len(*nodes); i++ {
 		nd := (*nodes)[i]
-		edges := a.states[nd.s].edges
+		edges := a.st(nd.s).edges
 		if int(nd.next) == len(edges) {
 			continue
 		}

@@ -19,10 +19,10 @@ func NewStepRun(p *PDS, init *Auto, o SatOptions) (*StepRun, error) {
 // Step pops and processes one worklist entry; it reports false, doing
 // nothing, once the worklist is empty.
 func (s *StepRun) Step() bool {
-	if s.r.head == len(s.r.queue) {
+	if s.r.queue.n == 0 {
 		return false
 	}
-	s.r.process(s.r.pop())
+	s.r.process(s.r.queue.pop())
 	return true
 }
 
@@ -48,3 +48,10 @@ func (s *StepRun) Auto() *Auto { return s.r.a }
 
 // Close ends the run as PoststarOpts does on return.
 func (s *StepRun) Close() { s.r.close() }
+
+// RulePages is the number of page numbers the rule store of p's latest
+// on-the-fly run spans.
+func RulePages(p *PDS) int { return len(p.pages) }
+
+// StateChunks is the number of chunks a's state table has allocated.
+func StateChunks(a *Auto) int { return len(a.states.chunks) }

@@ -28,25 +28,80 @@ type Generator interface {
 	Done(generated int)
 }
 
-// minRuleSlack is the free capacity the rule store keeps ahead of a Head
-// call; heads rarely generate more.
-const minRuleSlack = 256
+// The on-the-fly rule store grows by pages and never copies a rule. Rule
+// index i names slot i&(maxPageLen-1) of page i>>pageShift, so decoding
+// it is a shift and a mask. Pages start at minPageLen rules and double up
+// to maxPageLen (2 MiB), so a small run allocates a few KiB and a
+// paper-scale one about fifteen pages. The rules of one Head call, the
+// head's own and its chain states', go into one page, so every span is a
+// slice of one page. A Head call larger than maxPageLen gets a page of
+// its own that spans several page numbers: the directory holds a view of
+// the page at each number, which keeps the decoding right for every slot.
+const (
+	pageShift  = 16
+	maxPageLen = 1 << pageShift
+	minPageLen = 256
+	maxPages   = 1 << (31 - pageShift) // rule indexes are int32
+)
 
-// ruleSpan locates a run of rules inside a saturation's rule store.
+// ruleSpan locates a run of rules inside a saturation's rule store: n
+// rules from index off, all in one page.
 type ruleSpan struct{ off, n int32 }
 
-// lazyRules is one on-the-fly saturation's private rule store index: which
-// heads have been generated, and where their rules and those of the chain
-// states they created live. The rules themselves are postRun.rules.
+// lazyRules is one on-the-fly saturation's private rule store: the rule
+// pages, which heads have been generated, and where their rules and those
+// of the chain states they created live.
 type lazyRules struct {
-	gen   Generator
-	heads u64map     // headKey(s, γ) → index into spans, base heads only
-	spans []ruleSpan // generated base heads, in generation order
-	chain []ruleSpan // by automaton state: a chain state's rules, or zero
-	syms  []Sym      // Heads scratch
-	buf   []Rule     // reorder scratch
-	// group's bucket offsets and fill cursors, reused across heads.
-	counts, next []int32
+	gen      Generator
+	newState func() State      // the automaton's AddState, bound once
+	heads    u64map            // headKey(s, γ) → index into spans, base heads only
+	spans    chunked[ruleSpan] // generated base heads, in generation order; chunked like the state table
+	chain    chunked[ruleSpan] // by automaton state: a chain state's rules, or zero
+	pages    [][]Rule          // page directory, each entry a full-length page or view
+	fill     int               // rules used in the last page
+	n        int               // rules generated
+	buf      []Rule            // Head's output, before place sorts it into a page
+	syms     []Sym             // Heads scratch
+	count    []int32           // place's bucket offsets, reused across heads
+	next     []int32           // place's fill cursors, reused across heads
+}
+
+// ruleAt returns rule i of a paged store.
+func ruleAt(pages [][]Rule, i int32) *Rule {
+	return &pages[i>>pageShift][i&(maxPageLen-1)]
+}
+
+// rules returns the rules sp locates.
+func (lz *lazyRules) rules(sp ruleSpan) []Rule {
+	if sp.n == 0 {
+		return nil
+	}
+	return lz.pages[sp.off>>pageShift][sp.off&(maxPageLen-1):][:sp.n]
+}
+
+// alloc reserves n consecutive slots in one page, starting a page when the
+// last one lacks room, and returns the index of the first.
+func (lz *lazyRules) alloc(n int) int32 {
+	lz.n += n
+	if k := len(lz.pages) - 1; k >= 0 && len(lz.pages[k])-lz.fill >= n {
+		lz.fill += n
+		return int32(k<<pageShift + lz.fill - n)
+	}
+	size := minPageLen
+	if k := len(lz.pages); k > 0 {
+		size = min(2*len(lz.pages[k-1]), maxPageLen)
+	}
+	page := make([]Rule, max(size, n))
+	first := len(lz.pages)
+	for j := 0; j < len(page); j += maxPageLen {
+		lz.pages = append(lz.pages, page[j:])
+	}
+	if len(lz.pages) > maxPages {
+		panic("pds: on-the-fly rule store exceeds 2^31 rules")
+	}
+	// A page of several numbers is full past n, which ends in its last view.
+	lz.fill = n - (len(lz.pages)-1-first)<<pageShift
+	return int32(first << pageShift)
 }
 
 // control reports whether rules can be headed at s: a base control state
@@ -56,7 +111,7 @@ func (r *postRun) control(s State) bool {
 		return true
 	}
 	lz := r.lazy
-	return lz != nil && int(s) < len(lz.chain) && lz.chain[s].n > 0
+	return lz != nil && int(s) < lz.chain.length() && lz.chain.at(int(s)).n > 0
 }
 
 // headRules returns the rules of base head ⟨s,γ⟩, generating them on first
@@ -64,76 +119,57 @@ func (r *postRun) control(s State) bool {
 func (r *postRun) headRules(s State, g Sym) ruleSpan {
 	lz := r.lazy
 	if i, ok := lz.heads.get(headKey(s, g)); ok {
-		return lz.spans[i]
+		return *lz.spans.at(int(i))
 	}
-	if cap(r.rules)-len(r.rules) < minRuleSlack {
-		// Grow the store by doubling: append's gentler growth at this size
-		// copied the store about four times over.
-		grown := make([]Rule, len(r.rules), 2*cap(r.rules)+minRuleSlack)
-		copy(grown, r.rules)
-		r.rules = grown
-	}
-	off := len(r.rules)
 	c0 := r.a.NumStates()
-	r.rules = lz.gen.Head(r.rules, &r.weights, s, g, r.a.AddState)
-	sp := r.group(off, s, State(c0), State(r.a.NumStates()))
-	*lz.heads.ref(headKey(s, g)) = int32(len(lz.spans))
-	lz.spans = append(lz.spans, sp)
+	lz.buf = lz.gen.Head(lz.buf[:0], &r.weights, s, g, lz.newState)
+	sp := lz.place(s, State(c0), State(r.a.NumStates()))
+	i := lz.heads.n // every generated head adds one key
+	*lz.heads.ref(headKey(s, g)) = int32(i)
+	lz.spans.grow(i + 1)
+	*lz.spans.at(i) = sp
 	return sp
 }
 
-// group stably reorders the rules one Head call appended at off so that
-// the head's own rules (headed at s) come first and each chain state's
-// rules follow contiguously, chain states [c0, c1) in creation order. It
-// records the chain states' spans and returns the head's.
-func (r *postRun) group(off int, s State, c0, c1 State) ruleSpan {
-	lz := r.lazy
-	rs := r.rules[off:]
-	if int(c1) > cap(lz.chain) {
-		// Double, as the state table does; the slots past len were never
-		// written, so they read as zero spans.
-		lz.chain = append(make([]ruleSpan, 0, max(2*cap(lz.chain), int(c1))), lz.chain...)
+// place moves the rules one Head call left in buf into a page, stably
+// reordered so that the head's own rules (headed at s) come first and each
+// chain state's rules follow contiguously, chain states [c0, c1) in
+// creation order. It records the chain states' spans and returns the
+// head's.
+func (lz *lazyRules) place(s State, c0, c1 State) ruleSpan {
+	rs := lz.buf
+	if len(rs) == 0 {
+		return ruleSpan{}
 	}
-	if int(c1) > len(lz.chain) {
-		lz.chain = lz.chain[:c1]
-	}
+	lz.chain.grow(int(c1))
 	bucket := func(rl *Rule) int {
 		if rl.FromState == s {
 			return 0
 		}
 		return 1 + int(rl.FromState-c0)
 	}
-	// counts[b+1] is bucket b's size, prefix-summed into start offsets.
-	lz.counts = append(lz.counts[:0], make([]int32, int(c1-c0)+2)...)
-	counts := lz.counts
-	sorted := true
-	prev := 0
+	// count[b+1] is bucket b's size, prefix-summed into start offsets.
+	lz.count = append(lz.count[:0], make([]int32, int(c1-c0)+2)...)
+	count := lz.count
+	for i := range rs {
+		count[bucket(&rs[i])+1]++
+	}
+	for b := 1; b < len(count); b++ {
+		count[b] += count[b-1]
+	}
+	off := lz.alloc(len(rs))
+	dst := lz.rules(ruleSpan{off, int32(len(rs))})
+	lz.next = append(lz.next[:0], count[:len(count)-1]...)
 	for i := range rs {
 		b := bucket(&rs[i])
-		counts[b+1]++
-		if b < prev {
-			sorted = false
-		}
-		prev = b
-	}
-	for b := 1; b < len(counts); b++ {
-		counts[b] += counts[b-1]
-	}
-	if !sorted {
-		lz.buf = append(lz.buf[:0], rs...)
-		lz.next = append(lz.next[:0], counts[:len(counts)-1]...)
-		next := lz.next
-		for i := range lz.buf {
-			b := bucket(&lz.buf[i])
-			rs[next[b]] = lz.buf[i]
-			next[b]++
-		}
+		dst[lz.next[b]] = rs[i]
+		lz.next[b]++
 	}
 	for c := c0; c < c1; c++ {
 		b := 1 + int(c-c0)
-		lz.chain[c] = ruleSpan{int32(off) + counts[b], counts[b+1] - counts[b]}
+		*lz.chain.at(int(c)) = ruleSpan{off + count[b], count[b+1] - count[b]}
 	}
-	return ruleSpan{int32(off), counts[1]}
+	return ruleSpan{off, count[1]}
 }
 
 // applyLazy fires the rules matching transition t (whose source is a
@@ -146,21 +182,21 @@ func (r *postRun) applyLazy(t Trans, w []uint64, rec *Witness) {
 	lz := r.lazy
 	set := r.a.SymSet(t.Sym)
 	if int(t.From) >= r.p.NumStates {
-		sp := lz.chain[t.From]
-		rs := r.rules[sp.off : sp.off+sp.n]
+		sp := *lz.chain.at(int(t.From))
+		rs := lz.rules(sp)
 		if set == nil {
 			// A chain state has at most one rule per head symbol, ascending.
 			j := sort.Search(len(rs), func(j int) bool { return rs[j].FromSym >= t.Sym })
 			if j < len(rs) && rs[j].FromSym == t.Sym {
 				r.tally.probes++
-				r.apply(sp.off+int32(j), t, w, rec)
+				r.apply(&rs[j], sp.off+int32(j), t, w, rec)
 			}
 			return
 		}
 		for j := range rs {
 			if set.Has(nfa.Sym(rs[j].FromSym)) {
 				r.tally.probes++
-				r.apply(sp.off+int32(j), t, w, rec)
+				r.apply(&rs[j], sp.off+int32(j), t, w, rec)
 			}
 		}
 		return
@@ -177,7 +213,8 @@ func (r *postRun) applyLazy(t Trans, w []uint64, rec *Witness) {
 
 func (r *postRun) applySpan(sp ruleSpan, t Trans, w []uint64, rec *Witness) {
 	r.tally.probes += int64(sp.n)
-	for i := sp.off; i < sp.off+sp.n; i++ {
-		r.apply(i, t, w, rec)
+	rs := r.lazy.rules(sp)
+	for j := range rs {
+		r.apply(&rs[j], sp.off+int32(j), t, w, rec)
 	}
 }

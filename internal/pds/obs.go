@@ -2,25 +2,18 @@ package pds
 
 import "aalwines/internal/obs"
 
-// Saturation counters. The worklist metrics carry an `alg` label so post*
-// (the engine's witness-producing direction, run once per approximation)
-// and pre* (the unweighted cross-validation direction) stay separable in
-// one exposition; DESIGN.md ("Observability") documents what each counter
-// means in pre*/post* terms. The hot loops tally into stack-local
-// variables and flush exactly once per saturation run — on success and on
-// every error path — so the per-pop overhead is zero atomics.
+// Saturation counters. The worklist metrics carry the label
+// alg="poststar", the one saturation direction the engine runs (once per
+// approximation); DESIGN.md ("Observability") documents what each counter
+// means. The hot loops tally into stack-local variables and flush exactly
+// once per saturation run — on success and on every error path — so the
+// per-pop overhead is zero atomics.
 var (
 	postRuns     = obs.GetCounter(`pds_saturation_runs_total{alg="poststar"}`)
 	postPops     = obs.GetCounter(`pds_worklist_pops_total{alg="poststar"}`)
 	postPushes   = obs.GetCounter(`pds_worklist_pushes_total{alg="poststar"}`)
 	postInserted = obs.GetCounter(`pds_trans_inserted_total{alg="poststar"}`)
 	postPeak     = obs.GetGauge(`pds_worklist_peak_depth{alg="poststar"}`)
-
-	preRuns     = obs.GetCounter(`pds_saturation_runs_total{alg="prestar"}`)
-	prePops     = obs.GetCounter(`pds_worklist_pops_total{alg="prestar"}`)
-	prePushes   = obs.GetCounter(`pds_worklist_pushes_total{alg="prestar"}`)
-	preInserted = obs.GetCounter(`pds_trans_inserted_total{alg="prestar"}`)
-	prePeak     = obs.GetGauge(`pds_worklist_peak_depth{alg="prestar"}`)
 
 	budgetSpent     = obs.GetCounter("pds_budget_spent_total")
 	budgetExhausted = obs.GetCounter("pds_budget_exhausted_total")
@@ -33,7 +26,6 @@ var (
 	// per-state symbol indexes — the denominator for how much work the
 	// indexed adjacency saves over full out-list scans.
 	postProbes = obs.GetCounter(`pds_index_probes_total{alg="poststar"}`)
-	preProbes  = obs.GetCounter(`pds_index_probes_total{alg="prestar"}`)
 	// Scratch-pool effectiveness: a hit reuses a previous run's worklist
 	// buffers, a miss allocates fresh ones.
 	poolHits   = obs.GetCounter("pds_pool_hits_total")
@@ -54,7 +46,7 @@ func (t *satTally) notePush(depth int) {
 	}
 }
 
-func (t *satTally) flushPost() {
+func (t *satTally) flush() {
 	postRuns.Inc()
 	postPops.Add(t.pops)
 	postPushes.Add(t.pushes)
@@ -63,13 +55,4 @@ func (t *satTally) flushPost() {
 	postProbes.Add(t.probes)
 	postEarlyAccepts.Add(t.earlyAccepts)
 	budgetSpent.Add(t.pops)
-}
-
-func (t *satTally) flushPre() {
-	preRuns.Inc()
-	prePops.Add(t.pops)
-	prePushes.Add(t.pushes)
-	preInserted.Add(t.inserted)
-	prePeak.SetMax(t.peak)
-	preProbes.Add(t.probes)
 }

@@ -1,9 +1,10 @@
-// Package pds implements pushdown systems and the P-automaton saturation
-// algorithms that decide reachability between regular sets of
-// configurations: post* and pre* (Bouajjani–Esparza–Maler 1997; the
-// worklist formulations follow Schwoon's thesis, 2002). Transitions carry
-// witness records from which the engine reconstructs the rule sequence —
-// and hence the network trace — that justifies reachability.
+// Package pds implements pushdown systems and the post* P-automaton
+// saturation that decides forward reachability between regular sets of
+// configurations (Bouajjani–Esparza–Maler 1997; the worklist formulation
+// follows Schwoon's thesis, 2002). Transitions carry witness records from
+// which the engine reconstructs the rule sequence — and hence the network
+// trace — that justifies reachability. The tests keep pre* as post*'s
+// duality oracle.
 //
 // The weighted generalisation (Reps–Schwoon–Jha–Melski 2005) that the
 // quantitative engine uses lives here too: PoststarOpts with
@@ -12,10 +13,7 @@
 // library internal/wpds serves as a test oracle for it.
 package pds
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // State is a control state of the pushdown system, or an extra state of a
 // P-automaton. Control states are the dense range [0, NumStates).
@@ -103,13 +101,19 @@ func (r Rule) String() string {
 type PDS struct {
 	NumStates int
 	NumSyms   int
-	// Rules lists the rules of an eager PDS. On the fly it holds the rules
-	// the latest post* run generated.
+	// Rules lists the rules of an eager PDS. On the fly it stays empty:
+	// the rules the latest post* run generated live in that run's pages,
+	// which Rule and NumRules read.
 	Rules []Rule
-	// Weights holds the weight vectors Rules name (Rule.W).
+	// Weights holds the weight vectors the rules name (Rule.W).
 	Weights Weights
 	// Gen, when set, makes the PDS on the fly.
 	Gen Generator
+
+	// pages and generated are, on the fly, the rule pages of the latest
+	// post* run and the number of rules it generated (see lazyRules).
+	pages     [][]Rule
+	generated int
 
 	// Packed rule indexes, built by Freeze or lazily on first use. Both
 	// are CSR-style: one flat int32 array of rule indices plus offsets,
@@ -160,6 +164,24 @@ func (p *PDS) AddRule(r Rule) {
 	p.Rules = append(p.Rules, r)
 	p.stateOff, p.stateIdx = nil, nil
 	p.byHead, p.headIdx = nil, nil
+}
+
+// Rule returns rule i: Rules[i] for an eager PDS, or on the fly rule i
+// of the latest post* run. Witness records name rules by these indexes.
+func (p *PDS) Rule(i int32) *Rule {
+	if p.pages != nil {
+		return ruleAt(p.pages, i)
+	}
+	return &p.Rules[i]
+}
+
+// NumRules returns how many rules Rule reads: len(Rules) for an eager PDS,
+// or on the fly the number the latest post* run generated.
+func (p *PDS) NumRules() int {
+	if p.pages != nil {
+		return p.generated
+	}
+	return len(p.Rules)
 }
 
 // ReserveRules pre-sizes the rule slice for about n rules. Translation
@@ -311,27 +333,4 @@ func (c Config) Step(r Rule) (Config, bool) {
 		return Config{State: r.ToState, Stack: st}, true
 	}
 	return Config{}, false
-}
-
-// SortRulesDeterministic orders the rule slice for reproducible output.
-func SortRulesDeterministic(rules []Rule) {
-	sort.Slice(rules, func(i, j int) bool {
-		a, b := rules[i], rules[j]
-		if a.FromState != b.FromState {
-			return a.FromState < b.FromState
-		}
-		if a.FromSym != b.FromSym {
-			return a.FromSym < b.FromSym
-		}
-		if a.ToState != b.ToState {
-			return a.ToState < b.ToState
-		}
-		if a.Kind != b.Kind {
-			return a.Kind < b.Kind
-		}
-		if a.Sym1 != b.Sym1 {
-			return a.Sym1 < b.Sym1
-		}
-		return a.Sym2 < b.Sym2
-	})
 }

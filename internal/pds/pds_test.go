@@ -400,9 +400,9 @@ func TestPrestarDuality(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pre := Prestar(p, singleInit(p, c1.State, c1.Stack))
+		pre := prestar(p, singleInit(p, c1.State, c1.Stack))
 		fwd := post.Auto.AcceptsConfig(c1)
-		bwd := pre.Auto.AcceptsConfig(c0)
+		bwd := pre.AcceptsConfig(c0)
 		if fwd != bwd {
 			t.Fatalf("iter %d: post* says %v, pre* says %v for %v => %v",
 				iter, fwd, bwd, c0, c1)
@@ -539,18 +539,6 @@ func TestConfigStep(t *testing.T) {
 	}
 }
 
-func TestSortRulesDeterministic(t *testing.T) {
-	p := anbn()
-	rules := append([]Rule(nil), p.Rules...)
-	SortRulesDeterministic(rules)
-	for i := 1; i < len(rules); i++ {
-		a, b := rules[i-1], rules[i]
-		if a.FromState > b.FromState {
-			t.Fatal("not sorted")
-		}
-	}
-}
-
 // TestSemiringLaws checks that the weight arithmetic of weighted post*
 // forms the bounded idempotent semiring saturation needs: on proper
 // vectors of one dimension, ⊕ (lexLess as a minimum) is idempotent,
@@ -592,5 +580,40 @@ func TestSemiringLaws(t *testing.T) {
 		return equalVec(lexAdd(a, one), a) && equalVec(lexAdd(one, a), a)
 	}, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRulePages checks the paged rule store's addressing: pages double
+// from minPageLen, a Head call's rules never straddle a page, and a call
+// larger than a page gets a page of its own whose every slot decodes
+// through the views the directory holds at its page numbers.
+func TestRulePages(t *testing.T) {
+	var lz lazyRules
+	fill := func(n int) int32 {
+		off := lz.alloc(n)
+		rs := lz.rules(ruleSpan{off, int32(n)})
+		for j := range rs {
+			rs[j].Tag = int32(j)
+		}
+		return off
+	}
+	a := fill(minPageLen - 10)
+	b := fill(20) // does not fit: a second page, twice as long
+	if a != 0 || b != 1<<pageShift || len(lz.pages[1]) != 2*minPageLen {
+		t.Fatalf("offsets %#x, %#x and page lengths %d, %d", a, b, len(lz.pages[0]), len(lz.pages[1]))
+	}
+	big := maxPageLen + maxPageLen/2
+	c := fill(big)
+	d := fill(1)
+	if c != 2<<pageShift || d != 4<<pageShift || len(lz.pages) != 5 {
+		t.Fatalf("oversized page at %#x, next at %#x, %d page numbers", c, d, len(lz.pages))
+	}
+	for j := 0; j < big; j++ {
+		if got := ruleAt(lz.pages, c+int32(j)).Tag; got != int32(j) {
+			t.Fatalf("slot %d of the oversized page decodes to rule %d", j, got)
+		}
+	}
+	if lz.n != minPageLen-10+20+big+1 {
+		t.Fatalf("counted %d rules", lz.n)
 	}
 }

@@ -77,9 +77,9 @@ const (
 // postRun is the mutable state of one post* saturation.
 type postRun struct {
 	p *PDS
-	// rules and weights are p.Rules and p.Weights for an eager PDS; on the
-	// fly they are the run's own rule store and weight table, and lazy
-	// indexes the rules.
+	// rules is p.Rules for an eager PDS; on the fly lazy holds the run's
+	// own rule store. weights is p.Weights, or on the fly the run's own
+	// table.
 	rules   []Rule
 	weights Weights
 	lazy    *lazyRules
@@ -89,18 +89,14 @@ type postRun struct {
 	tally   satTally
 	sc      *satScratch
 
-	queue []edgeRef
-	head  int
+	queue *workQueue
+	eps   *epsPreds // the sources of the ε-transitions into each state
 
 	wts weightArena
 
 	// mid states q_{p′,γ′}, one per (ToState, Sym1) of push rules, keyed
 	// by headKey(p′, γ′).
 	mids u64map
-
-	// epsInto[q] lists the sources of ε-transitions into q; indexed by
-	// state, with lazy growth for the mid states added during the run.
-	epsInto [][]State
 
 	earlyOK bool
 	probe   earlyProbe
@@ -125,9 +121,9 @@ type postRun struct {
 // On an on-the-fly PDS (p.Gen set) the run starts an empty rule store and
 // asks p.Gen for a head's rules the first time a transition reaches it;
 // chain states are allocated in init after its own states. When the run
-// ends, with or without an error, p.Rules is replaced by the run's store,
-// so a PDS saturated again reads the latest run's rules. A saturation
-// therefore needs its own copy of an on-the-fly PDS.
+// ends, with or without an error, the run's store replaces the rules p.Rule
+// reads, so a PDS saturated again reads the latest run's rules. A
+// saturation therefore needs its own copy of an on-the-fly PDS.
 func PoststarOpts(p *PDS, init *Auto, o SatOptions) (*Result, error) {
 	r, err := newPostRun(p, init, o)
 	if err != nil {
@@ -138,11 +134,11 @@ func PoststarOpts(p *PDS, init *Auto, o SatOptions) (*Result, error) {
 		r.tally.earlyAccepts = 1
 		return r.finish(true), nil
 	}
-	for r.head < len(r.queue) {
+	for r.queue.n > 0 {
 		if res, err, done := r.beat(); done {
 			return res, err
 		}
-		r.process(r.pop())
+		r.process(r.queue.pop())
 	}
 	r.tally.pops = r.work
 	return r.finish(false), nil
@@ -161,18 +157,22 @@ func newPostRun(p *PDS, init *Auto, o SatOptions) (*postRun, error) {
 	r := &postRun{p: p, rules: p.Rules, weights: p.Weights, a: init, o: o, dim: o.Dim, sc: getScratch(), nextCheck: firstCheck}
 	if p.Gen != nil {
 		r.rules, r.weights = nil, nil
-		r.lazy = &lazyRules{gen: p.Gen}
+		r.lazy = &lazyRules{
+			gen:      p.Gen,
+			newState: init.AddState,
+			spans:    chunked[ruleSpan]{shift: init.states.shift},
+			chain:    chunked[ruleSpan]{shift: init.states.shift},
+		}
 	}
-	r.queue, r.head = r.sc.queue[:0], 0
+	r.queue, r.eps = &r.sc.queue, &r.sc.eps
 	r.a.NormalizeWeights(r.dim)
 
 	// Seed the worklist with every initial transition.
-	for s := 0; s < r.a.NumStates(); s++ {
-		for i := range r.a.states[s].edges {
-			r.enqueue(State(s), int32(i))
+	for s := State(0); int(s) < r.a.NumStates(); s++ {
+		for i := range r.a.st(s).edges {
+			r.enqueue(s, int32(i))
 		}
 	}
-	r.epsInto = r.sc.epsIntoFor(r.a.NumStates())
 
 	r.earlyOK = o.EarlyAccept && r.dim == 0 && o.FinalSpec != nil && len(o.FinalStates) > 0
 	if r.earlyOK {
@@ -184,13 +184,12 @@ func newPostRun(p *PDS, init *Auto, o SatOptions) (*postRun, error) {
 // close ends a run on every exit path: it recycles the scratch, flushes the
 // tallies and, on the fly, hands the run's rules back to the PDS.
 func (r *postRun) close() {
-	r.sc.queue = r.queue
 	putScratch(r.sc)
 	r.tally.probes += r.a.takeProbes()
-	r.tally.flushPost()
-	if r.lazy != nil {
-		r.p.Rules, r.p.Weights = r.rules, r.weights
-		r.p.Gen.Done(len(r.rules))
+	r.tally.flush()
+	if lz := r.lazy; lz != nil {
+		r.p.pages, r.p.generated, r.p.Weights = lz.pages, lz.n, r.weights
+		r.p.Gen.Done(lz.n)
 	}
 }
 
@@ -227,27 +226,12 @@ func (r *postRun) beat() (*Result, error, bool) {
 	return nil, nil, false
 }
 
-// pop removes the worklist head, compacting the backing array once the
-// drained prefix dominates it (the old slice-off-the-front worklist
-// retained and repeatedly recopied the whole array).
-func (r *postRun) pop() edgeRef {
-	ref := r.queue[r.head]
-	r.head++
-	if r.head == len(r.queue) {
-		r.queue, r.head = r.queue[:0], 0
-	} else if r.head >= 4096 && r.head*2 >= len(r.queue) {
-		n := copy(r.queue, r.queue[r.head:])
-		r.queue, r.head = r.queue[:n], 0
-	}
-	return ref
-}
-
 func (r *postRun) enqueue(from State, ei int32) {
-	se := &r.a.states[from]
+	se := r.a.st(from)
 	if se.meta[ei].flags&fQueued == 0 {
 		se.meta[ei].flags |= fQueued
-		r.queue = append(r.queue, edgeRef{from, ei})
-		r.tally.notePush(len(r.queue) - r.head)
+		r.queue.push(edgeRef{from, ei})
+		r.tally.notePush(r.queue.n)
 	}
 }
 
@@ -261,7 +245,7 @@ func (r *postRun) push(t Trans, w []uint64, kind WitKind, rule int32, predSym Sy
 		return
 	}
 	r.tally.inserted++
-	r.a.states[t.From].edges[i].Wit = r.a.wits.new(Witness{
+	r.a.st(t.From).edges[i].Wit = r.a.wits.new(Witness{
 		Kind: kind, Rule: rule, T: t, PredSym: predSym, Pred1: p1, Pred2: p2, Weight: w,
 	})
 	r.enqueue(t.From, i)
@@ -283,24 +267,9 @@ func (r *postRun) midOf(s State, g Sym) State {
 	return State(*m)
 }
 
-func (r *postRun) epsAppend(to, src State) {
-	for int(to) >= len(r.epsInto) {
-		r.epsInto = append(r.epsInto, nil)
-	}
-	r.epsInto[to] = append(r.epsInto[to], src)
-}
-
-func (r *postRun) epsOf(s State) []State {
-	if int(s) < len(r.epsInto) {
-		return r.epsInto[s]
-	}
-	return nil
-}
-
-// apply fires one PDS rule on transition t given its current weight and
-// witness record.
-func (r *postRun) apply(ri int32, t Trans, w []uint64, rec *Witness) {
-	rl := &r.rules[ri]
+// apply fires rule rl, whose index is ri, on transition t given its
+// current weight and witness record.
+func (r *postRun) apply(rl *Rule, ri int32, t Trans, w []uint64, rec *Witness) {
 	nw := w
 	if r.dim > 0 {
 		nw = r.wts.add(w, r.weights.Of(rl))
@@ -328,15 +297,15 @@ func (r *postRun) applyRules(t Trans, w []uint64, rec *Witness) {
 		rs := r.p.RulesFromState(t.From)
 		r.tally.probes += int64(len(rs))
 		for _, ri := range rs {
-			if set.Has(nfa.Sym(r.p.Rules[ri].FromSym)) {
-				r.apply(ri, t, w, rec)
+			if rl := &r.rules[ri]; set.Has(nfa.Sym(rl.FromSym)) {
+				r.apply(rl, ri, t, w, rec)
 			}
 		}
 	} else {
 		rs := r.p.RulesFrom(t.From, t.Sym)
 		r.tally.probes += int64(len(rs))
 		for _, ri := range rs {
-			r.apply(ri, t, w, rec)
+			r.apply(&r.rules[ri], ri, t, w, rec)
 		}
 	}
 }
@@ -345,7 +314,7 @@ func (r *postRun) applyRules(t Trans, w []uint64, rec *Witness) {
 // ε-transitions around it and fires the PDS rules it matches.
 func (r *postRun) process(ref edgeRef) {
 	a := r.a
-	se := &a.states[ref.from]
+	se := a.st(ref.from)
 	se.meta[ref.ei].flags &^= fQueued
 	e := &se.edges[ref.ei]
 	t := Trans{ref.from, e.Sym, e.To}
@@ -356,9 +325,9 @@ func (r *postRun) process(ref edgeRef) {
 		// Register and combine with everything currently leaving t.To.
 		if se.meta[ref.ei].flags&fEpsReg == 0 {
 			se.meta[ref.ei].flags |= fEpsReg
-			r.epsAppend(t.To, t.From)
+			r.eps.add(t.To, t.From)
 		}
-		out := a.states[t.To].edges
+		out := a.st(t.To).edges
 		for i := range out {
 			e2 := &out[i]
 			if e2.Sym == Eps {
@@ -372,7 +341,8 @@ func (r *postRun) process(ref edgeRef) {
 
 	// Combine ε-transitions into t.From with t (the symmetric case;
 	// only mid states ever gain new outgoing transitions).
-	for _, src := range r.epsOf(t.From) {
+	for i := r.eps.head(t.From); i != -1; i = r.eps.nodes[i].next {
+		src := r.eps.nodes[i].src
 		et, ok2 := a.Get(Trans{src, Eps, t.From})
 		if !ok2 {
 			continue
@@ -389,9 +359,9 @@ func (r *postRun) process(ref edgeRef) {
 
 func (r *postRun) finish(early bool) *Result {
 	p := r.p
-	if r.lazy != nil {
+	if lz := r.lazy; lz != nil {
 		// The result keeps this run's rules even if p is saturated again.
-		p = &PDS{NumStates: p.NumStates, NumSyms: p.NumSyms, Rules: r.rules, Weights: r.weights}
+		p = &PDS{NumStates: p.NumStates, NumSyms: p.NumSyms, Weights: r.weights, pages: lz.pages, generated: lz.n}
 	}
 	return &Result{PDS: p, Auto: r.a, Dim: r.dim, EarlyAccepted: early}
 }
@@ -635,8 +605,7 @@ func (r *Result) Reconstruct(acc Accepted) (Config, []int32, error) {
 		head := recs[0].rec
 		switch head.Kind {
 		case WitRule:
-			rule := r.PDS.Rules[head.Rule]
-			switch rule.Kind {
+			switch r.PDS.Rule(head.Rule).Kind {
 			case SwapRule:
 				reversed = append(reversed, head.Rule)
 				recs[0] = entry{head.Pred1, head.PredSym}
@@ -658,7 +627,7 @@ func (r *Result) Reconstruct(acc Accepted) (Config, []int32, error) {
 			}
 		case WitCombine:
 			epsRec := head.Pred1
-			if epsRec.Kind != WitRule || r.PDS.Rules[epsRec.Rule].Kind != PopRule {
+			if epsRec.Kind != WitRule || r.PDS.Rule(epsRec.Rule).Kind != PopRule {
 				return Config{}, nil, errors.New("pds: combine record without pop-rule epsilon predecessor")
 			}
 			reversed = append(reversed, epsRec.Rule)
@@ -695,9 +664,10 @@ func (r *Result) Replay(init Config, rules []int32) ([]Config, error) {
 	cur := init
 	configs = append(configs, cur)
 	for _, ri := range rules {
-		next, ok := cur.Step(r.PDS.Rules[ri])
+		rl := r.PDS.Rule(ri)
+		next, ok := cur.Step(*rl)
 		if !ok {
-			return nil, fmt.Errorf("pds: rule %v does not apply to %v", r.PDS.Rules[ri], cur)
+			return nil, fmt.Errorf("pds: rule %v does not apply to %v", *rl, cur)
 		}
 		cur = next
 		configs = append(configs, cur)

@@ -16,7 +16,7 @@ func setInit(p *PDS, tops []Sym, bot Sym) *Auto {
 	for _, t := range tops {
 		set.Add(nfa.Sym(t))
 	}
-	a.AddSetEdge(0, set, s1, nil)
+	a.AddVirtualEdge(0, a.VirtualSym(set), s1, nil)
 	a.AddEdge(s1, bot, s2)
 	a.SetAccept(s2, true)
 	return a
@@ -91,7 +91,7 @@ func TestSetEdgeFindAcceptingIntersection(t *testing.T) {
 	s1 := a.AddState()
 	s2 := a.AddState()
 	set := nfa.SetOf(4, 0, 1, 2)
-	a.AddSetEdge(0, set, s1, nil)
+	a.AddVirtualEdge(0, a.VirtualSym(set), s1, nil)
 	a.AddEdge(s1, 3, s2)
 	a.SetAccept(s2, true)
 	res, err := PoststarOpts(p, a, SatOptions{})
@@ -143,17 +143,17 @@ func TestPrestarWithSetTarget(t *testing.T) {
 	target := NewAuto(p, 0)
 	s1 := target.AddState()
 	s2 := target.AddState()
-	target.AddSetEdge(1, nfa.SetOf(4, 1, 2), s1, nil)
+	target.AddVirtualEdge(1, target.VirtualSym(nfa.SetOf(4, 1, 2)), s1, nil)
 	target.AddEdge(s1, 3, s2)
 	target.SetAccept(s2, true)
-	res := Prestar(p, target)
-	if !res.Auto.AcceptsConfig(Config{0, []Sym{0, 3}}) {
+	res := prestar(p, target)
+	if !res.AcceptsConfig(Config{0, []Sym{0, 3}}) {
 		t.Error("pre* misses ⟨0, 0⊥⟩")
 	}
-	if !res.Auto.AcceptsConfig(Config{1, []Sym{2, 3}}) {
+	if !res.AcceptsConfig(Config{1, []Sym{2, 3}}) {
 		t.Error("pre* misses target config itself")
 	}
-	if res.Auto.AcceptsConfig(Config{0, []Sym{2, 3}}) {
+	if res.AcceptsConfig(Config{0, []Sym{2, 3}}) {
 		t.Error("pre* accepts unrelated config")
 	}
 }

@@ -50,7 +50,7 @@ func (s *System) DecodeTrace(init pds.Config, rules []int32) (network.Trace, err
 	configs := make([]pds.Config, 0, len(rules)+1)
 	configs = append(configs, cur)
 	for _, ri := range rules {
-		next, ok := cur.Step(s.PDS.Rules[ri])
+		next, ok := cur.Step(*s.PDS.Rule(ri))
 		if !ok {
 			return nil, fmt.Errorf("translate: rule %d does not apply during replay", ri)
 		}
@@ -60,14 +60,14 @@ func (s *System) DecodeTrace(init pds.Config, rules []int32) (network.Trace, err
 
 	// Segment the derivation at tagged rules.
 	for i := 0; i < len(rules); i++ {
-		tag := s.PDS.Rules[rules[i]].Tag
+		tag := s.PDS.Rule(rules[i]).Tag
 		if tag < 0 {
 			return nil, fmt.Errorf("translate: chain rule %d outside any step", rules[i])
 		}
 		step := s.step(tag)
 		// The chain ends right before the next tagged rule.
 		j := i + 1
-		for j < len(rules) && s.PDS.Rules[rules[j]].Tag < 0 {
+		for j < len(rules) && s.PDS.Rule(rules[j]).Tag < 0 {
 			j++
 		}
 		h, err := s.DecodeHeader(configs[j].Stack)

@@ -212,8 +212,8 @@ func TestOnTheFlyResaturation(t *testing.T) {
 	if got := decodeWitness(t, sys, other.InitAuto()).Format(net); got != want {
 		t.Errorf("re-saturated witness %s, eager %s", got, want)
 	}
-	if len(first.PDS.Rules) != n1 {
-		t.Errorf("first result holds %d rules, its run generated %d", len(first.PDS.Rules), n1)
+	if first.PDS.NumRules() != n1 {
+		t.Errorf("first result holds %d rules, its run generated %d", first.PDS.NumRules(), n1)
 	}
 	if other.Generated() != 0 {
 		t.Error("saturating sys generated rules into the other build")

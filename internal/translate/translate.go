@@ -238,7 +238,7 @@ func (s *System) Generated() int {
 	if s.PDS.Gen == nil {
 		return 0
 	}
-	return len(s.PDS.Rules)
+	return s.PDS.NumRules()
 }
 
 // buildFinal computes the final control states and the final stack
