@@ -146,7 +146,7 @@ func Verify(net *network.Network, q *query.Query, opts Options) (Result, error) 
 		}
 		gs := net.Routing.Lookup(cur.link, h.Top())
 		for j := range gs {
-			if len(gs.PrefixLinks(j)) > k {
+			if gs.PrefixFailures(j) > k {
 				break
 			}
 			for _, entry := range gs[j].Entries {

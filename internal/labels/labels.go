@@ -195,9 +195,6 @@ func (t *Table) Kind(id ID) Kind { return t.Get(id).Kind }
 // Len returns the number of interned labels.
 func (t *Table) Len() int { return len(t.all) }
 
-// CountKind returns the number of interned labels of the given kind.
-func (t *Table) CountKind(k Kind) int { return t.counts[k] }
-
 // All returns all interned labels in ID order. The returned slice is shared
 // with the table and must not be modified.
 func (t *Table) All() []Label { return t.all }

@@ -79,8 +79,8 @@ func TestOfKindAndCounts(t *testing.T) {
 	tbl.MustIntern("31", MPLS)
 	tbl.MustIntern("s20", BottomMPLS)
 	tbl.MustIntern("ip1", IP)
-	if got := tbl.CountKind(MPLS); got != 2 {
-		t.Errorf("CountKind(MPLS) = %d, want 2", got)
+	if got := len(tbl.OfKind(MPLS)); got != 2 {
+		t.Errorf("len(OfKind(MPLS)) = %d, want 2", got)
 	}
 	if got := len(tbl.OfKind(BottomMPLS)); got != 1 {
 		t.Errorf("len(OfKind(BottomMPLS)) = %d, want 1", got)

@@ -76,6 +76,39 @@ func (gs Groups) PrefixLinks(j int) []topology.LinkID {
 	return sortDedupLinks(out)
 }
 
+// PrefixFailures returns the number of distinct links in groups with
+// index < j, len(gs.PrefixLinks(j)), without building the set: a link
+// counts once, at its first entry. Groups hold a handful of entries, so
+// the scan back over the prefix costs less than sorting a fresh slice.
+func (gs Groups) PrefixFailures(j int) int {
+	n := 0
+	for i := 0; i < j && i < len(gs); i++ {
+		for k, e := range gs[i].Entries {
+			if !gs.outBefore(i, k, e.Out) {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// outBefore reports whether an entry ahead of entry k of group i, in
+// group order, leaves by link l.
+func (gs Groups) outBefore(i, k int, l topology.LinkID) bool {
+	for g := 0; g <= i; g++ {
+		es := gs[g].Entries
+		if g == i {
+			es = es[:k]
+		}
+		for _, e := range es {
+			if e.Out == l {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // Equal reports whether two group sequences have the same entries in the
 // same order. A sequence compared with itself, such as one an overlay
 // shares with its base table, answers in O(1).
@@ -294,26 +327,13 @@ func (t *Table) Active(in topology.LinkID, top labels.ID, failed func(topology.L
 
 // Keys returns all (incoming link, top label) pairs with at least one
 // entry, in deterministic order. The result is a fresh slice the caller
-// may keep; hot paths should prefer Range, which walks the cached view
+// may keep; hot paths should prefer In, which reads the cached view
 // without copying.
 func (t *Table) Keys() []Key {
 	v := t.flat()
 	keys := make([]Key, len(v.keys))
 	copy(keys, v.keys)
 	return keys
-}
-
-// Range calls fn for every (key, groups) pair in the same deterministic
-// order as Keys, stopping early if fn returns false. It avoids both the
-// per-call key-slice copy and the per-key map lookup of the
-// Keys-then-Lookup pattern, which dominates translation at paper scale.
-func (t *Table) Range(fn func(Key, Groups) bool) {
-	v := t.flat()
-	for i, k := range v.keys {
-		if !fn(k, v.groups[i]) {
-			return
-		}
-	}
 }
 
 // Key is an exported (incoming link, top label) routing table index.

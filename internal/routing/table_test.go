@@ -2,6 +2,8 @@ package routing
 
 import (
 	"errors"
+	"slices"
+	"sync"
 	"testing"
 
 	"aalwines/internal/labels"
@@ -134,12 +136,24 @@ func TestPrefixLinksDeduplicates(t *testing.T) {
 	rt.MustAdd(1, m["s20"], 1, Entry{Out: 5}) // same link twice in group 1
 	rt.MustAdd(1, m["s20"], 2, Entry{Out: 6})
 	rt.MustAdd(1, m["s20"], 3, Entry{Out: 7})
+	rt.MustAdd(1, m["s20"], 3, Entry{Out: 5}) // group 1's link again
+	rt.MustAdd(1, m["s20"], 4, Entry{Out: 8})
 	gs := rt.Lookup(1, m["s20"])
 	if got := gs.PrefixLinks(2); len(got) != 2 {
 		t.Fatalf("PrefixLinks(2) = %v, want 2 distinct links", got)
 	}
 	if got := gs.PrefixLinks(0); len(got) != 0 {
 		t.Fatalf("PrefixLinks(0) = %v, want empty", got)
+	}
+	if got := gs.PrefixLinks(3); len(got) != 3 {
+		t.Fatalf("PrefixLinks(3) = %v, want 3 distinct links", got)
+	}
+	// PrefixFailures counts the same set without building it, past the
+	// last group too.
+	for j := 0; j <= len(gs)+1; j++ {
+		if got, want := gs.PrefixFailures(j), len(gs.PrefixLinks(j)); got != want {
+			t.Errorf("PrefixFailures(%d) = %d, want %d", j, got, want)
+		}
 	}
 }
 
@@ -215,7 +229,7 @@ func TestZeroValueTable(t *testing.T) {
 }
 
 // TestFlatViewInvalidation checks that the cached flat view tracks
-// mutations: Keys/Range/TopLabelsFor/NumRules must reflect every Add and
+// mutations: Keys/In/TopLabelsFor/NumRules must reflect every Add and
 // SetGroups, whether they land on a cold or an already-built view.
 func TestFlatViewInvalidation(t *testing.T) {
 	rt, _, m, links := protTable(t)
@@ -233,34 +247,28 @@ func TestFlatViewInvalidation(t *testing.T) {
 	if tops := rt.TopLabelsFor(links["e4"]); len(tops) != 1 || tops[0] != m["s21"] {
 		t.Fatalf("TopLabelsFor(e4) = %v", tops)
 	}
-	// Range order must match Keys order, with aligned groups.
+	// In, link by link, must list the keys in Keys order, with aligned
+	// groups.
 	var seen []Key
-	rt.Range(func(k Key, gs Groups) bool {
-		seen = append(seen, k)
-		if len(gs) == 0 {
-			t.Fatalf("empty groups for %v", k)
+	for l := topology.LinkID(0); int(l) < len(links); l++ { // link IDs are dense
+		keys, groups, _ := rt.In(l)
+		for i, k := range keys {
+			seen = append(seen, k)
+			if !groups[i].Equal(rt.Lookup(k.In, k.Top)) {
+				t.Fatalf("In(%d) groups of %v differ from Lookup", l, k)
+			}
 		}
-		return true
-	})
-	keys := rt.Keys()
-	if len(seen) != len(keys) {
-		t.Fatalf("Range visited %d keys, Keys has %d", len(seen), len(keys))
 	}
-	for i := range keys {
-		if seen[i] != keys[i] {
-			t.Fatalf("order mismatch at %d: %v vs %v", i, seen[i], keys[i])
-		}
+	if keys := rt.Keys(); !slices.Equal(seen, keys) {
+		t.Fatalf("In visits %v, Keys lists %v", seen, keys)
 	}
 	// SetGroups removal invalidates too.
 	rt.SetGroups(links["e4"], m["s21"], nil)
 	if got := len(rt.Keys()); got != 1 {
 		t.Fatalf("keys after removal = %d, want 1", got)
 	}
-	// Early-exit Range.
-	n := 0
-	rt.Range(func(Key, Groups) bool { n++; return false })
-	if n != 1 {
-		t.Fatalf("early exit visited %d", n)
+	if keys, _, _ := rt.In(links["e4"]); len(keys) != 0 {
+		t.Fatalf("In(e4) after removal = %v, want none", keys)
 	}
 }
 
@@ -283,4 +291,118 @@ func TestTopLabelsForColdAndWarm(t *testing.T) {
 	if tops := rt.TopLabelsFor(links["e5"]); tops != nil {
 		t.Fatalf("expected nil for linkless key, got %v", tops)
 	}
+}
+
+// numberedTable builds a table whose keys span several links, with a
+// skipped priority and a link without keys, for the entry numbering
+// tests.
+func numberedTable() *Table {
+	rt := NewTable()
+	rt.MustAdd(0, 3, 1, Entry{Out: 1})
+	rt.MustAdd(0, 3, 1, Entry{Out: 2, Ops: Ops{Pop()}})
+	rt.MustAdd(0, 3, 2, Entry{Out: 3})
+	rt.MustAdd(0, 5, 1, Entry{Out: 4})
+	rt.MustAdd(1, 3, 1, Entry{Out: 5})
+	rt.MustAdd(1, 3, 3, Entry{Out: 6}) // priority 2 stays empty
+	rt.MustAdd(3, 4, 1, Entry{Out: 7})
+	rt.MustAdd(3, 4, 1, Entry{Out: 8})
+	return rt
+}
+
+// checkNumbering walks every link's keys with In and checks that entries
+// are numbered consecutively, key by key and group by group, and that
+// Entry returns each numbered entry with its group index. It returns each
+// key's first number.
+func checkNumbering(t *testing.T, rt *Table, numLinks int) map[Key]int32 {
+	t.Helper()
+	firsts := map[Key]int32{}
+	var next int32
+	for l := topology.LinkID(0); int(l) < numLinks; l++ {
+		keys, groups, first := rt.In(l)
+		if len(keys) > 0 && len(first) != len(keys)+1 {
+			t.Fatalf("In(%d): %d keys, %d first numbers", l, len(keys), len(first))
+		}
+		for i, k := range keys {
+			if first[i] != next {
+				t.Fatalf("key %v: first = %d, want %d", k, first[i], next)
+			}
+			firsts[k] = first[i]
+			for j, g := range groups[i] {
+				for _, want := range g.Entries {
+					e, group := rt.Entry(next)
+					if e.Out != want.Out || !slices.Equal(e.Ops, want.Ops) || group != j {
+						t.Fatalf("Entry(%d) = %+v in group %d, want %+v in group %d", next, e, group, want, j)
+					}
+					next++
+				}
+			}
+			if first[i+1] != next {
+				t.Fatalf("key %v: range ends at %d, want %d", k, first[i+1], next)
+			}
+		}
+	}
+	if int(next) != rt.NumRules() {
+		t.Fatalf("numbered %d entries, NumRules = %d", next, rt.NumRules())
+	}
+	return firsts
+}
+
+// TestEntryNumbering pins the numbering rule tags rely on: Entry(first[i]+k)
+// is entry k of key i, counted group by group, and a change to an earlier
+// key shifts every later key's first number, which Entry follows.
+func TestEntryNumbering(t *testing.T) {
+	rt := numberedTable()
+	before := checkNumbering(t, rt, 4)
+	if keys, _, _ := rt.In(2); len(keys) != 0 {
+		t.Fatalf("In(2) = %v, want no keys", keys)
+	}
+	if _, group := rt.Entry(before[Key{1, 3}] + 1); group != 2 {
+		t.Fatalf("entry after an empty priority is in group %d, want 2", group)
+	}
+
+	// Shrink (0,3) by its backup group and remove (0,5): every later key
+	// moves down by the two entries they held.
+	gs := rt.Lookup(0, 3)
+	rt.SetGroups(0, 3, gs[:1])
+	rt.SetGroups(0, 5, nil)
+	after := checkNumbering(t, rt, 4)
+	for _, k := range []Key{{1, 3}, {3, 4}} {
+		if after[k] != before[k]-2 {
+			t.Errorf("key %v: first %d after the change, want %d", k, after[k], before[k]-2)
+		}
+	}
+	if after[Key{0, 3}] != 0 {
+		t.Errorf("key (0,3): first %d, want 0", after[Key{0, 3}])
+	}
+}
+
+// TestEntryNumberingConcurrent reads In and Entry from several goroutines
+// on a table whose view none of them has built yet, as a session's batch
+// workers decode witnesses (run under -race).
+func TestEntryNumberingConcurrent(t *testing.T) {
+	ref := numberedTable()
+	checkNumbering(t, ref, 4)
+	rt := numberedTable()
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for l := topology.LinkID(0); l < 4; l++ {
+				keys, _, first := rt.In(l)
+				wantKeys, _, wantFirst := ref.In(l)
+				if !slices.Equal(keys, wantKeys) || !slices.Equal(first, wantFirst) {
+					t.Errorf("In(%d) = %v %v, want %v %v", l, keys, first, wantKeys, wantFirst)
+				}
+			}
+			for id := int32(0); int(id) < ref.NumRules(); id++ {
+				e, group := rt.Entry(id)
+				want, wantGroup := ref.Entry(id)
+				if e.Out != want.Out || group != wantGroup {
+					t.Errorf("Entry(%d) = %+v in group %d, want %+v in group %d", id, e, group, want, wantGroup)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -338,7 +338,8 @@ func TestCacheInvalidationUnderMutation(t *testing.T) {
 		t.Helper()
 		overlay := s.Overlay()
 		reused := 0
-		overlay.Routing.Range(func(k routing.Key, gs routing.Groups) bool {
+		for _, k := range overlay.Routing.Keys() {
+			gs := overlay.Routing.Lookup(k.In, k.Top)
 			hit := false
 			for _, old := range seen[k] {
 				hit = hit || old.Equal(gs)
@@ -349,8 +350,7 @@ func TestCacheInvalidationUnderMutation(t *testing.T) {
 				rebuilt++
 				seen[k] = append(seen[k], gs)
 			}
-			return true
-		})
+		}
 		re0, rb0 := cReused.Value(), cRebuilt.Value()
 		res, err := s.Verify(ctx, qt, engine.Options{})
 		if err != nil {

@@ -42,15 +42,10 @@ func (p *PathTree) To(r RouterID) []LinkID {
 	return out
 }
 
-// ShortestPath computes a minimum-weight directed path from router a to
-// router b using Dijkstra's algorithm over link weights (weight 0 counts as
-// weight 1 so hop counts break ties sensibly). It returns the sequence of
-// link IDs, or nil if b is unreachable from a. Self-loops are never used.
-func (g *Graph) ShortestPath(a, b RouterID) []LinkID {
-	return g.ShortestPathsFrom(a).To(b)
-}
-
-// ShortestPathsFrom computes shortest paths from a to every router.
+// ShortestPathsFrom computes minimum-weight directed paths from router a
+// to every router using Dijkstra's algorithm over link weights (weight 0
+// counts as weight 1 so hop counts break ties sensibly). Self-loops are
+// never used.
 func (g *Graph) ShortestPathsFrom(a RouterID) *PathTree {
 	n := len(g.Routers)
 	p := &PathTree{

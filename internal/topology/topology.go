@@ -10,7 +10,6 @@ package topology
 
 import (
 	"fmt"
-	"sort"
 )
 
 // RouterID identifies a router; it is a dense index into Graph.Routers.
@@ -216,14 +215,4 @@ func (g *Graph) LinkName(l LinkID) string {
 		return fmt.Sprintf("%s.%s#%s.%s", from, lk.FromIfc, to, lk.ToIfc)
 	}
 	return fmt.Sprintf("%s#%s", from, to)
-}
-
-// RouterNames returns all router names in sorted order.
-func (g *Graph) RouterNames() []string {
-	names := make([]string, len(g.Routers))
-	for i, r := range g.Routers {
-		names[i] = r.Name
-	}
-	sort.Strings(names)
-	return names
 }

@@ -100,7 +100,7 @@ func TestAdjacency(t *testing.T) {
 
 func TestShortestPathPrefersLowWeight(t *testing.T) {
 	g, a, _, _, d := diamond(t)
-	path := g.ShortestPath(a, d)
+	path := g.ShortestPathsFrom(a).To(d)
 	if len(path) != 2 {
 		t.Fatalf("path length = %d, want 2", len(path))
 	}
@@ -119,7 +119,7 @@ func TestShortestPathUnreachable(t *testing.T) {
 	b := g.AddRouter("b")
 	// b -> a only; a cannot reach b.
 	g.MustAddLink(b, a, "", "", 1)
-	if path := g.ShortestPath(a, b); path != nil {
+	if path := g.ShortestPathsFrom(a).To(b); path != nil {
 		t.Fatalf("expected nil path, got %v", path)
 	}
 	pt := g.ShortestPathsFrom(a)
@@ -130,7 +130,7 @@ func TestShortestPathUnreachable(t *testing.T) {
 
 func TestShortestPathToSelf(t *testing.T) {
 	g, a, _, _, _ := diamond(t)
-	if path := g.ShortestPath(a, a); path != nil {
+	if path := g.ShortestPathsFrom(a).To(a); path != nil {
 		t.Fatalf("path to self = %v, want nil", path)
 	}
 	if d := g.ShortestPathsFrom(a).Dist(a); d != 0 {
@@ -140,7 +140,7 @@ func TestShortestPathToSelf(t *testing.T) {
 
 func TestShortestPathIgnoresSelfLoops(t *testing.T) {
 	g, a, _, _, d := diamond(t)
-	for _, l := range g.ShortestPath(a, d) {
+	for _, l := range g.ShortestPathsFrom(a).To(d) {
 		if g.Links[l].SelfLoop() {
 			t.Fatal("shortest path uses a self-loop")
 		}
@@ -159,16 +159,6 @@ func TestLinkName(t *testing.T) {
 	l2 := g2.MustAddLink(x, y, "", "", 0)
 	if got := g2.LinkName(l2); got != "x#y" {
 		t.Errorf("LinkName (no ifc) = %q", got)
-	}
-}
-
-func TestRouterNamesSorted(t *testing.T) {
-	g := New()
-	g.AddRouter("zeta")
-	g.AddRouter("alpha")
-	names := g.RouterNames()
-	if names[0] != "alpha" || names[1] != "zeta" {
-		t.Errorf("RouterNames = %v, want sorted", names)
 	}
 }
 

@@ -4,12 +4,79 @@ import (
 	"aalwines/internal/labels"
 	"aalwines/internal/pds"
 	"aalwines/internal/routing"
+	"aalwines/internal/weight"
 )
 
 // The rule generator: one routing entry, fired from one control state
 // towards one target state, becomes a chain of normalised pop/swap/push
-// rules. The eager build and the on-the-fly product share it and differ
-// only in the loop that drives it and in where rules and chain states go.
+// rules. emitKey is the one loop that drives it over a routing key's
+// entries. The eager build calls it once per key for every control state
+// of the key's link, the on-the-fly product once per head for the one
+// control state the head names; they differ only in the states they ask
+// for and in where rules and chain states go.
+
+// emitKey appends to dst the rules of routing key key, whose groups are gs
+// and whose first entry is numbered first (routing.Table.In), fired from
+// the control states (key.In, qb, f) for qb in [qbLo, qbHi) and f in
+// [fLo, fHi). The loop runs group, entry, path-NFA state, target, failure
+// level, and stops at the first group that needs more failures than the
+// query allows. Each chain's first rule is tagged with its entry's number,
+// so a tag names the same entry in both products and decodes through
+// routing.Table.Entry. An entry's weight vector is added to wts once,
+// before its first chain. Chain states come from newState.
+func (s *System) emitKey(dst []pds.Rule, wts *pds.Weights, newState func() pds.State,
+	key routing.Key, gs routing.Groups, first int32, qbLo, qbHi, fLo, fHi int) []pds.Rule {
+	em := chainEmitter{lt: s.Net.Labels, out: dst, newState: newState}
+	init := topStack(s.Net.Labels, key.Top) // chains never modify their input stack
+	tag := first
+	for j := range gs {
+		nFail := gs.PrefixFailures(j)
+		if nFail > s.Query.MaxFailures {
+			break // prefixes only grow with j
+		}
+		for _, entry := range gs[j].Entries {
+			w := int32(-1)
+			for qb := qbLo; qb < qbHi; qb++ {
+				for _, q2 := range s.targets(qb, entry.Out) {
+					for f := fLo; f < fHi; f++ {
+						f2, ok := s.nextBudget(f, nFail)
+						if !ok {
+							continue
+						}
+						if w < 0 {
+							w = wts.Add(s.stepWeight(entry, nFail))
+						}
+						to := s.stateOf(entry.Out, int(q2), f2)
+						em.emit(s.stateOf(key.In, qb, f), init, entry.Ops, to, tag, w)
+					}
+				}
+			}
+			tag++
+		}
+	}
+	return em.out
+}
+
+// stepWeight is the weight vector of forwarding by entry after nFail
+// failures, or nil when the system is unweighted.
+func (s *System) stepWeight(entry routing.Entry, nFail int) []uint64 {
+	if s.Opts.Spec == nil {
+		return nil
+	}
+	atoms := weight.StepAtoms(s.Net.Topo, entry.Out, s.Opts.Dist, nFail, entry.Ops.StackGrowth())
+	return s.Opts.Spec.Eval(atoms)
+}
+
+// nextBudget returns the failure level after a step that needs nFail
+// failures from level f, and false when it exceeds the budget. The
+// over-approximation keeps a single level.
+func (s *System) nextBudget(f, nFail int) (int, bool) {
+	if s.Opts.Mode != Under {
+		return f, true
+	}
+	f2 := f + nFail
+	return f2, f2 < s.kBudget
+}
 
 // kindMask tracks the possible kinds of an unknown stack symbol.
 type kindMask uint8
@@ -68,27 +135,24 @@ type chainEmitter struct {
 
 // emit appends the normalised rule chain for an op sequence, branching
 // over candidate symbols when the top of stack is unknown. Rules are
-// appended depth first: each rule is followed by the chain below it. It
-// reports whether at least one rule was emitted. Only the first rule of a
-// chain carries the tag and the weight, which w names (pds.Rule.W).
-func (c *chainEmitter) emit(cur pds.State, st symStack, ops routing.Ops, to pds.State, tag, w int32) bool {
+// appended depth first: each rule is followed by the chain below it. Only
+// the first rule of a chain carries the tag and the weight, which w names
+// (pds.Rule.W).
+func (c *chainEmitter) emit(cur pds.State, st symStack, ops routing.Ops, to pds.State, tag, w int32) {
 	if len(ops) == 0 {
 		// Forwarding without header rewrite: a no-op swap moves control.
-		any := false
 		for _, t := range c.candidates(st) {
 			c.out = append(c.out, pds.Rule{
 				FromState: cur, FromSym: LabelSymOf(t),
 				ToState: to, Kind: pds.SwapRule, Sym1: LabelSymOf(t),
 				Tag: tag, W: w,
 			})
-			any = true
 		}
-		return any
+		return
 	}
 	op := ops[0]
 	rest := ops[1:]
 	lt := c.lt
-	any := false
 	for _, t := range c.candidates(st) {
 		var next symStack
 		var rule pds.Rule
@@ -122,13 +186,10 @@ func (c *chainEmitter) emit(cur pds.State, st symStack, ops routing.Ops, to pds.
 		rule.Tag = tag
 		rule.W = w
 		c.out = append(c.out, rule)
-		emitted := true
 		if len(rest) > 0 {
-			emitted = c.emit(dst, next, rest, to, -1, 0)
+			c.emit(dst, next, rest, to, -1, 0)
 		}
-		any = any || emitted
 	}
-	return any
 }
 
 // candidates returns the concrete labels the symbolic top may be, in

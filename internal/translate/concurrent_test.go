@@ -29,9 +29,6 @@ func TestBuildDeterministic(t *testing.T) {
 				if !reflect.DeepEqual(got.PDS.Rules, ref.PDS.Rules) {
 					t.Fatalf("%s mode=%d build %d: rule sequence differs", g.Text, mode, i)
 				}
-				if !reflect.DeepEqual(got.Steps, ref.Steps) {
-					t.Fatalf("%s mode=%d build %d: step table differs", g.Text, mode, i)
-				}
 			}
 		}
 	}

@@ -30,7 +30,8 @@ func (s *System) DecodeHeader(stack []pds.Sym) (labels.Header, error) {
 // first step is recovered from the initial control state; each tagged rule
 // opens a forwarding step whose arrival header is the stack once the rule's
 // chain has completed (i.e. just before the next tagged rule, or at the end
-// of the derivation).
+// of the derivation). A tag numbers the routing entry the step forwards
+// by (routing.Table.Entry), in eager and on-the-fly systems alike.
 func (s *System) DecodeTrace(init pds.Config, rules []int32) (network.Trace, error) {
 	e1, _, _, ok := s.DecodeState(init.State)
 	if !ok {
@@ -64,7 +65,7 @@ func (s *System) DecodeTrace(init pds.Config, rules []int32) (network.Trace, err
 		if tag < 0 {
 			return nil, fmt.Errorf("translate: chain rule %d outside any step", rules[i])
 		}
-		step := s.step(tag)
+		e, _ := s.Net.Routing.Entry(tag)
 		// The chain ends right before the next tagged rule.
 		j := i + 1
 		for j < len(rules) && s.PDS.Rule(rules[j]).Tag < 0 {
@@ -74,7 +75,7 @@ func (s *System) DecodeTrace(init pds.Config, rules []int32) (network.Trace, err
 		if err != nil {
 			return nil, err
 		}
-		tr = append(tr, network.Step{Link: step.Out, Header: h})
+		tr = append(tr, network.Step{Link: e.Out, Header: h})
 		i = j - 1
 	}
 	return tr, nil

@@ -14,36 +14,39 @@ import (
 	"aalwines/internal/weight"
 )
 
-// eagerDigests are SHA-256 digests of eager builds, recorded before the
-// on-the-fly product existed: every rule field in list order, the step
-// table, the state count and the pre-reduction rule count. The eager
-// product feeds sessions, the Moped baseline and the reduction ablation,
-// so its rule list, chain numbering and tags must never move.
+// eagerDigests are SHA-256 digests of eager builds: every rule field in
+// list order, with each tag replaced by the (out-link, group) of the
+// routing entry it decodes to, plus the state count and the pre-reduction
+// rule count. They were recorded while tags still indexed a per-build step
+// table, decoding through it; they hold with tags that number routing
+// entries. The eager product feeds sessions, the Moped baseline and the
+// reduction ablation, so its rule list, chain numbering, weights and the
+// steps its tags decode to must never move.
 var eagerDigests = map[string]string{
-	"running-example/over":                         "520bb7609d427e3df56db3f928b30c97bf4cd0aced605e49e58aaf58c0a9b351",
-	"running-example/over/no-reductions":           "caabd88187cc7545f15062dc3110927f48d03294a62894c8443ddc834c8a1107",
-	"running-example/over/weighted":                "29d9231c06fdd033de76abaf60058cc677254798e218349ca752868bb5c721fd",
-	"running-example/over/weighted/no-reductions":  "23a8c96d980a13b27a6387e41a79e707115a626eb49959c5df1b8be61e8dcaec",
-	"running-example/under":                        "771bee81aeb4a7bdd3fe2ecc35cf4638d38e3a26621e193b6e7b92ad47d357be",
-	"running-example/under/no-reductions":          "a3dfb7d1a526b83581c6778374eda04cbd898d815ec60f3a16045c2d31905457",
-	"running-example/under/weighted":               "5dc1c864fbe507c34d150bb419a7d7b36bb2a95a76146b5d3e8de9a9b5caf3f2",
-	"running-example/under/weighted/no-reductions": "dd19e3ff247fe51052cea4fcf1782dfdbd38ba773431cfbab179b6c2b305a6e2",
-	"zoo/over":                              "d548799da1a1867807c9fdb1f15103242dd003da5816aa869648a1688aa3833d",
-	"zoo/over/no-reductions":                "0fa281ba74120e67856b0a00390e87373b26f6e5a6a13d8e11e2051b219124e4",
-	"zoo/over/weighted":                     "015b83ee3ffdc9c3b74ec607602686cd94ddd283cd6e0d5008ebb1977845a2ed",
-	"zoo/over/weighted/no-reductions":       "d83a6cff60c68914603399b89dd631829b7367765fe84cf7a466301a33e7c1aa",
-	"zoo/under":                             "cfedfcba93096006e45c8fb7643ccd6f9b6c93ecf6e01f8f2a9fef0cd8cd387a",
-	"zoo/under/no-reductions":               "10f4a2a35d47e8430450e706db607c9fd4857c639fbd39c0aca7454875bbc8b9",
-	"zoo/under/weighted":                    "6402afb68e6e114294816b594b62794b65e5f4c42639c1ae6a1463ecb9747ed9",
-	"zoo/under/weighted/no-reductions":      "a18cca35ade5455ea40cb99d53edd9dbd881e07e142955c34360388dc949b3f7",
-	"nordunet/over":                         "dabe8d67036add70be58b01a13831b7fe02c553b9a37d2a5b9132a84ba8bcfe0",
-	"nordunet/over/no-reductions":           "f8ab2aaeb729a35cf1c46ab521a2c653a9dd59428d59f58dae18b999584f5822",
-	"nordunet/over/weighted":                "1bbc9ac5b2024fd33dc0a7ed96d8a49381b9410b11a4105548fa91204f00cf72",
-	"nordunet/over/weighted/no-reductions":  "36fad4e99d34895439408df1b68d99a1487e242cc69efba9501dfe0475c0244d",
-	"nordunet/under":                        "33c3bdc01ff6bcab57bbe19070e1ec3828a25f528a0338aaff5b31ad7dd74239",
-	"nordunet/under/no-reductions":          "993c6a7dbec4736095558b74cde142552d5bb04f63dce704d28728cd82891c90",
-	"nordunet/under/weighted":               "7b34a963975d16f8b6ee387f9a24ea76671b76dfbb24533d6caedebce3832e1a",
-	"nordunet/under/weighted/no-reductions": "be1e6b8cb45afef2be927d2b35df99d602232112598cd5415aa896691256fdbc",
+	"running-example/over":                         "cfa98313b1655366d761c673e5b08511dd826b2d136e1a69209af8d4683cbfaa",
+	"running-example/over/no-reductions":           "8b5358bdb4bbe4735d90ca3b56330f3f6c190fb1562309d83da173ccf8e29450",
+	"running-example/over/weighted":                "2aaf89b397a46c257f90bbe58b20e4c736c70a2bbbafa79b63cf1a8c7efd8980",
+	"running-example/over/weighted/no-reductions":  "d222aca28ee68535016b9a6823fac6607181f0e136c69d5dd8e9d40249550d00",
+	"running-example/under":                        "21fbb97f52ad63e5a615b92de7489d5f43cb22ca31e06f548ceb2847eee547f3",
+	"running-example/under/no-reductions":          "ec752fe4fc247531d6841723481552e95040deb96d7bae99fe3d15230f21b762",
+	"running-example/under/weighted":               "98abc2098e5c331e68fbdbe8e833879447a7c68c66ec292e244bbf54ae1456c7",
+	"running-example/under/weighted/no-reductions": "34fe96f13590d6ac991fbaea9f0bb26ae05c889dba0ab97b39f61c3baf984784",
+	"zoo/over":                              "4f2cdadc3a3d3040253ab6c7660a1e89334ad9f179fbf0f705a750b763dfe5f0",
+	"zoo/over/no-reductions":                "8ae69594227707fd1663629f321246a6e14865dcfc6d1a54b15f4cb1089cf195",
+	"zoo/over/weighted":                     "225483af82b0068c65c5d4047b9631bff035a439aa07e55c35143a1cec454aca",
+	"zoo/over/weighted/no-reductions":       "7c8b141a1b0fb717ee9a0ac9d392d883024cda61b6b4e58c6058c5acdb3f101e",
+	"zoo/under":                             "e966d80a63d342e5e6247aadb81d585a157e4afb2114f06481770c477acc398b",
+	"zoo/under/no-reductions":               "5a4dc62af3770c9673485ea3a9ae579563237a04e200356fa9c20ddc0871a32c",
+	"zoo/under/weighted":                    "039ef653fde328ad3e5fd3ef861b3f054242916cc159dacabe30fdcda0f48f39",
+	"zoo/under/weighted/no-reductions":      "0df4e378db1de54878f859eba1181adea5c52f49f6899b22dd91e71575791f4a",
+	"nordunet/over":                         "d3f9ababc2f8de7da9561b2a881b6dbb43c46d6ce528ea2efbedbd16e050d8e1",
+	"nordunet/over/no-reductions":           "1fcb896194abd5b43da30eaefb39a8e3c2530d887d671c92d8f0814a90b88eb2",
+	"nordunet/over/weighted":                "bbd3d7291ad7ab00a48bd0c5771d7d4d5db5df5bca524d0fc70d08f442909d58",
+	"nordunet/over/weighted/no-reductions":  "99cb49776a3671d485dd331b906a96935c5790ca645b6a64f507fce8570a3d9d",
+	"nordunet/under":                        "0ed6e72c9c94e4cba5ffc8feb643d58f32eb4733a803f32efe33192cd32bbc09",
+	"nordunet/under/no-reductions":          "e5f4a39f34f33519ab355467e6354bd9fca76e9f793348152c6b6274d444b478",
+	"nordunet/under/weighted":               "057bd44494edf006265c80a753fc5b8e146c55e101317880776c6958bac51739",
+	"nordunet/under/weighted/no-reductions": "c9732eb2422e8d7e95b7ca35321e41949230e065520089f1526614eeb0a01b93",
 }
 
 // digestNets returns the digest corpus: each network with its queries.
@@ -130,17 +133,18 @@ func digestSystem(h interface{ Write([]byte) (int, error) }, sys *translate.Syst
 		put(uint64(r.Kind))
 		put(uint64(r.Sym1))
 		put(uint64(r.Sym2))
-		put(uint64(int64(r.Tag)))
+		if r.Tag < 0 {
+			put(^uint64(0))
+		} else {
+			e, group := sys.Net.Routing.Entry(r.Tag)
+			put(uint64(e.Out))
+			put(uint64(group))
+		}
 		w := sys.PDS.Weights.Of(&r)
 		put(uint64(len(w)))
 		for _, x := range w {
 			put(x)
 		}
-	}
-	put(uint64(len(sys.Steps)))
-	for _, st := range sys.Steps {
-		put(uint64(st.Out))
-		put(uint64(st.Group))
 	}
 	fmt.Fprintf(h, "%x", sha256.Sum256(buf))
 }

@@ -16,15 +16,14 @@ import (
 // ruleBlock is the relocatable form of the rules one routing-table key
 // emits: chain states are stored relative to the block's first allocation
 // (encoded as baseCnt+offset, which cannot collide with base control
-// states), tags relative to the block's first Steps entry and weight
+// states), tags relative to the key's first entry number and weight
 // indexes relative to the block's first weight vector. Splicing a
-// block into a new build reproduces exactly the rules, state ids and step
+// block into a new build reproduces exactly the rules, state ids and
 // tags a from-scratch build would emit for that key, provided the key's
 // groups equal the groups the block was emitted from.
 type ruleBlock struct {
 	groups    routing.Groups // the key's groups the block was emitted from
 	rules     []pds.Rule
-	steps     []StepInfo
 	weights   pds.Weights
 	numStates int // chain states the block allocates
 }
@@ -32,8 +31,9 @@ type ruleBlock struct {
 // BlockStore caches rule blocks for one (query, translate options) pair
 // across incremental builds of networks that share one topology and label
 // table. A block is keyed by its routing key and the key's groups,
-// compared by content. That is exact: buildKeyGroups reads only the key,
-// its groups, the query and the shared topology and label table. Up to
+// compared by content. That is exact: emitKey reads only the key, its
+// groups, the query and the shared topology and label table, and the
+// key's first entry number, which a splice adds back. Up to
 // keyVersions blocks of one key are retained, evicted FIFO, so undoing a
 // recent delta still hits.
 type BlockStore struct {
@@ -87,10 +87,11 @@ func (st BuildStats) Sub(prev BuildStats) BuildStats {
 // BuildIncremental constructs the same System Build would, but partitioned
 // by routing-table key: keys whose groups match a cached block are spliced
 // in without re-running rule emission, the others are emitted normally and
-// recorded into the store. The assembled rule list, state numbering, step
-// tags, reduction and final specification are byte-identical to a
-// from-scratch Build of the same network — splicing rebases each block to
-// the state/tag offsets the fresh build would have reached at that key.
+// recorded into the store. The assembled rule list, state numbering, tags,
+// reduction and final specification are byte-identical to a from-scratch
+// Build of the same network — splicing rebases each block to the state and
+// weight offsets the fresh build would have reached at that key and to the
+// key's first entry number in the network's table.
 func BuildIncremental(net *network.Network, q *query.Query, opts Options, store *BlockStore) (*System, BuildStats) {
 	b := &builder{System: newSystem(net, q, opts), store: store}
 	b.construct()
@@ -99,16 +100,14 @@ func BuildIncremental(net *network.Network, q *query.Query, opts Options, store 
 
 // record emits one key's rules normally, then snapshots them in
 // relocatable form.
-func (b *builder) record(key routing.Key, gs routing.Groups) *ruleBlock {
+func (b *builder) record(key routing.Key, gs routing.Groups, first int32) *ruleBlock {
 	r0 := len(b.PDS.Rules)
 	s0 := b.PDS.NumStates
-	t0 := len(b.Steps)
 	w0 := len(b.PDS.Weights)
-	b.buildKeyGroups(key, gs)
+	b.emitAll(key, gs, first)
 	blk := &ruleBlock{
 		groups:    gs,
 		numStates: b.PDS.NumStates - s0,
-		steps:     append([]StepInfo(nil), b.Steps[t0:]...),
 		weights:   append(pds.Weights(nil), b.PDS.Weights[w0:]...),
 		rules:     make([]pds.Rule, 0, len(b.PDS.Rules)-r0),
 	}
@@ -116,7 +115,7 @@ func (b *builder) record(key routing.Key, gs routing.Groups) *ruleBlock {
 		r.FromState = relocOut(r.FromState, s0, b.baseCnt)
 		r.ToState = relocOut(r.ToState, s0, b.baseCnt)
 		if r.Tag >= 0 {
-			r.Tag -= int32(t0)
+			r.Tag -= first
 		}
 		if r.W > 0 {
 			r.W -= int32(w0)
@@ -126,27 +125,26 @@ func (b *builder) record(key routing.Key, gs routing.Groups) *ruleBlock {
 	return blk
 }
 
-// splice replays a recorded block at the current state/tag offsets.
-func (b *builder) splice(blk *ruleBlock) {
+// splice replays a recorded block at the current state and weight offsets,
+// for a key whose first entry is numbered first.
+func (b *builder) splice(blk *ruleBlock, first int32) {
 	s0 := pds.State(b.PDS.NumStates)
 	for i := 0; i < blk.numStates; i++ {
 		b.PDS.AddState()
 	}
-	t0 := int32(len(b.Steps))
 	w0 := int32(len(b.PDS.Weights))
 	b.PDS.Weights = append(b.PDS.Weights, blk.weights...)
 	for _, r := range blk.rules {
 		r.FromState = relocIn(r.FromState, s0, b.baseCnt)
 		r.ToState = relocIn(r.ToState, s0, b.baseCnt)
 		if r.Tag >= 0 {
-			r.Tag += t0
+			r.Tag += first
 		}
 		if r.W > 0 {
 			r.W += w0
 		}
 		b.PDS.AddRule(r)
 	}
-	b.Steps = append(b.Steps, blk.steps...)
 }
 
 // relocOut turns an absolute state into block-relative form: base control

@@ -17,10 +17,11 @@ import (
 // saturating the eager one does. post* fires, for every transition, the
 // rules of its head in rule order; a head (link, path-NFA state, failure
 // level, top label) lists its rules here in the eager order — priority
-// group, entry, then ascending target state — and a set edge visits its
-// heads in ascending label order, which is the eager rule order at a
-// state. The rules the eager reduction removes have heads no transition
-// reaches, so they never fire there either.
+// group, entry, then ascending target state — because both products run
+// emitKey, and a set edge visits its heads in ascending label order, which
+// is the eager rule order at a state. The rules the eager reduction
+// removes have heads no transition reaches, so they never fire there
+// either.
 type headGen struct{ s *System }
 
 // Head implements pds.Generator.
@@ -36,29 +37,7 @@ func (g headGen) Head(dst []pds.Rule, wts *pds.Weights, st pds.State, sym pds.Sy
 	if i == len(keys) || keys[i].Top != top {
 		return dst
 	}
-	gs := groups[i]
-	em := chainEmitter{lt: s.Net.Labels, out: dst, newState: newState}
-	init := topStack(s.Net.Labels, top) // chains never modify their input stack
-	// Tags number routing entries, so decoding needs no per-run step table.
-	tag := first[i]
-	for j := range gs {
-		nFail := len(gs.PrefixLinks(j))
-		if nFail > s.Query.MaxFailures {
-			break // prefixes only grow with j
-		}
-		for _, entry := range gs[j].Entries {
-			f2, ok := s.nextBudget(f, nFail)
-			if ts := s.targets(qb, entry.Out); ok && len(ts) > 0 {
-				w := wts.Add(s.stepWeight(entry, nFail))
-				for _, q2 := range ts {
-					to := s.stateOf(entry.Out, int(q2), f2)
-					em.emit(st, init, entry.Ops, to, tag, w)
-				}
-			}
-			tag++
-		}
-	}
-	return em.out
+	return s.emitKey(dst, wts, newState, keys[i], groups[i], first[i], qb, qb+1, f, f+1)
 }
 
 // Heads implements pds.Generator: the top labels of the routing keys of

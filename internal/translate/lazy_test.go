@@ -13,18 +13,15 @@ import (
 )
 
 // renderChains renders the rules headed at from, in order, each followed
-// by the chain below it, with chain states unnamed, weights read from wts
-// and tags resolved to steps: the form in which an eager and an on-the-fly
-// head must agree.
+// by the chain below it, with chain states unnamed and weights read from
+// wts: the form in which an eager and an on-the-fly head must agree. Tags
+// are rendered raw, since both products number routing entries.
 func renderChains(b *strings.Builder, sys *System, rules []pds.Rule, wts pds.Weights, from pds.State, depth int) {
 	for _, r := range rules {
 		if r.FromState != from {
 			continue
 		}
-		fmt.Fprintf(b, "%*s<%d> kind=%d sym1=%d sym2=%d w=%v", depth, "", r.FromSym, r.Kind, r.Sym1, r.Sym2, wts.Of(&r))
-		if r.Tag >= 0 {
-			fmt.Fprintf(b, " step=%+v", sys.step(r.Tag))
-		}
+		fmt.Fprintf(b, "%*s<%d> kind=%d sym1=%d sym2=%d w=%v tag=%d", depth, "", r.FromSym, r.Kind, r.Sym1, r.Sym2, wts.Of(&r), r.Tag)
 		if _, _, _, ok := sys.DecodeState(r.ToState); ok {
 			fmt.Fprintf(b, " to=%d\n", r.ToState)
 			continue

@@ -147,7 +147,7 @@ func (b *builder) reduce() {
 	}
 
 	// Prune rules with unreachable heads, preserving order (tags stay
-	// valid: they index b.Steps, not rules).
+	// valid: they number routing entries, not rules).
 	kept := p.Rules[:0]
 	for _, r := range p.Rules {
 		if tops[r.FromState].has(r.FromSym) {

@@ -13,10 +13,11 @@
 //     required failure set has size ≤ k; the under-approximation threads a
 //     global failure budget through the control state.
 //
-// The product comes in two forms built by one rule generator (chain.go).
-// The on-the-fly form (Options.Slice) is generated per head while post*
-// runs, indexed by the routing table's sorted view (lazy.go). The eager
-// form drives the generator over the whole routing table up front and then
+// The product comes in two forms built by one emission loop (chain.go),
+// which tags every rule chain with the number of the routing entry it
+// encodes. The on-the-fly form (Options.Slice) is generated per head while
+// post* runs, indexed by the routing table's sorted view (lazy.go). The
+// eager form runs the loop over the whole routing table up front and then
 // removes unreachable rules with a top-of-stack dataflow analysis, the
 // paper's reduction step (eager.go, reductions.go).
 package translate
@@ -69,13 +70,6 @@ type Options struct {
 	Slice bool
 }
 
-// StepInfo describes the network-level action of a tagged rule: the packet
-// is forwarded out of link Out using priority group Group (0-based).
-type StepInfo struct {
-	Out   topology.LinkID
-	Group int
-}
-
 // System is a constructed pushdown system ready for saturation.
 type System struct {
 	Net   *network.Network
@@ -85,10 +79,6 @@ type System struct {
 	PDS *pds.PDS
 	Bot pds.Sym // the bottom-of-stack marker symbol
 	Dim int     // weight dimension (0 = unweighted)
-	// Steps maps the tags of the eager product's rules to steps. On the
-	// fly it is empty: a tag there numbers a routing entry (see
-	// routing.Table.In), which knows its own step.
-	Steps []StepInfo
 
 	// FinalStates are the control states from which the final stack
 	// specification is checked.
@@ -221,15 +211,6 @@ func (s *System) SymLabel(sym pds.Sym) (labels.ID, bool) {
 		return labels.None, false
 	}
 	return labels.ID(sym + 1), true
-}
-
-// step returns the network step a rule tag stands for.
-func (s *System) step(tag int32) StepInfo {
-	if s.PDS.Gen == nil {
-		return s.Steps[tag]
-	}
-	e, group := s.Net.Routing.Entry(tag)
-	return StepInfo{Out: e.Out, Group: group}
 }
 
 // Generated returns how many rules the latest saturation of an on-the-fly

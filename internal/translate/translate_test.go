@@ -227,17 +227,29 @@ func TestPopThenSwapChain(t *testing.T) {
 	}
 }
 
+// TestStepsRecorded checks that every tag of an eager build numbers a
+// routing entry whose out-link is the link the rule chain moves to.
 func TestStepsRecorded(t *testing.T) {
 	re := gen.RunningExample()
 	q := mustParse(t, "<ip> [.#v0] .* [v3#.] <ip> 1", re.Network)
 	sys := translate.Build(re.Network, q, translate.Options{})
-	if len(sys.Steps) == 0 {
-		t.Fatal("no step infos")
-	}
+	rt := re.Network.Routing
+	tagged := 0
 	for _, r := range sys.PDS.Rules {
-		if r.Tag >= 0 && int(r.Tag) >= len(sys.Steps) {
-			t.Fatalf("rule tag %d out of range %d", r.Tag, len(sys.Steps))
+		if r.Tag < 0 {
+			continue
 		}
+		tagged++
+		if int(r.Tag) >= rt.NumRules() {
+			t.Fatalf("rule tag %d out of range %d", r.Tag, rt.NumRules())
+		}
+		e, _ := rt.Entry(r.Tag)
+		if to, _, _, ok := sys.DecodeState(r.ToState); ok && to != e.Out {
+			t.Fatalf("rule %v tagged %d moves to link %d, its entry leaves by %d", r, r.Tag, to, e.Out)
+		}
+	}
+	if tagged == 0 {
+		t.Fatal("no tagged rules")
 	}
 }
 

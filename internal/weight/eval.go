@@ -87,7 +87,7 @@ func minFailuresForStep(n *network.Network, s, next network.Step) int {
 			if err != nil || !nh.Equal(next.Header) {
 				continue
 			}
-			sz := len(gs.PrefixLinks(j))
+			sz := gs.PrefixFailures(j)
 			if best == -1 || sz < best {
 				best = sz
 			}
