@@ -393,8 +393,9 @@ func (r *Result) FindAccepting(starts []State, spec *nfa.NFA) (Accepted, bool) {
 	prev := map[accNode]back{}
 	hopCount := map[accNode]int{}
 	pq := &accHeap{}
+	closure := spec.EpsClosure(spec.Start())
 	for _, p := range starts {
-		for _, ns := range spec.EpsClosure(spec.Start()) {
+		for _, ns := range closure {
 			nd := accNode{p, ns}
 			if _, ok := dist[nd]; !ok {
 				zero := make([]uint64, r.Dim)
@@ -454,8 +455,9 @@ func (r *Result) FindAcceptingN(starts []State, spec *nfa.NFA, n int) []Accepted
 	var steps []step
 	visits := map[accNode]int{}
 	pq := &accHeap{}
+	closure := spec.EpsClosure(spec.Start())
 	for _, p := range starts {
-		for _, ns := range spec.EpsClosure(spec.Start()) {
+		for _, ns := range closure {
 			heap.Push(pq, accItem{s: p, n: ns, w: make([]uint64, r.Dim), step: -1})
 		}
 	}

@@ -250,7 +250,7 @@ func parseOps(s string, lt *labels.Table) (routing.Ops, error) {
 // "A#B" when the routers have exactly one link in that direction.
 func resolveLink(g *topology.Graph, name string) (topology.LinkID, error) {
 	for l := 0; l < g.NumLinks(); l++ {
-		if g.LinkName(topology.LinkID(l)) == name {
+		if g.HasLinkName(topology.LinkID(l), name) {
 			return topology.LinkID(l), nil
 		}
 	}

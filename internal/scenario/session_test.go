@@ -511,3 +511,34 @@ func TestSetStack(t *testing.T) {
 	}
 	checkDifferential(t, s, queries[:1])
 }
+
+// TestResolveLinkBuiltins resolves every link of each builtin network by
+// its own LinkName: the first link in link order with that name.
+func TestResolveLinkBuiltins(t *testing.T) {
+	nets := map[string]*topology.Graph{
+		"running-example": gen.RunningExample().Network.Topo,
+		"zoo":             gen.Zoo(gen.ZooOpts{Routers: 16, Seed: 3, Protection: true}).Net.Topo,
+		"nordunet":        gen.Nordunet(gen.NordOpts{Services: 1, EdgeRouters: 6, Seed: 2}).Net.Topo,
+		"fattree":         gen.FatTree(gen.FatTreeOpts{K: 4, Seed: 1}).Net.Topo,
+		"rings":           gen.RingOfRings(gen.RingOfRingsOpts{Rings: 3, Seed: 1}).Net.Topo,
+		"backbone":        gen.Backbone(gen.BackboneOpts{Pops: 6, Seed: 1}).Net.Topo,
+	}
+	for name, g := range nets {
+		first := map[string]topology.LinkID{}
+		for l := 0; l < g.NumLinks(); l++ {
+			if _, ok := first[g.LinkName(topology.LinkID(l))]; !ok {
+				first[g.LinkName(topology.LinkID(l))] = topology.LinkID(l)
+			}
+		}
+		for l := 0; l < g.NumLinks(); l++ {
+			ln := g.LinkName(topology.LinkID(l))
+			got, err := resolveLink(g, ln)
+			if err != nil {
+				t.Fatalf("%s: %q: %v", name, ln, err)
+			}
+			if got != first[ln] {
+				t.Fatalf("%s: %q resolves to link %d, want %d", name, ln, got, first[ln])
+			}
+		}
+	}
+}

@@ -10,6 +10,7 @@ package topology
 
 import (
 	"fmt"
+	"strings"
 )
 
 // RouterID identifies a router; it is a dense index into Graph.Routers.
@@ -215,4 +216,28 @@ func (g *Graph) LinkName(l LinkID) string {
 		return fmt.Sprintf("%s.%s#%s.%s", from, lk.FromIfc, to, lk.ToIfc)
 	}
 	return fmt.Sprintf("%s#%s", from, to)
+}
+
+// HasLinkName reports whether LinkName(l) == name. It compares name piece
+// by piece with the link's router and interface names, so looking a name
+// up across all links formats none of them.
+func (g *Graph) HasLinkName(l LinkID, name string) bool {
+	lk := &g.Links[l]
+	from, to := g.Routers[lk.From].Name, g.Routers[lk.To].Name
+	if lk.FromIfc == "" && lk.ToIfc == "" {
+		return len(name) == len(from)+1+len(to) && isConcat(name, from, "#", to)
+	}
+	return len(name) == len(from)+len(lk.FromIfc)+len(to)+len(lk.ToIfc)+3 &&
+		isConcat(name, from, ".", lk.FromIfc, "#", to, ".", lk.ToIfc)
+}
+
+// isConcat reports whether s is the concatenation of parts.
+func isConcat(s string, parts ...string) bool {
+	for _, p := range parts {
+		var ok bool
+		if s, ok = strings.CutPrefix(s, p); !ok {
+			return false
+		}
+	}
+	return s == ""
 }

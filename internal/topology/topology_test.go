@@ -190,3 +190,26 @@ func TestDistMonotoneAlongTree(t *testing.T) {
 		}
 	}
 }
+
+// TestHasLinkName checks HasLinkName against LinkName for every pair of
+// links, with and without interface names, and against near misses.
+func TestHasLinkName(t *testing.T) {
+	g, a, b, c, _ := diamond(t)
+	g.MustAddLink(b, a, "", "", 1)     // "b#a"
+	g.MustAddLink(b, a, "", "", 1)     // parallel, the same name
+	g.MustAddLink(c, a, "", "eth9", 1) // "c.#a.eth9"
+	g.MustAddLink(a, c, "x.y", "", 1)  // "a.x.y#c."
+	for l := range g.Links {
+		name := g.LinkName(LinkID(l))
+		for m := range g.Links {
+			if got, want := g.HasLinkName(LinkID(m), name), g.LinkName(LinkID(m)) == name; got != want {
+				t.Errorf("HasLinkName(%d, %q) = %v, want %v", m, name, got, want)
+			}
+		}
+		for _, miss := range []string{"", name[1:], name[:len(name)-1], name + "#", "." + name, name + "."} {
+			if g.HasLinkName(LinkID(l), miss) {
+				t.Errorf("HasLinkName(%d, %q) = true for link %q", l, miss, name)
+			}
+		}
+	}
+}

@@ -21,10 +21,18 @@ func (b *builder) construct() {
 	// The product emits at least one PDS rule per routing entry (usually
 	// a few); reserving the known lower bound up front skips the early
 	// append-doubling generations, which at >250k rules are the single
-	// largest allocation source of a build.
-	b.PDS.ReserveRules(b.Net.Routing.NumRules())
+	// largest allocation source of a build. An incremental build reserves
+	// what the store's previous build emitted, if that is more.
+	n := b.Net.Routing.NumRules()
+	if b.store != nil {
+		n = max(n, b.store.rules)
+	}
+	b.PDS.ReserveRules(n)
 	b.buildRules()
 	b.RulesBeforeReduction = len(b.PDS.Rules)
+	if b.store != nil {
+		b.store.rules = b.RulesBeforeReduction
+	}
 	if !b.Opts.NoReductions {
 		b.reduce()
 	}

@@ -38,6 +38,9 @@ type ruleBlock struct {
 // recent delta still hits.
 type BlockStore struct {
 	blocks map[routing.Key][]*ruleBlock
+	// rules is how many rules the latest build through the store emitted:
+	// the next build reserves that many, since an overlay changes few keys.
+	rules int
 }
 
 // keyVersions bounds how many content versions of one routing key a store
